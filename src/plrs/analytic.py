@@ -9,9 +9,10 @@ magnitude since c_1 >= 1).  Because p(x) -> +inf, the sign of p at a
 non-negative rational point t decides the comparison with r_1 outright:
 p(t) > 0 iff t > r_1 and p(t) < 0 iff t < r_1.  Every root produced here
 is therefore a *certified* bracket: exact rational endpoints with
-p(lo) < 0 < p(hi) (or an exact integer hit), never a bare float.  Floats
-appear only in display helpers; tolerances control bracket width, not any
-verdict logic.
+p(lo) < 0 < p(hi) (or an exact integer hit), never a bare float.  A float
+may propose a bracket, but only an integer sign evaluation accepts it;
+otherwise floats appear only in display helpers.  Tolerances control
+bracket width, not any verdict logic.
 
 The triage test classifies fast: p(2) < 0 proves incompleteness (the root
 exceeds 2, too fast to be complete), while a root certified below the
@@ -22,6 +23,7 @@ between land in an indeterminate band where gap arithmetic must decide.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -122,21 +124,84 @@ class RootBracket:
         tol = _as_fraction(tol)
         if self.exact_root is not None or self.width <= tol:
             return self
-        lo, hi = _bisect(self.poly, self.lo, self.hi, tol)
-        return RootBracket(self.poly, lo, hi, None)
+        lo, hi = self.lo, self.hi
+        den = math.lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        b = hi.numerator * (den // hi.denominator)
+        return _cut(self.poly, a, b, den, tol)
 
 
-def _bisect(poly: CharPoly, lo: Fraction, hi: Fraction, tol: Fraction):
-    # Maintains p(lo) < 0 < p(hi).  Midpoints are non-integer dyadics and
-    # the polynomial is monic with integer coefficients, so a midpoint can
-    # never be an exact root (rational roots would have to be integers).
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if poly.sign_at(mid.numerator, mid.denominator) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def _cut(poly: CharPoly, a: int, b: int, den: int, tol: Fraction) -> RootBracket:
+    # Bracket of width <= tol cut from [a/den, b/den], where
+    # p(a/den) < 0 <= p(b/den): the cell that plain bisection would reach.
+    # Bisection halves until the width first drops to tol, so it takes the
+    # least n with (b - a)/den <= tol * 2^n.
+    wide, unit = (b - a) * tol.denominator, tol.numerator * den
+    n = max(0, wide.bit_length() - unit.bit_length() - 1)
+    while unit << n < wide:
+        n += 1
+    a, b, den = _bisect(poly, a, b, den, n)
+    return RootBracket(poly, Fraction(a, den), Fraction(b, den), None)
+
+
+def _bisect(poly: CharPoly, a: int, b: int, den: int, n: int) -> tuple[int, int, int]:
+    """The cell [a', b']/den' that n halvings of [a, b]/den end in.
+
+    Requires p(a/den) < 0 <= p(b/den).  Cell j of the grid is
+    [a + j*w, a + (j+1)*w] / (den*2^n) with w = b - a; bisection keeps the
+    sign pattern, so it ends in the one cell with p(left) < 0 <= p(right).
+    That cell is unique because p changes sign once on the positive axis.
+    A float Newton estimate proposes j and two exact sign evaluations
+    accept it; otherwise integer bisection finds j.
+    """
+    w = b - a
+    a, den = a << n, den << n
+
+    def sign(i: int) -> int:  # sign of p at grid point i
+        return poly.sign_at(a + i * w, den)
+
+    # The check costs two sign evaluations, so a seed pays only past n = 2.
+    j = _seed_cell(poly, a, w, den, n) if n > 2 else None
+    if j is None or not sign(j) < 0 <= sign(j + 1):
+        j, k = 0, 1 << n
+        while k - j > 1:
+            mid = (j + k) // 2
+            if sign(mid) < 0:
+                j = mid
+            else:
+                k = mid
+    return a + j * w, a + (j + 1) * w, den
+
+
+def _seed_cell(poly: CharPoly, a: int, w: int, den: int, n: int) -> Optional[int]:
+    """Grid cell of a float estimate of the root, or None if floats overflow.
+
+    Newton's method on f(x) = p(x) / x^L = 1 - sum c_i x^(-i), whose powers
+    cannot overflow for x >= 1 (a coefficient beyond the float range can).
+    f is increasing and concave for x > 0, so from the lower end each step
+    climbs towards the root without passing it (up to rounding).  The
+    estimate is only a proposal: ``_bisect`` accepts it by exact sign
+    evaluation.
+    """
+    try:
+        cs = [float(ci) for ci in reversed(poly.coefficients.values)]
+        x = a / den
+        for _ in range(100):  # unconverged, the seed fails its sign check
+            y = 1.0 / x
+            h = dh = 0.0  # h(y) = c_1 + c_2 y + ... + c_L y^(L-1), and h'
+            for ci in cs:
+                dh = dh * y + h
+                h = h * y + ci
+            # f(x) = 1 - y h(y) and f'(x) = (h + y h') y^2, with y = 1/x.
+            nxt = x - (1.0 - y * h) / ((h + y * dh) * y * y)
+            if not nxt > x:  # converged, or nan
+                break
+            x = nxt
+        num, rden = x.as_integer_ratio()
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
+    j = (num * den - a * rden) // (rden * w)
+    return min(max(j, 0), (1 << n) - 1)
 
 
 def _integer_bracket(poly: CharPoly):
@@ -176,8 +241,7 @@ def principal_root(c: Coefficients, tol=DEFAULT_TOL) -> RootBracket:
     if found[0] == "exact":
         t = found[1]
         return RootBracket(poly, Fraction(t), Fraction(t), exact_root=t)
-    lo, hi = _bisect(poly, Fraction(found[1]), Fraction(found[2]), tol)
-    return RootBracket(poly, lo, hi, None)
+    return _cut(poly, found[1], found[2], 1, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +536,26 @@ def root_order_gap(L: int, k: int, tol=DEFAULT_TOL) -> tuple[float, float]:
     if L <= 2 or k <= 0:
         raise ValueError(f"need L > 2 and k > 0, got L={L}, k={k}")
     tol = _as_fraction(tol)
-    bq, br, bs = (principal_root(sparse_vector(L, t), tol) for t in (k, k + 1, k + 2))
+    shrunk = _certify_gap_shrink(
+        *(principal_root(sparse_vector(L, t), tol) for t in (k, k + 1, k + 2))
+    )
+    if shrunk is None:
+        raise RuntimeError("gap ordering certification failed to converge")
+    bq, br, bs = shrunk
+    return br.approx - bq.approx, bs.approx - br.approx
+
+
+def _certify_gap_shrink(
+    bq: RootBracket, br: RootBracket, bs: RootBracket
+) -> Optional[tuple[RootBracket, RootBracket, RootBracket]]:
+    # Refines three consecutive roots q < r < s until r - q > s - r is
+    # certified, and returns the refined brackets; None after 200 rounds.
     for _ in range(200):
         # gap1 >= br.lo - bq.hi and gap2 <= bs.hi - br.lo
         if 2 * br.lo > bq.hi + bs.hi:
-            break
+            return bq, br, bs
         bq, br, bs = (b.refined(b.width / 4) for b in (bq, br, bs))
-    else:
-        raise RuntimeError("gap ordering certification failed to converge")
-    return br.approx - bq.approx, bs.approx - br.approx
+    return None
 
 
 @dataclass(frozen=True)
@@ -533,14 +608,11 @@ def denseness_scan(
     decreasing = True
     work = list(brackets)
     for i in range(len(work) - 2):
-        for _ in range(200):
-            if 2 * work[i + 1].lo > work[i].hi + work[i + 2].hi:
-                break
-            for j in (i, i + 1, i + 2):
-                work[j] = work[j].refined(work[j].width / 4)
-        else:
+        shrunk = _certify_gap_shrink(*work[i : i + 3])
+        if shrunk is None:
             decreasing = False
             break
+        work[i : i + 3] = shrunk
 
     gaps = [b.approx - a.approx for a, b in zip(brackets, brackets[1:])]
     max_gap = max(gaps)

@@ -23,6 +23,7 @@ enters any verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .core import Coefficients, TermSequence, generate_terms
@@ -252,12 +253,15 @@ def check_completeness(
 
 
 def recheck(verdict: Verdict) -> bool:
-    """Re-validate a gap-based certificate from scratch.
+    """Re-validate a certificate from scratch.
 
     Recomputes terms and gaps independently of the engine run that produced
-    the verdict and confirms the certificate's claim.  Family and root
-    certificates are produced by other modules and are re-validated there;
-    for those this returns True only for the structural fields.
+    the verdict and confirms the certificate's claim.  Root certificates are
+    re-checked by exact rational evaluation of the characteristic
+    polynomials (``CharPoly.eval``), not by the integer sign test that
+    produced them.  Family certificates other than the 2L-1 rule are
+    produced by ``plrs.families`` and are not re-derived here; for those
+    this returns True.
     """
     c = verdict.coefficients
     cert = verdict.certificate
@@ -299,6 +303,31 @@ def recheck(verdict: Verdict) -> bool:
     if cert.kind == "family" and cert.rule == RULE_2L1:
         trace = gap_trace(generate_terms(c, 2 * L - 1))
         return all(g >= 0 for g in trace.gaps)
+    if cert.kind == "root":
+        return _recheck_root(verdict)
     if cert.kind == "horizon":
         return verdict.kind == UNKNOWN
     return True
+
+
+def _recheck_root(verdict: Verdict) -> bool:
+    from . import analytic  # local: analytic imports brown
+
+    c = verdict.coefficients
+    p = analytic.CharPoly(c)
+    rule = verdict.certificate.rule
+    if rule == analytic.TRIAGE_FAST:
+        # p(2) < 0: the principal root exceeds 2.
+        return verdict.kind == INCOMPLETE and p.eval(Fraction(2)) < 0
+    if rule == analytic.TRIAGE_SLOW:
+        if c.L < 2:
+            return False
+        lam = analytic.lambda_threshold(c.L).root
+        # p_lambda(lo) <= 0 puts lo at or below lambda_L (equal only when
+        # lambda_L is an integer, as at L = 3); p(lo) > 0 puts the root
+        # below lo.
+        below = lam.poly.eval(lam.lo) <= 0 < p.eval(lam.lo)
+        return verdict.kind == COMPLETE and verdict.conjectural and below
+    if rule == analytic.TRIAGE_INDETERMINATE:
+        return verdict.kind == UNKNOWN
+    return False

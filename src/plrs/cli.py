@@ -159,14 +159,6 @@ def _cmd_gen(args) -> int:
 # check / oracle-check
 
 
-def _verify_certificate(verdict: brown.Verdict) -> bool:
-    cert = verdict.certificate
-    if cert.kind == "root":
-        redo = analytic.triage(verdict.coefficients)
-        return redo.kind == verdict.kind and redo.certificate.rule == cert.rule
-    return brown.recheck(verdict)
-
-
 def _cmd_check(args) -> int:
     c = _parse_coefficients(args.coefficients)
     config = {
@@ -188,7 +180,7 @@ def _cmd_check(args) -> int:
         config["path"].append("brown")
         verdict = brown.check_completeness(c, horizon=args.horizon, assume_2l1=args.assume_2l1)
     if args.verify:
-        ok = _verify_certificate(verdict)
+        ok = brown.recheck(verdict)
         config["verified"] = ok
         if not ok:
             print(f"certificate failed re-validation: {verdict}", file=sys.stderr)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import itertools
 from decimal import Decimal, getcontext
+from fractions import Fraction
 
 from plrs import brown, oracle
+from plrs.analytic import CharPoly
 from plrs.core import Coefficients, validate
 
 getcontext().prec = 60
@@ -67,3 +69,40 @@ def definite_oracle(c: Coefficients) -> brown.Verdict:
 
 def is_complete(values) -> bool:
     return definite_oracle(validate(values)).kind == brown.COMPLETE
+
+
+def reference_bisect(poly: CharPoly, lo: Fraction, hi: Fraction, tol: Fraction):
+    """Plain Fraction bisection of [lo, hi] down to width <= tol.
+
+    Keeps p(lo) < 0 <= p(hi); the reference for the integer root isolation.
+    """
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if poly.sign_at(mid.numerator, mid.denominator) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def reference_root(c: Coefficients, tol: Fraction):
+    """(lo, hi) of the principal root: an integer bracket, then bisection.
+
+    An integer root t gives (t, t).
+    """
+    poly = CharPoly(c)
+    if poly.eval(1) == 0:
+        return Fraction(1), Fraction(1)
+    hi = 2
+    while poly.eval(hi) < 0:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:  # p(lo) < 0 <= p(hi)
+        mid = (lo + hi) // 2
+        if poly.eval(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    if poly.eval(hi) == 0:
+        return Fraction(hi), Fraction(hi)
+    return reference_bisect(poly, Fraction(lo), Fraction(hi), tol)

@@ -10,12 +10,14 @@ evaluation) or frozen from such a computation.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
 
+import plrs
 from plrs import (
     COMPLETE,
     INCOMPLETE,
@@ -238,10 +240,14 @@ def test_criterion_08_triage_soundness_and_coverage():
 
 
 def _run_cli(*argv):
+    # The child imports the same plrs as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(plrs.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "plrs.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plrs import (
     COMPLETE,
@@ -16,12 +18,24 @@ from plrs import (
     lambda_threshold,
     min_root_in_pls,
     principal_root,
+    recheck,
     root_order_gap,
     triage,
     validate,
 )
 from plrs.core import generate_terms
-from helpers import quadratic_root
+from helpers import quadratic_root, reference_bisect, reference_root
+
+vectors = st.one_of(
+    st.tuples(st.integers(1, 50)),
+    st.builds(
+        lambda first, middle, last: (first, *middle, last),
+        st.integers(1, 50),
+        st.lists(st.integers(0, 50), max_size=6),
+        st.integers(1, 50),
+    ),
+)
+tolerances = st.floats(1e-15, 1e-3).map(Fraction)
 
 
 class TestCharPolyEval:
@@ -293,3 +307,112 @@ class TestRootMonotonicity:
                 cur = principal_root(analytic.sparse_vector(L, last))
                 assert compare_roots(prev, cur) == -1
                 prev = cur
+
+
+class TestRootIsolationProperties:
+    """Integer root isolation returns the brackets of plain Fraction bisection."""
+
+    @settings(deadline=None)
+    @given(vectors, tolerances)
+    def test_principal_root_matches_reference(self, values, tol):
+        c = validate(values)
+        b = principal_root(c, tol)
+        assert (b.lo, b.hi) == reference_root(c, tol)
+
+    @settings(deadline=None)
+    @given(vectors, tolerances, tolerances)
+    def test_refined_matches_reference(self, values, tol, finer):
+        b = principal_root(validate(values), tol)
+        assume(b.exact_root is None)
+        for t in (b.width / 4, finer):
+            r = b.refined(t)
+            assert (r.lo, r.hi) == reference_bisect(b.poly, b.lo, b.hi, t)
+
+    @settings(deadline=None)
+    @given(vectors, tolerances)
+    def test_brackets_are_certified_by_rational_evaluation(self, values, tol):
+        b = principal_root(validate(values), tol)
+        if b.exact_root is not None:
+            assert b.poly.eval(b.lo) == 0 and b.lo == b.hi == b.exact_root
+        else:
+            assert b.poly.eval(b.lo) < 0 < b.poly.eval(b.hi)
+            assert b.width <= tol
+            r = b.refined(b.width / 4)
+            assert r.poly.eval(r.lo) < 0 < r.poly.eval(r.hi)
+
+    def test_float_overflow_falls_back_to_bisection(self, monkeypatch):
+        seeds = []
+        seed_cell = analytic._seed_cell
+
+        def recorded(*args):
+            seeds.append(seed_cell(*args))
+            return seeds[-1]
+
+        monkeypatch.setattr(analytic, "_seed_cell", recorded)
+        c = validate([1, 10**400])  # 10**400 has no float
+        tol = Fraction(1, 10**12)
+        b = principal_root(c, tol)
+        assert seeds == [None]
+        assert (b.lo, b.hi) == reference_root(c, tol)
+        assert b.poly.eval(b.lo) < 0 < b.poly.eval(b.hi)
+
+    @settings(deadline=None)
+    @given(vectors, tolerances)
+    def test_wrong_seed_falls_back_to_bisection(self, values, tol):
+        c = validate(values)
+        expected = reference_root(c, tol)
+        assume(expected[0] != expected[1])  # integer roots need no bisection
+        proposals = []
+
+        def neighbour(poly, a, w, den, n):
+            # A cell next to the right one: always wrong.
+            right = int((expected[0] * den - a) / w)
+            proposals.append(right + 1 if right + 1 < 1 << n else right - 1)
+            return proposals[-1]
+
+        seed_cell = analytic._seed_cell
+        analytic._seed_cell = neighbour
+        try:
+            b = principal_root(c, tol)
+        finally:
+            analytic._seed_cell = seed_cell
+        assert len(proposals) == 1
+        assert (b.lo, b.hi) == expected
+
+    @settings(deadline=None)
+    @given(vectors, vectors)
+    def test_compare_roots_is_antisymmetric(self, u, v):
+        a, b = principal_root(validate(u)), principal_root(validate(v))
+        assert compare_roots(a, b) == -compare_roots(b, a)
+
+
+class TestRootCertificateRecheck:
+    @settings(deadline=None)
+    @given(vectors)
+    def test_triage_verdicts_recheck(self, values):
+        assume(len(values) >= 2)
+        assert recheck(triage(validate(values)))
+
+    @pytest.mark.parametrize("coeffs", [[1, 1], [1, 1, 1], [1, 0, 0, 1]])
+    def test_below_lambda_rechecks_at_integer_and_bracketed_thresholds(self, coeffs):
+        # lambda_3 = 2 is an exact integer root; the others are brackets.
+        v = triage(validate(coeffs))
+        assert v.certificate.tag() == "root:below_lambda"
+        assert recheck(v)
+
+    @pytest.mark.parametrize(
+        "coeffs,kind,rule,conjectural",
+        [
+            ([1, 1], INCOMPLETE, analytic.TRIAGE_FAST, False),  # p(2) = 1 > 0
+            ([1, 3], COMPLETE, analytic.TRIAGE_SLOW, True),  # root above 2
+            ([1, 0, 5], COMPLETE, analytic.TRIAGE_SLOW, True),  # root in the band
+            ([1, 1], COMPLETE, analytic.TRIAGE_SLOW, False),  # must be conjectural
+            ([1, 3], COMPLETE, analytic.TRIAGE_FAST, False),  # kind disagrees
+            ([1, 3], COMPLETE, "no_such_path", False),
+        ],
+    )
+    def test_tampered_root_certificates_are_rejected(self, coeffs, kind, rule, conjectural):
+        from plrs import brown
+
+        forged = brown.Verdict(validate(coeffs), kind, brown.root_triage(rule), conjectural, 0)
+        assert not recheck(forged)

@@ -92,10 +92,11 @@ class TestCheck:
         assert payload["certificate"] == "family:2l-1"
 
     def test_triage_first_records_path(self, capsys):
-        code, payload, _ = run_json(capsys, "check", "1,3", "--triage-first")
+        code, payload, _ = run_json(capsys, "check", "1,3", "--triage-first", "--verify")
         assert code == 0
         assert payload["config"]["path"] == ["triage"]
         assert payload["certificate"] == "root:p2_negative"
+        assert payload["config"]["verified"] is True
 
     def test_triage_first_falls_through_on_band(self, capsys):
         code, payload, _ = run_json(capsys, "check", "1,1,1,0,4", "--triage-first")
