@@ -22,14 +22,13 @@ between land in an indeterminate band where gap arithmetic must decide.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from . import brown, oracle
-from .core import Coefficients, validate
+from . import brown
+from .core import Coefficients, validate, vectors, vectors_with_sum
 
 Rational = Union[int, Fraction]
 
@@ -323,6 +322,21 @@ def compare_roots(a: RootBracket, b: RootBracket, max_rounds: int = 1000) -> int
     raise RuntimeError("root comparison failed to converge")
 
 
+def least_root(
+    vectors: Iterable[Coefficients], tol=DEFAULT_TOL
+) -> Optional[tuple[Coefficients, RootBracket]]:
+    """The first vector with the least principal root, and its bracket.
+
+    Ties keep the earlier vector; None when there are no vectors.
+    """
+    best: Optional[tuple[Coefficients, RootBracket]] = None
+    for c in vectors:
+        bracket = principal_root(c, tol)
+        if best is None or compare_roots(bracket, best[1]) < 0:
+            best = c, bracket
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Lambda thresholds
 
@@ -401,29 +415,7 @@ def triage(c: Coefficients, tol=DEFAULT_TOL) -> brown.Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration helpers
-
-
-def vectors_with_sum(L: int, total: int) -> Iterator[Coefficients]:
-    """All valid vectors of length L with coefficient sum ``total``."""
-    if L == 1:
-        if total >= 1:
-            yield validate([total])
-        return
-    for c1 in range(1, total):
-        for middle in _compositions(total - c1, L - 2):
-            last = total - c1 - sum(middle)
-            if last >= 1:
-                yield validate([c1, *middle, last])
-
-
-def _compositions(budget: int, slots: int) -> Iterator[tuple[int, ...]]:
-    if slots == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _compositions(budget - first, slots - 1):
-            yield (first, *rest)
+# Minimal roots
 
 
 def min_root_in_pls(
@@ -456,9 +448,9 @@ class ThresholdSearchReport:
     """Outcome of the exhaustive sub-2 frontier search at one length.
 
     ``frontier`` is the smallest certified principal root among vectors the
-    engines judge incomplete whose root lies strictly below 2, or None when
-    no such vector exists.  Any vector the engines cannot decide is listed
-    in ``undecided`` rather than silently dropped.
+    gap engine judges incomplete whose root lies strictly below 2, or None
+    when no such vector exists.  Any vector the engine cannot decide is
+    listed in ``undecided`` rather than silently dropped.
     """
 
     L: int
@@ -487,37 +479,22 @@ def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
     ranges = [range(1, 3)]  # c_1 <= 2
     ranges += [range(0, 2**i + 1) for i in range(2, L)]
     ranges += [range(1, 2**L + 1)]
-    best: Optional[RootBracket] = None
-    best_c: Optional[Coefficients] = None
-    undecided = []
-    candidates = 0
-    for values in itertools.product(*ranges):
-        candidates += 1
-        c = Coefficients(values)
-        poly = CharPoly(c)
-        if poly.sign_at(2) <= 0:
+    incomplete, undecided = [], []
+    for c in vectors(ranges):
+        if CharPoly(c).sign_at(2) <= 0:
             continue  # root >= 2
-        verdict = brown.check_completeness(c)
-        if verdict.kind == brown.UNKNOWN:
-            verdict = oracle.oracle_verdict(c, max_prefix=max(4 * L, 32))
-        if verdict.kind == brown.UNKNOWN:
+        kind = brown.check_completeness(c).kind
+        if kind == brown.INCOMPLETE:
+            incomplete.append(c)
+        elif kind == brown.UNKNOWN:
             undecided.append(c)
-            continue
-        if verdict.kind != brown.INCOMPLETE:
-            continue
-        bracket = principal_root(c, tol)
-        if best is None:
-            best, best_c = bracket, c
-            continue
-        cmp = compare_roots(bracket, best)
-        if cmp < 0 or (cmp == 0 and c.values < best_c.values):
-            best, best_c = bracket, c
+    best_c, best = least_root(incomplete, tol) or (None, None)
     if best_c is None:
         # No sub-2 incomplete vector: consistent iff the threshold is >= 2.
-        lam_poly = lam.root.poly
-        agrees = lam_poly.sign_at(2) <= 0
+        agrees = lam.root.poly.sign_at(2) <= 0
     else:
         agrees = best_c == sparse_vector(L, lam.max_complete_n + 1)
+    candidates = math.prod(len(r) for r in ranges)
     return ThresholdSearchReport(
         L, candidates, best_c, best, lam, agrees, tuple(undecided)
     )
@@ -564,15 +541,18 @@ class DensenessReport:
 
     Certifies that the roots increase strictly in k, that consecutive gaps
     shrink strictly, and that the last root (k = 2^(L-1)) is exactly 2.
+    The range is empty at L = 2 and holds the single root 2 at L = 3, so
+    ``max_gap`` and ``max_gap_at`` are None below two roots (and
+    ``epsilon_met`` holds vacuously), and ``covered`` is None without a root.
     """
 
     L: int
     k_min: int
     k_max: int
     roots: tuple[tuple[int, float], ...]
-    max_gap: float
-    max_gap_at: int
-    covered: tuple[float, float]
+    max_gap: Optional[float]
+    max_gap_at: Optional[int]
+    covered: Optional[tuple[float, float]]
     increasing_certified: bool
     gaps_decreasing_certified: bool
     terminal_root_exact_two: bool
@@ -615,20 +595,19 @@ def denseness_scan(
         work[i : i + 3] = shrunk
 
     gaps = [b.approx - a.approx for a, b in zip(brackets, brackets[1:])]
-    max_gap = max(gaps)
-    max_gap_at = k_min + gaps.index(max_gap)
+    max_gap = max(gaps, default=None)
     report = DensenessReport(
         L=L,
         k_min=k_min,
         k_max=k_max,
         roots=tuple((k_min + i, b.approx) for i, b in enumerate(brackets)),
         max_gap=max_gap,
-        max_gap_at=max_gap_at,
-        covered=(brackets[0].approx, brackets[-1].approx),
+        max_gap_at=None if max_gap is None else k_min + gaps.index(max_gap),
+        covered=(brackets[0].approx, brackets[-1].approx) if brackets else None,
         increasing_certified=increasing,
         gaps_decreasing_certified=decreasing,
-        terminal_root_exact_two=brackets[-1].exact_root == 2,
+        terminal_root_exact_two=bool(brackets) and brackets[-1].exact_root == 2,
         epsilon=epsilon,
-        epsilon_met=None if epsilon is None else max_gap < epsilon,
+        epsilon_met=None if epsilon is None else all(g < epsilon for g in gaps),
     )
     return report

@@ -11,9 +11,12 @@ Commands:
                     lambda threshold
 * ``dense``         root sweep of the sparse family toward 2 (CSV)
 
-Exit codes: 0 a verdict/report was produced (of any kind), 2 input error,
-3 no definite answer within budget while --require-definite was set,
-4 a scan surfaced a counterexample (never silently ignored).
+Exit codes: 0 a verdict/report was written (of any kind, including the
+``unknown`` verdict oracle-check writes when its bit budget runs out),
+1 a certificate failed re-validation under --verify (the report is still
+written), 2 input error, 3 no definite answer within budget while
+--require-definite was set, 4 a scan surfaced a counterexample (never
+silently ignored).
 
 Output goes to stdout unless --out is given.  JSON outputs embed the
 effective configuration under "config"; CSV outputs carry it as a leading
@@ -24,6 +27,8 @@ variable consulted is NO_COLOR.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -32,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
-from . import analytic, brown, families, oracle
+from . import analytic, brown, core, families, oracle
 from .core import Coefficients, InvalidCoefficients, generate_terms, validate
 
 EXIT_OK = 0
@@ -124,8 +129,16 @@ def _render_verdict(verdict: brown.Verdict, config: dict, fmt: str, out: Optiona
         _emit(json.dumps(_verdict_payload(verdict, config), sort_keys=True), out)
 
 
-def _definite_exit(verdict: brown.Verdict, require_definite: bool) -> int:
-    if require_definite and verdict.kind == brown.UNKNOWN:
+def _finish(verdict: brown.Verdict, config: dict, args) -> int:
+    # Shared tail of check and oracle-check: optional re-check, report, exit code.
+    if args.verify:
+        config["verified"] = brown.recheck(verdict)
+        if not config["verified"]:
+            print(f"certificate failed re-validation: {verdict}", file=sys.stderr)
+    _render_verdict(verdict, config, args.format, args.out)
+    if config.get("verified") is False:
+        return 1
+    if args.require_definite and verdict.kind == brown.UNKNOWN:
         return EXIT_EXHAUSTED
     return EXIT_OK
 
@@ -138,8 +151,6 @@ def _cmd_gen(args) -> int:
     c = _parse_coefficients(args.coefficients)
     if args.n < 1:
         raise _InputError(f"--n must be >= 1, got {args.n}")
-    from .core import generate_terms
-
     t = generate_terms(c, args.n)
     config = {"command": "gen", "coefficients": list(c.values), "n": args.n,
               "format": args.format}
@@ -179,15 +190,7 @@ def _cmd_check(args) -> int:
     if verdict is None:
         config["path"].append("brown")
         verdict = brown.check_completeness(c, horizon=args.horizon, assume_2l1=args.assume_2l1)
-    if args.verify:
-        ok = brown.recheck(verdict)
-        config["verified"] = ok
-        if not ok:
-            print(f"certificate failed re-validation: {verdict}", file=sys.stderr)
-            _render_verdict(verdict, config, args.format, args.out)
-            return 1
-    _render_verdict(verdict, config, args.format, args.out)
-    return _definite_exit(verdict, args.require_definite)
+    return _finish(verdict, config, args)
 
 
 def _cmd_oracle_check(args) -> int:
@@ -199,105 +202,22 @@ def _cmd_oracle_check(args) -> int:
     try:
         verdict = oracle.oracle_verdict(c, max_prefix, budget_bits=args.budget_bits)
     except oracle.BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED if args.require_definite else EXIT_OK
-    if args.verify:
-        ok = brown.recheck(verdict)
-        config["verified"] = ok
-        if not ok:
-            print(f"certificate failed re-validation: {verdict}", file=sys.stderr)
-            _render_verdict(verdict, config, args.format, args.out)
-            return 1
-    _render_verdict(verdict, config, args.format, args.out)
-    return _definite_exit(verdict, args.require_definite)
+        verdict = brown.Verdict(c, brown.UNKNOWN, brown.horizon_exhausted(max_prefix), False,
+                                max_prefix, note=f"budget exceeded: {exc}")
+    return _finish(verdict, config, args)
 
 
 # ---------------------------------------------------------------------------
 # family-table
 
 
-def _search_max_n(prefix: list[int], horizon: Optional[int]) -> Optional[int]:
-    # Largest N with a complete verdict; completeness is downward-closed
-    # in the last coefficient, so doubling + binary search is exact.
-    def status(n: int) -> Optional[bool]:
-        v = brown.check_completeness(validate(prefix + [n]), horizon=horizon)
-        if v.kind == brown.UNKNOWN:
-            return None
-        return v.kind == brown.COMPLETE
-
-    lo = 1
-    first = status(1)
-    if first is None:
-        return None
-    if first is False:
-        return 0
-    hi = 2
-    while (s := status(hi)) is True:
-        lo, hi = hi, hi * 2
-    if s is None:
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        s = status(mid)
-        if s is None:
-            return None
-        if s:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-_FAMILY_PARAMS = {
-    "one-zeros": ("k",),
-    "ones-zeros": ("g", "k"),
-    "two-ones-zeros": ("k",),
-    "one-zeros-ones": ("L", "m"),
-}
-
-
-def _family_rows(args):
-    fam = args.family
-    horizon = args.horizon
-    missing = [p for p in _FAMILY_PARAMS[fam] if getattr(args, p) is None]
+def _cmd_family_table(args) -> int:
+    shape_of = families.FAMILIES[args.family]
+    params = [f.name for f in dataclasses.fields(shape_of)]
+    missing = [p for p in params if getattr(args, p) is None]
     if missing:
         flags = ", ".join(f"--{p}" for p in missing)
-        raise _InputError(f"family {fam!r} needs {flags} (e.g. --{missing[0]} 1..4)")
-    if fam == "one-zeros":
-        for k in args.k:
-            b = families.bound_one_zeros(k)
-            found = _search_max_n([1] + [0] * k, horizon)
-            yield {"g": "", "k": k, "L": k + 2, "m": "", "bound": b, "search": found}
-    elif fam == "ones-zeros":
-        for g in args.g:
-            for k in args.k:
-                prefix = [1] * g + [0] * k
-                found = _search_max_n(prefix, horizon)
-                try:
-                    b = families.bound_ones_zeros(g, k) if g > 1 else families.bound_one_zeros(k)
-                except families.OutOfProvenRange:
-                    b = None
-                yield {"g": g, "k": k, "L": g + k + 1, "m": "", "bound": b, "search": found}
-    elif fam == "two-ones-zeros":
-        for k in args.k:
-            b = families.bound_two_ones_zeros(k)
-            found = _search_max_n([1, 1] + [0] * k, horizon)
-            yield {"g": 2, "k": k, "L": k + 3, "m": "", "bound": b, "search": found}
-    elif fam == "one-zeros-ones":
-        for L in args.L:
-            for m in args.m:
-                try:
-                    b = families.bound_one_zeros_ones(L, m)
-                except families.ShapeViolation:
-                    continue
-                prefix = [1] + [0] * (L - m - 2) + [1] * m
-                found = _search_max_n(prefix, horizon)
-                yield {"g": "", "k": "", "L": L, "m": m, "bound": b, "search": found}
-    else:  # pragma: no cover - argparse choices guard this
-        raise _InputError(f"unknown family {fam!r}")
-
-
-def _cmd_family_table(args) -> int:
+        raise _InputError(f"family {args.family!r} needs {flags} (e.g. --{missing[0]} 1..4)")
     config = {"command": "family-table", "family": args.family,
               "g": [args.g.start, args.g.stop - 1] if args.g else None,
               "k": [args.k.start, args.k.stop - 1] if args.k else None,
@@ -307,19 +227,24 @@ def _cmd_family_table(args) -> int:
     lines = [f"# config: {json.dumps(config, sort_keys=True)}",
              "family,g,k,L,m,max_n_rule,proven,max_n_search,agree"]
     discrepancies = 0
-    for row in _family_rows(args):
-        b = row["bound"]
-        rule = b.max_n if b else ""
-        proven = str(b.proven).lower() if b else ""
-        search = row["search"] if row["search"] is not None else "?"
-        agree = ""
-        if b and row["search"] is not None:
-            agree = str(b.max_n == row["search"]).lower()
-            if b.max_n != row["search"]:
-                discrepancies += 1
+    for values in itertools.product(*(getattr(args, p) for p in params)):
+        shape = shape_of(*values)
+        try:
+            first = shape.coefficients(1)
+        except families.ShapeViolation:
+            continue  # the ranges' grid holds pairs with no family member
+        try:
+            b = shape.bound()
+        except families.OutOfProvenRange:
+            b = None
+        found = families.max_last(first.values[:-1], args.horizon)
+        agree = "" if b is None or found is None else str(b.max_n == found).lower()
+        if agree == "false":
+            discrepancies += 1
         lines.append(
-            f"{args.family},{row['g']},{row['k']},{row['L']},{row['m']},"
-            f"{rule},{proven},{search},{agree}"
+            f"{args.family},{getattr(shape, 'g', '')},{getattr(shape, 'k', '')},{first.L},"
+            f"{getattr(shape, 'm', '')},{b.max_n if b else ''},"
+            f"{str(b.proven).lower() if b else ''},{'?' if found is None else found},{agree}"
         )
     if discrepancies:
         lines.append(f"# discrepancies: {discrepancies}")
@@ -331,20 +256,7 @@ def _cmd_family_table(args) -> int:
 # scan-2l1
 
 
-def _valid_vectors(L: int, cap: int):
-    if L == 1:
-        for c1 in range(1, cap + 1):
-            yield (c1,)
-        return
-    for c1 in range(1, cap + 1):
-        for mid in itertools.product(range(0, cap + 1), repeat=L - 2):
-            for cL in range(1, cap + 1):
-                yield (c1, *mid, cL)
-
-
-def _scan_2l1_one(task):
-    vals, window, horizon = task
-    c = validate(vals)
+def _scan_2l1_one(c: Coefficients, window: int, horizon: Optional[int]):
     trace = brown.gap_trace(generate_terms(c, window))
     if any(g < 0 for g in trace.gaps):
         return None
@@ -355,10 +267,10 @@ def _scan_2l1_one(task):
         except oracle.BudgetExceeded:
             pass
     if verdict.kind == brown.INCOMPLETE:
-        return {"coefficients": list(vals), "status": "counterexample",
+        return {"coefficients": list(c.values), "status": "counterexample",
                 "first_failure": verdict.certificate.index}
     if verdict.kind == brown.UNKNOWN:
-        return {"coefficients": list(vals), "status": "undecided"}
+        return {"coefficients": list(c.values), "status": "undecided"}
     return None
 
 
@@ -376,9 +288,11 @@ def _cmd_scan_2l1(args) -> int:
     window = args.window if args.window else 2 * L - 1
     config = {"command": "scan-2l1", "L": L, "coeff_cap": args.coeff_cap,
               "window": window, "jobs": args.jobs, "format": args.format}
-    tasks = [(vals, window, args.horizon) for vals in _valid_vectors(L, args.coeff_cap)]
-    results = [r for r in _run_parallel(_scan_2l1_one, tasks, args.jobs) if r]
-    results.sort(key=lambda r: r["coefficients"])
+    edge, inner = range(1, args.coeff_cap + 1), range(args.coeff_cap + 1)
+    ranges = [edge] if L == 1 else [edge, *[inner] * (L - 2), edge]
+    tasks = list(core.vectors(ranges))
+    worker = functools.partial(_scan_2l1_one, window=window, horizon=args.horizon)
+    results = [r for r in _run_parallel(worker, tasks, args.jobs) if r]  # in task order
     counterexamples = [r for r in results if r["status"] == "counterexample"]
     undecided = [r for r in results if r["status"] == "undecided"]
     report = {
@@ -414,21 +328,18 @@ def _cmd_scan_2l1(args) -> int:
 # min-root
 
 
-def _min_root_one(task):
+def _min_root_one(c: Coefficients) -> str:
     # Complete vectors are excluded by the sound gap certificates alone;
     # incompleteness is additionally confirmed by the subset-sum oracle,
     # which stops at the first permanently missing value and stays cheap.
-    vals, budget_bits = task
-    c = validate(vals)
     engine = brown.check_completeness(c)
     if engine.kind == brown.COMPLETE:
-        return {"coefficients": list(vals), "kind": engine.kind}
+        return engine.kind
     max_prefix = max(2 * c.L - 1, engine.certificate.index or 0)
     try:
-        verdict = oracle.oracle_verdict(c, max_prefix=max_prefix, budget_bits=budget_bits)
+        return oracle.oracle_verdict(c, max_prefix=max_prefix).kind
     except oracle.BudgetExceeded:
-        return {"coefficients": list(vals), "kind": brown.UNKNOWN}
-    return {"coefficients": list(vals), "kind": verdict.kind}
+        return brown.UNKNOWN
 
 
 def _cmd_min_root(args) -> int:
@@ -438,32 +349,26 @@ def _cmd_min_root(args) -> int:
     tol = Fraction(args.tol) if args.tol else analytic.DEFAULT_TOL
     config = {"command": "min-root", "L": L, "sum_cap": cap, "jobs": args.jobs,
               "tol": float(tol), "format": args.format}
-    tasks = []
-    for total in range(2, cap + 1):
-        tasks.extend((tuple(v.values), oracle.DEFAULT_BUDGET_BITS)
-                     for v in analytic.vectors_with_sum(L, total))
-    results = _run_parallel(_min_root_one, tasks, args.jobs)
-    incomplete = [r for r in results if r["kind"] == brown.INCOMPLETE]
-    undecided = [r for r in results if r["kind"] == brown.UNKNOWN]
+    tasks = [c for total in range(2, cap + 1) for c in core.vectors_with_sum(L, total)]
+    kinds = _run_parallel(_min_root_one, tasks, args.jobs)
+    incomplete = sorted((c for c, kind in zip(tasks, kinds) if kind == brown.INCOMPLETE),
+                        key=lambda c: c.values)
+    undecided = [list(c.values) for c, kind in zip(tasks, kinds) if kind == brown.UNKNOWN]
     lam = analytic.lambda_threshold(L, tol)
-    best = best_bracket = None
-    for r in sorted(incomplete, key=lambda r: r["coefficients"]):
-        bracket = analytic.principal_root(validate(r["coefficients"]), tol)
-        if best_bracket is None or analytic.compare_roots(bracket, best_bracket) < 0:
-            best, best_bracket = r["coefficients"], bracket
+    best_c, best_bracket = analytic.least_root(incomplete, tol) or (None, None)
+    best = list(best_c.values) if best_c is not None else None
+    violated = best_bracket is not None and analytic.compare_roots(best_bracket, lam.root) < 0
     report = {
         "config": config,
         "candidates": len(tasks),
         "incomplete": len(incomplete),
-        "undecided": [r["coefficients"] for r in undecided],
+        "undecided": undecided,
         "lambda": lam.root.approx,
         "frontier": best,
         "frontier_root": best_bracket.approx if best_bracket else None,
         "margin": (best_bracket.approx - lam.root.approx) if best_bracket else None,
-        "conjecture_violated": False,
+        "conjecture_violated": violated,
     }
-    violated = best_bracket is not None and analytic.compare_roots(best_bracket, lam.root) < 0
-    report["conjecture_violated"] = violated
     if args.format == "plain":
         _emit(
             f"L={L} cap={cap}: {len(incomplete)} incomplete of {len(tasks)}; "
@@ -499,9 +404,11 @@ def _cmd_dense(args) -> int:
         return EXIT_EXHAUSTED if args.require_definite else EXIT_OK
     lines = [f"# config: {json.dumps(config, sort_keys=True)}", "k,root"]
     lines += [f"{k},{root:.12f}" for k, root in report.roots]
+    gap = "none" if report.max_gap is None else f"{report.max_gap:.12f} at k={report.max_gap_at}"
+    covered = "none" if report.covered is None else "[{:.12f}, {:.12f}]".format(*report.covered)
     lines += [
-        f"# max_gap: {report.max_gap:.12f} at k={report.max_gap_at}",
-        f"# covered: [{report.covered[0]:.12f}, {report.covered[1]:.12f}]",
+        f"# max_gap: {gap}",
+        f"# covered: {covered}",
         f"# increasing_certified: {report.increasing_certified}",
         f"# gaps_decreasing_certified: {report.gaps_decreasing_certified}",
         f"# terminal_root_exact_two: {report.terminal_root_exact_two}",
@@ -558,8 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("family-table", help="closed-form bounds vs engine search")
-    p.add_argument("--family", required=True,
-                   choices=["one-zeros", "ones-zeros", "two-ones-zeros", "one-zeros-ones"])
+    p.add_argument("--family", required=True, choices=list(families.FAMILIES))
     p.add_argument("--g", type=_parse_range, default=None, help="range of leading ones, A..B")
     p.add_argument("--k", type=_parse_range, default=None, help="range of zeros, A..B")
     p.add_argument("--L", type=_parse_range, default=None, help="range of total lengths, A..B")

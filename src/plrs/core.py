@@ -14,6 +14,7 @@ the conventions above.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -87,6 +88,40 @@ def validate(values: Sequence[int]) -> Coefficients:
     the vector is not a legal shape.
     """
     return Coefficients(tuple(values))
+
+
+def vectors(ranges: Sequence[range]) -> Iterator[Coefficients]:
+    """Every vector with c_i in ``ranges[i-1]``, in lexicographic order.
+
+    The first and last ranges must exclude 0, so that every tuple of the
+    box is a valid vector; otherwise InvalidCoefficients is raised.
+    """
+    for values in itertools.product(*ranges):
+        yield Coefficients(values)
+
+
+def vectors_with_sum(L: int, total: int) -> Iterator[Coefficients]:
+    """Every valid vector of length L with coefficient sum ``total``,
+    in lexicographic order."""
+    if L == 1:
+        if total >= 1:
+            yield Coefficients((total,))
+        return
+    for c1 in range(1, total):
+        # c_L >= 1 takes one unit; the middle shares the rest.
+        for middle in _at_most(total - c1 - 1, L - 2):
+            yield Coefficients((c1, *middle, total - c1 - sum(middle)))
+
+
+def _at_most(budget: int, slots: int) -> Iterator[tuple[int, ...]]:
+    # Tuples of `slots` non-negative integers with sum <= budget, in
+    # lexicographic order.
+    if slots == 0:
+        yield ()
+        return
+    for first in range(budget + 1):
+        for rest in _at_most(budget - first, slots - 1):
+            yield (first, *rest)
 
 
 def _grow(values: tuple[int, ...], terms: list[int], upto: int) -> list[int]:

@@ -17,7 +17,7 @@ proven=False, and classifications made with them are flagged conjectural.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from . import brown
 from .core import Coefficients, validate
@@ -101,16 +101,20 @@ def bound_one_zeros_ones(L: int, m: int) -> FamilyBound:
     The derivation passes through a conditional lemma that itself rests on
     an open conjecture, so the bound is reported proven=False.
     """
-    if m < 0:
-        raise ShapeViolation(f"m must be >= 0, got {m}")
-    if L < 2 * m + 2 or L - m < 3:
-        raise ShapeViolation(f"need L >= 2m+2 and L-m >= 3, got L={L}, m={m}")
+    _check_one_zeros_ones(L, m)
     numerator = (
         12 * (L - m) * (L + m + 1)
         + m * (m + 1) * (m + 2) * (m + 3)
         + 24 * (1 - 2 * m)
     )
     return FamilyBound(numerator // 48, False, RULE_ONE_ZEROS_ONES)
+
+
+def _check_one_zeros_ones(L: int, m: int) -> None:
+    if m < 0:
+        raise ShapeViolation(f"m must be >= 0, got {m}")
+    if L < 2 * m + 2 or L - m < 3:
+        raise ShapeViolation(f"need L >= 2m+2 and L-m >= 3, got L={L}, m={m}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,7 @@ class OnesZerosN:
 class TwoOnesZerosN:
     """[1, 1, 0^k, N]"""
 
+    g: ClassVar[int] = 2  # leading ones, as in OnesZerosN
     k: int
 
     def coefficients(self, n: int) -> Coefficients:
@@ -158,22 +163,62 @@ class TwoOnesZerosN:
 
 @dataclass(frozen=True)
 class OneZerosOnesN:
-    """[1, 0^(L-m-2), 1^m, N] with L coefficients"""
+    """[1, 0^(L-m-2), 1^m, N] with L coefficients, L >= 2m+2 and L-m >= 3"""
 
     L: int
     m: int
 
     def coefficients(self, n: int) -> Coefficients:
-        zeros = self.L - self.m - 2
-        if zeros < 1 or self.m < 0:
-            raise ShapeViolation(f"need L >= m+3, got L={self.L}, m={self.m}")
-        return validate([1] + [0] * zeros + [1] * self.m + [n])
+        _check_one_zeros_ones(self.L, self.m)
+        return validate([1] + [0] * (self.L - self.m - 2) + [1] * self.m + [n])
 
     def bound(self) -> FamilyBound:
         return bound_one_zeros_ones(self.L, self.m)
 
 
 FamilyShape = Union[OneZerosN, OnesZerosN, TwoOnesZerosN, OneZerosOnesN]
+
+#: Family name -> shape class; the dataclass fields are the parameters.
+FAMILIES = {
+    RULE_ONE_ZEROS: OneZerosN,
+    RULE_ONES_ZEROS: OnesZerosN,
+    RULE_TWO_ONES_ZEROS: TwoOnesZerosN,
+    RULE_ONE_ZEROS_ONES: OneZerosOnesN,
+}
+
+
+def max_last(prefix: Sequence[int], horizon: Optional[int] = None) -> Optional[int]:
+    """Largest N for which the gap engine judges ``prefix + [N]`` complete.
+
+    0 when N = 1 is already incomplete; None when the engine leaves a
+    probed member unknown.  Lowering the last coefficient keeps a complete
+    sequence complete, so doubling and then bisection find N exactly.
+    """
+
+    def complete(n: int) -> Optional[bool]:
+        v = brown.check_completeness(validate([*prefix, n]), horizon=horizon)
+        return None if v.kind == brown.UNKNOWN else v.kind == brown.COMPLETE
+
+    first = complete(1)
+    if first is None:
+        return None
+    if first is False:
+        return 0
+    lo, hi = 1, 2
+    while (s := complete(hi)) is True:
+        lo, hi = hi, hi * 2
+    if s is None:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s = complete(mid)
+        if s is None:
+            return None
+        if s:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def classify_family(shape: FamilyShape, n: int) -> brown.Verdict:

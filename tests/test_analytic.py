@@ -23,6 +23,7 @@ from plrs import (
     triage,
     validate,
 )
+from plrs.analytic import least_root
 from plrs.core import generate_terms
 from helpers import quadratic_root, reference_bisect, reference_root
 
@@ -246,9 +247,31 @@ class TestExactThresholdSearch:
         assert compare_roots(r.frontier, r.lam.root) == 0
         assert not r.undecided
 
+    @pytest.mark.parametrize("L", range(2, 6))
+    def test_gap_engine_decides_every_candidate(self, L):
+        assert exact_threshold_search(L).undecided == ()
+
     def test_cost_cap(self):
         with pytest.raises(CostCap):
             exact_threshold_search(6)
+
+
+class TestLeastRoot:
+    def test_equal_roots_keep_the_earlier_vector(self):
+        # x^4 - x^3 - x - 1 = (x^2 - x - 1)(x^2 + 1): both roots are phi.
+        a, b = validate([1, 0, 1, 1]), validate([1, 1])
+        assert least_root([a, b])[0] == a
+        assert least_root([b, a])[0] == b
+        assert compare_roots(least_root([a])[1], least_root([b])[1]) == 0
+
+    def test_picks_the_least_root(self):
+        vs = [validate(v) for v in ([3], [1, 3], [1, 1], [2, 1])]
+        c, bracket = least_root(vs)
+        assert c == validate([1, 1])
+        assert Fraction(1618033, 10**6) < bracket.lo < bracket.hi < Fraction(1618034, 10**6)
+
+    def test_no_vectors(self):
+        assert least_root([]) is None
 
 
 class TestRootOrderGap:

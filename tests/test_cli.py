@@ -126,6 +126,21 @@ class TestOracleCheck:
         assert code == 0
         assert payload["config"]["verified"] is True
 
+    def test_exhausted_budget_writes_unknown_report(self, capsys):
+        # [2] needs 2^29 bits by prefix 29, past the default budget.
+        code, payload, _ = run_json(capsys, "oracle-check", "2", "--verify")
+        assert code == 0
+        assert payload["kind"] == "unknown"
+        assert payload["certificate"] == "horizon"
+        assert payload["index"] == payload["horizon_used"] == 32
+        assert payload["note"].startswith("budget exceeded: prefix 29")
+        assert payload["config"]["verified"] is True
+
+    def test_exhausted_budget_with_require_definite_exits_three(self, capsys):
+        code, payload, _ = run_json(capsys, "oracle-check", "1,1,1", "--require-definite")
+        assert code == 3
+        assert payload["kind"] == "unknown"
+
 
 class TestFamilyTable:
     def test_one_zeros_column(self, capsys):
@@ -157,6 +172,7 @@ class TestFamilyTable:
         assert code == 0
         for line in out.splitlines():
             if line.startswith("two-ones-zeros"):
+                assert line.split(",")[1] == "2"  # g column
                 assert line.split(",")[6] == "false"  # proven column
                 assert line.split(",")[8] == "true"  # still matches the search
 
@@ -168,6 +184,15 @@ class TestFamilyTable:
         assert rows, out
         for line in rows:
             assert line.split(",")[8] == "true"
+
+    def test_ones_zeros_outside_the_family_is_input_error(self, capsys):
+        # k = 0 with g > 1, and g = 0, have no ones-zeros bound.
+        for g, k in (("2..3", "0..2"), ("0", "0")):
+            code, out, err = run(capsys, "family-table", "--family", "ones-zeros",
+                                 "--g", g, "--k", k)
+            assert code == 2
+            assert out == ""
+            assert "need g >= 1 and k >= 1" in err
 
     def test_missing_range_is_input_error(self, capsys):
         code, _, err = run(capsys, "family-table", "--family", "one-zeros")
@@ -233,6 +258,21 @@ class TestDense:
         assert "# terminal_root_exact_two: True" in out
         last_row = [l for l in lines if "," in l and not l.startswith("#")][-1]
         assert last_row == "32,2.000000000000"
+
+    def test_length_two_has_no_roots(self, capsys):
+        code, out, _ = run(capsys, "dense", "--L", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1:4] == ["k,root", "# max_gap: none", "# covered: none"]
+        assert "# terminal_root_exact_two: False" in lines
+
+    def test_length_three_has_the_single_root_two(self, capsys):
+        code, out, _ = run(capsys, "dense", "--L", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1:5] == ["k,root", "4,2.000000000000", "# max_gap: none",
+                              "# covered: [2.000000000000, 2.000000000000]"]
+        assert "# terminal_root_exact_two: True" in lines
 
 
 class TestOutput:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from plrs import (
@@ -8,6 +10,7 @@ from plrs import (
     generate_terms,
     validate,
 )
+from plrs.core import vectors, vectors_with_sum
 
 
 class TestValidate:
@@ -122,3 +125,26 @@ class TestGenerateTerms:
             assert all(a < b for a, b in zip(tail, tail[1:])), vals
         constant = generate_terms(validate([1]), 10)
         assert set(constant.terms) == {1}
+
+
+class TestVectors:
+    @pytest.mark.parametrize("L,cap", [(2, 4), (3, 3), (4, 3), (5, 2)])
+    def test_box_count_and_lexicographic_order(self, L, cap):
+        edge = range(1, cap + 1)
+        out = [c.values for c in vectors([edge, *[range(cap + 1)] * (L - 2), edge])]
+        assert len(out) == cap * (cap + 1) ** (L - 2) * cap
+        assert all(a < b for a, b in zip(out, out[1:]))
+
+    def test_box_with_a_zero_edge_is_rejected(self):
+        with pytest.raises(LeadingZero):
+            list(vectors([range(0, 2), range(1, 2)]))
+
+    def test_with_sum_matches_filtered_product(self):
+        for L in range(1, 5):
+            for total in range(0, 9):
+                expected = [
+                    v
+                    for v in itertools.product(range(total + 1), repeat=L)
+                    if v[0] and v[-1] and sum(v) == total
+                ]
+                assert [c.values for c in vectors_with_sum(L, total)] == expected, (L, total)

@@ -17,6 +17,7 @@ from plrs import (
     classify_family,
     validate,
 )
+from plrs.families import max_last
 from helpers import definite_oracle, is_complete
 
 
@@ -110,7 +111,9 @@ class TestBoundOneZerosOnes:
                 except ShapeViolation:
                     continue
                 cells += 1
-                assert search_max([1] + [0] * (L - m - 2) + [1] * m) == b.max_n, (L, m)
+                prefix = [1] + [0] * (L - m - 2) + [1] * m
+                assert search_max(prefix) == b.max_n, (L, m)
+                assert max_last(prefix) == b.max_n, (L, m)
         assert cells == 35
 
     def test_engine_confirms_direct_values(self):
@@ -124,6 +127,20 @@ class TestBoundOneZerosOnes:
             bound_one_zeros_ones(5, 2)  # L < 2m+2
         with pytest.raises(ShapeViolation):
             bound_one_zeros_ones(4, 2)  # no zero left
+
+
+class TestMaxLast:
+    def test_incomplete_first_member_gives_zero(self):
+        # [1, 3, 1]: H = 1, 2, 6 leaves 4 unreachable.
+        assert max_last([1, 3]) == 0
+
+    def test_unknown_member_gives_none(self):
+        # [1, 1, 1] cannot be decided on a horizon of 5 terms.
+        assert max_last([1, 1], horizon=5) is None
+
+    def test_matches_closed_forms(self):
+        assert max_last([1, 0, 0]) == bound_one_zeros(2).max_n
+        assert max_last([1, 1, 1, 0, 0]) == bound_ones_zeros(3, 2).max_n
 
 
 class TestClassifyFamily:
