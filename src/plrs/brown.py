@@ -169,13 +169,17 @@ def first_failure_index(c: Coefficients, horizon: int) -> Optional[int]:
     """Smallest n <= horizon with B_n < 0, or None if there is no failure."""
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    t = generate_terms(c, horizon)
-    running = 0
-    for n, h in enumerate(t.terms, start=1):
-        if 1 + running - h < 0:
-            return n
-        running += h
-    return None
+    t = generate_terms(c, min(2 * c.L + 1, horizon))
+    running = n = 0
+    while True:
+        for h in t.terms[n:]:
+            n += 1
+            if 1 + running - h < 0:
+                return n
+            running += h
+        if n == horizon:
+            return None
+        t = t.extended(min(2 * n, horizon))  # read on: double the prefix
 
 
 def check_completeness(
@@ -207,7 +211,8 @@ def check_completeness(
     if h < 2 * L - 1:
         raise HorizonTooSmall(f"horizon {h} < 2L-1 = {2 * L - 1}")
 
-    t = generate_terms(c, 1)
+    t = generate_terms(c, min(2 * L + 1, h + 1))
+    terms = t.terms  # H_n is terms[n - 1]
     running = 0  # sum of H_1..H_{n-1}
     strict_ok = True  # B_n > 0 for L <= n <= 2L-1, so far
     nonneg_margin_run = 0  # consecutive D_j >= 0 ending at the latest margin
@@ -216,10 +221,12 @@ def check_completeness(
     n = 0
     while True:
         target = h
-        t = t.extended(target + 1)  # +1 so D_target is available
         while n < target:
             n += 1
-            h_n = t.term(n)
+            if n >= len(terms):  # D_n needs H_{n+1}: double the prefix, up to target+1
+                t = t.extended(min(2 * n, target + 1))
+                terms = t.terms
+            h_n = terms[n - 1]
             gap = 1 + running - h_n
             running += h_n
             if gap < 0:
@@ -231,7 +238,7 @@ def check_completeness(
                 if strict_ok and L >= 2:  # the strict-window theorem needs L >= 2
                     return Verdict(c, COMPLETE, strict_window(n), False, n)
             # Margin D_n = B_{n+1} - B_n, available from the extra term.
-            margin = 2 * h_n - t.term(n + 1)
+            margin = 2 * h_n - terms[n]
             if margin >= 0:
                 nonneg_margin_run += 1
             else:
@@ -240,7 +247,7 @@ def check_completeness(
             # plus B_m >= 0, checked at the top of the next iteration.
             m = n + 1
             if nonneg_margin_run >= L and m - L >= L + 1 and m <= target:
-                b_m = 1 + running - t.term(m)
+                b_m = 1 + running - terms[m - 1]
                 if b_m >= 0:
                     return Verdict(c, COMPLETE, doubling_window(m), False, m)
         if explicit or h >= max_horizon:

@@ -257,8 +257,7 @@ def _cmd_family_table(args) -> int:
 
 
 def _scan_2l1_one(c: Coefficients, window: int, horizon: Optional[int]):
-    trace = brown.gap_trace(generate_terms(c, window))
-    if any(g < 0 for g in trace.gaps):
+    if brown.first_failure_index(c, window) is not None:
         return None
     verdict = brown.check_completeness(c, horizon=horizon)
     if verdict.kind == brown.UNKNOWN:
@@ -397,12 +396,12 @@ def _cmd_dense(args) -> int:
     tol = Fraction(args.tol) if args.tol else analytic.DEFAULT_TOL
     config = {"command": "dense", "L": args.L, "epsilon": args.epsilon,
               "tol": float(tol)}
+    lines = [f"# config: {json.dumps(config, sort_keys=True)}", "k,root"]
     try:
         report = analytic.denseness_scan(args.L, epsilon=args.epsilon, tol=tol)
     except analytic.CostCap as exc:
-        print(f"cost cap: {exc}", file=sys.stderr)
+        _emit("\n".join([*lines, f"# cost_cap: {exc}"]), args.out)
         return EXIT_EXHAUSTED if args.require_definite else EXIT_OK
-    lines = [f"# config: {json.dumps(config, sort_keys=True)}", "k,root"]
     lines += [f"{k},{root:.12f}" for k, root in report.roots]
     gap = "none" if report.max_gap is None else f"{report.max_gap:.12f} at k={report.max_gap_at}"
     covered = "none" if report.covered is None else "[{:.12f}, {:.12f}]".format(*report.covered)

@@ -126,15 +126,21 @@ def _at_most(budget: int, slots: int) -> Iterator[tuple[int, ...]]:
 
 def _grow(values: tuple[int, ...], terms: list[int], upto: int) -> list[int]:
     # Extends `terms` in place to `upto` entries following the recurrence.
+    # Only nonzero coefficients are visited: tap (c_i, -i) reads H_{n+1-i} as terms[-i].
     L = len(values)
-    while len(terms) < upto:
-        n = len(terms)  # terms holds H_1..H_n; we compute H_{n+1}
-        if n == 0:
-            terms.append(1)
-        elif n < L:
-            terms.append(1 + sum(values[i] * terms[n - 1 - i] for i in range(n)))
-        else:
-            terms.append(sum(values[i] * terms[n - 1 - i] for i in range(L)))
+    taps = [(ci, -i) for i, ci in enumerate(values, start=1) if ci]
+    for n in range(len(terms), min(upto, L)):  # H_{n+1} = 1 + sum over i <= n
+        h = 1
+        for ci, j in taps:
+            if -j > n:
+                break
+            h += ci * terms[j]
+        terms.append(h)
+    for _ in range(len(terms), upto):
+        h = 0
+        for ci, j in taps:
+            h += ci * terms[j]
+        terms.append(h)
     return terms
 
 
@@ -167,7 +173,9 @@ class TermSequence:
         return TermSequence(self.coefficients, tuple(grown))
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(t) for t in self.terms) + ")"
+        from decimal import Decimal  # str() of a Decimal ignores the int digit limit
+
+        return "(" + ", ".join(str(Decimal(t)) for t in self.terms) + ")"
 
 
 def generate_terms(c: Coefficients, n: int) -> TermSequence:

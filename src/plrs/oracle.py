@@ -48,12 +48,11 @@ def reachable_sums(t: TermSequence, budget_bits: int = DEFAULT_BUDGET_BITS) -> i
     return mask
 
 
-def _smallest_missing(mask: int, total: int) -> Optional[int]:
-    # Least positive integer <= total whose bit is unset, None if covered.
-    missing = ~mask & ((1 << (total + 1)) - 2)  # ignore bit 0
-    if missing == 0:
-        return None
-    return (missing & -missing).bit_length() - 1
+def _next_missing(mask: int, low: int) -> int:
+    # Least s >= low whose bit is unset; the lowest zero bit of x = mask >> low
+    # is the highest set bit of x ^ (x + 1).  Only bits from `low` up are copied.
+    x = mask >> low
+    return low + (x ^ (x + 1)).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,10 @@ def prefix_report(
     prefix = TermSequence(c, t.terms[:prefix_length])
     total = sum(prefix.terms)
     mask = reachable_sums(prefix, budget_bits)
-    missing = _smallest_missing(mask, total)
     # All of [1, total] reachable still leaves total+1 missing; it is
     # permanent whenever it is below the next term.
-    effective = missing if missing is not None else total + 1
+    effective = _next_missing(mask, 1)
+    missing = effective if effective <= total else None
     permanent = effective if effective < t.term(prefix_length + 1) else None
     return RepresentabilityReport(prefix_length, total, missing, permanent)
 
@@ -118,6 +117,7 @@ def oracle_verdict(
     t = generate_terms(c, max_prefix + 1)
     mask = 1
     total = 0
+    low = 1  # least unreached sum; the reachable set only grows, so low never falls
     for n in range(1, max_prefix + 1):
         h = t.term(n)
         if total + h + 1 > budget_bits:
@@ -126,13 +126,14 @@ def oracle_verdict(
             )
         mask |= mask << h
         total += h
-        missing = _smallest_missing(mask, total)
-        effective = missing if missing is not None else total + 1
-        if effective < t.term(n + 1):
+        # No bit above `total` is set, so low <= total + 1: the least missing
+        # integer, or total + 1 when [1, total] is covered.
+        low = _next_missing(mask, low)
+        if low < t.term(n + 1):
             return brown.Verdict(
                 c,
                 brown.INCOMPLETE,
-                brown.failure(n, witness=effective),
+                brown.failure(n, witness=low),
                 False,
                 n,
             )

@@ -106,3 +106,94 @@ def reference_root(c: Coefficients, tol: Fraction):
     if poly.eval(hi) == 0:
         return Fraction(hi), Fraction(hi)
     return reference_bisect(poly, Fraction(lo), Fraction(hi), tol)
+
+
+# Reference copies of the eager term growth, gap engine and oracle scan that
+# `core._grow`, `brown.check_completeness` and `oracle.oracle_verdict`
+# replaced: every coefficient visited, every prefix built in full up front,
+# and the smallest missing sum found from a complement of the whole mask.
+
+
+def reference_terms(values, n: int) -> tuple[int, ...]:
+    """H_1..H_n by the recurrence, summing over all L coefficients."""
+    L = len(values)
+    terms: list[int] = []
+    while len(terms) < n:
+        m = len(terms)
+        if m == 0:
+            terms.append(1)
+        elif m < L:
+            terms.append(1 + sum(values[i] * terms[m - 1 - i] for i in range(m)))
+        else:
+            terms.append(sum(values[i] * terms[m - 1 - i] for i in range(L)))
+    return tuple(terms)
+
+
+def reference_check_completeness(
+    c: Coefficients, horizon=None, assume_2l1=False, max_horizon=brown.DEFAULT_MAX_HORIZON
+) -> brown.Verdict:
+    """The gap engine with each horizon's whole prefix built before it is read."""
+    L = c.L
+    explicit = horizon is not None
+    h = horizon if explicit else min(max(4 * L, 64), max_horizon)
+    if h < 2 * L - 1:
+        raise brown.HorizonTooSmall(f"horizon {h} < 2L-1 = {2 * L - 1}")
+    running, strict_ok, run, ok_through_2l1, n = 0, True, 0, False, 0
+    while True:
+        target = h
+        terms = reference_terms(c.values, target + 1)
+        while n < target:
+            n += 1
+            h_n = terms[n - 1]
+            gap = 1 + running - h_n
+            running += h_n
+            if gap < 0:
+                return brown.Verdict(c, brown.INCOMPLETE, brown.failure(n, witness=gap), False, n)
+            if L <= n <= 2 * L - 1 and gap == 0:
+                strict_ok = False
+            if n == 2 * L - 1:
+                ok_through_2l1 = True
+                if strict_ok and L >= 2:
+                    return brown.Verdict(c, brown.COMPLETE, brown.strict_window(n), False, n)
+            run = run + 1 if 2 * h_n - terms[n] >= 0 else 0
+            m = n + 1
+            if run >= L and m - L >= L + 1 and m <= target and 1 + running - terms[m - 1] >= 0:
+                return brown.Verdict(c, brown.COMPLETE, brown.doubling_window(m), False, m)
+        if explicit or h >= max_horizon:
+            break
+        h = min(2 * h, max_horizon)
+    if assume_2l1 and ok_through_2l1:
+        return brown.Verdict(c, brown.COMPLETE, brown.family_rule(brown.RULE_2L1), True, h)
+    return brown.Verdict(c, brown.UNKNOWN, brown.horizon_exhausted(h), False, h)
+
+
+def reference_oracle_verdict(c: Coefficients, max_prefix: int, budget_bits: int) -> brown.Verdict:
+    """The subset-sum scan, re-deriving the smallest missing sum at every step."""
+    L = c.L
+    if max_prefix < 2 * L - 1:
+        raise brown.HorizonTooSmall(f"max_prefix {max_prefix} < 2L-1 = {2 * L - 1}")
+    terms = reference_terms(c.values, max_prefix + 1)
+    mask, total = 1, 0
+    for n in range(1, max_prefix + 1):
+        h = terms[n - 1]
+        if total + h + 1 > budget_bits:
+            raise oracle.BudgetExceeded(
+                f"prefix {n} needs {total + h + 1} bits, budget is {budget_bits}"
+            )
+        mask |= mask << h
+        total += h
+        missing = ~mask & ((1 << (total + 1)) - 2)
+        effective = (missing & -missing).bit_length() - 1 if missing else total + 1
+        if effective < terms[n]:
+            return brown.Verdict(
+                c, brown.INCOMPLETE, brown.failure(n, witness=effective), False, n
+            )
+    engine = reference_check_completeness(c, horizon=max_prefix)
+    if engine.kind == brown.COMPLETE and engine.certificate.kind in (
+        "strict_window",
+        "doubling_window",
+    ):
+        return engine
+    return brown.Verdict(
+        c, brown.UNKNOWN, brown.horizon_exhausted(max_prefix), False, max_prefix
+    )

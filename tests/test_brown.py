@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from plrs import (
     COMPLETE,
@@ -14,7 +16,19 @@ from plrs import (
     recheck,
     validate,
 )
-from helpers import all_vectors, brute_gaps
+from helpers import all_vectors, brute_gaps, reference_check_completeness, reference_terms
+
+# Short vectors with small coefficients, and the sparse family [1, 0^k, N].
+short_vectors = st.one_of(
+    st.builds(
+        lambda c1, mid, cL: (c1, *mid, cL),
+        st.integers(1, 4),
+        st.lists(st.integers(0, 4), max_size=6),
+        st.integers(1, 4),
+    ),
+    st.tuples(st.integers(1, 4)),
+    st.builds(lambda k, n: (1, *[0] * k, n), st.integers(0, 30), st.integers(1, 300)),
+)
 
 
 class TestGapTrace:
@@ -77,6 +91,50 @@ class TestFirstFailureIndex:
     @pytest.mark.parametrize("k", range(1, 8))
     def test_failure_lands_at_2k_plus_3(self, k):
         assert first_failure_index(validate([1] * k + [0, 4]), 64) == 2 * k + 3
+
+
+class TestLazyPrefixProperties:
+    @given(short_vectors, st.integers(1, 120))
+    def test_first_failure_is_first_negative_gap(self, values, horizon):
+        trace = gap_trace(generate_terms(validate(values), horizon))
+        negative = [n for n, g in enumerate(trace.gaps, start=1) if g < 0]
+        expected = negative[0] if negative else None
+        assert first_failure_index(validate(values), horizon) == expected
+
+    # The few short vectors whose verdict comes past index 2L+1, where the
+    # prefix must be extended.
+    @example((1, 0, 3, 0, 3), 20, False)
+    @example((1, 1, 0, 3, 0, 2, 3), 30, False)
+    @given(short_vectors, st.integers(0, 40), st.booleans())
+    def test_engine_matches_eager_engine_at_explicit_horizons(self, values, extra, assume):
+        c = validate(values)
+        h = 2 * c.L - 1 + extra
+        got = check_completeness(c, horizon=h, assume_2l1=assume)
+        assert got == reference_check_completeness(c, horizon=h, assume_2l1=assume)
+
+    @example((1, 0, 3, 0, 1, 4), None, False)
+    @example((1, 0, 3, 0, 3, 1), 13, True)
+    @given(short_vectors, st.sampled_from([None, 13, 20, 64, 100, 300]), st.booleans())
+    def test_engine_matches_eager_engine_at_default_horizons(self, values, cap, assume):
+        c = validate(values)
+        kwargs = {} if cap is None else {"max_horizon": max(cap, 2 * c.L - 1)}
+        got = check_completeness(c, assume_2l1=assume, **kwargs)
+        assert got == reference_check_completeness(c, assume_2l1=assume, **kwargs)
+
+    def test_prefix_grows_only_as_far_as_it_is_read(self, monkeypatch):
+        # [1, 3] fails at index 3: the engine builds 2L + 1 = 5 terms,
+        # not the max(4L, 64) + 1 of its starting horizon.
+        built = []
+        real = brown.generate_terms
+
+        def counting(c, n):
+            built.append(n)
+            return real(c, n)
+
+        monkeypatch.setattr(brown, "generate_terms", counting)
+        assert check_completeness(validate([1, 3])).kind == INCOMPLETE
+        assert first_failure_index(validate([1, 3]), 500) == 3
+        assert built == [5, 5]
 
 
 class TestCheckCompleteness:

@@ -274,6 +274,18 @@ class TestDense:
                               "# covered: [2.000000000000, 2.000000000000]"]
         assert "# terminal_root_exact_two: True" in lines
 
+    def test_cost_cap_writes_a_report(self, capsys):
+        # L = 18 has 130,986 incomplete roots, over the 65,536 budget.
+        code, out, err = run(capsys, "dense", "--L", "18")
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0].startswith("# config: ") and '"L": 18' in lines[0]
+        assert lines[1:] == ["k,root", "# cost_cap: 130986 roots exceed budget 65536"]
+        code, out, _ = run(capsys, "dense", "--L", "18", "--require-definite")
+        assert code == 3
+        assert out.splitlines()[1:] == lines[1:]
+
 
 class TestOutput:
     def test_out_writes_file(self, capsys, tmp_path):

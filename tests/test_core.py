@@ -1,6 +1,9 @@
 import itertools
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from plrs import (
     EmptyVector,
@@ -11,6 +14,21 @@ from plrs import (
     validate,
 )
 from plrs.core import vectors, vectors_with_sum
+from helpers import reference_terms
+
+
+@st.composite
+def sparse_vectors(draw, max_len=64, max_coeff=2**40):
+    """Vectors of length <= max_len whose middles are mostly zero."""
+    L = draw(st.integers(1, max_len))
+    values = [0] * L
+    values[0] = draw(st.integers(1, max_coeff))
+    values[-1] = draw(st.integers(1, max_coeff))
+    if L > 2:
+        taps = draw(st.dictionaries(st.integers(1, L - 2), st.integers(0, max_coeff), max_size=4))
+        for i, ci in taps.items():
+            values[i] = ci
+    return tuple(values)
 
 
 class TestValidate:
@@ -125,6 +143,32 @@ class TestGenerateTerms:
             assert all(a < b for a, b in zip(tail, tail[1:])), vals
         constant = generate_terms(validate([1]), 10)
         assert set(constant.terms) == {1}
+
+
+class TestGrowthProperties:
+    @given(sparse_vectors(), st.integers(1, 300))
+    def test_matches_full_recurrence(self, values, n):
+        assert generate_terms(validate(values), n).terms == reference_terms(values, n)
+
+    @given(sparse_vectors(max_len=12, max_coeff=50), st.integers(1, 150), st.integers(1, 150))
+    def test_extension_equals_fresh_generation(self, values, a, b):
+        c = validate(values)
+        assert generate_terms(c, a).extended(b) == generate_terms(c, max(a, b))
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_str_prints_terms_past_the_int_digit_limit(self):
+        # H_1500 of [1000] has 4498 digits; str() of such an int raises
+        # under the default 4300-digit limit.
+        t = generate_terms(validate([1000]), 1500)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = "(" + ", ".join(str(h) for h in t.terms) + ")"
+            sys.set_int_max_str_digits(4300)
+            assert str(t) == expected
+            assert sys.get_int_max_str_digits() == 4300  # the setting is left alone
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestVectors:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from plrs import (
     COMPLETE,
@@ -12,7 +14,7 @@ from plrs import (
     smallest_unrepresentable,
     validate,
 )
-from helpers import all_vectors, brute_subset_sums, mask_to_set
+from helpers import all_vectors, brute_subset_sums, mask_to_set, reference_oracle_verdict
 
 
 class TestReachableSums:
@@ -137,3 +139,26 @@ class TestOracleVerdict:
             orc = oracle_verdict(c, max_prefix=horizon)
             assert {engine.kind, orc.kind} != {COMPLETE, INCOMPLETE}, vals
             assert engine.kind == orc.kind, vals
+
+    @given(
+        st.builds(
+            lambda c1, mid, cL: (c1, *mid, cL),
+            st.integers(1, 4),
+            st.lists(st.integers(0, 4), max_size=4),
+            st.integers(1, 4),
+        ),
+        st.integers(0, 12),
+        st.integers(4, 16),
+    )
+    def test_matches_full_mask_scan(self, values, extra, budget_log2):
+        # Small budgets, so that BudgetExceeded and its text are compared too.
+        c = validate(values)
+        args = (c, 2 * c.L - 1 + extra, 1 << budget_log2)
+        try:
+            expected = reference_oracle_verdict(*args)
+        except BudgetExceeded as exc:
+            with pytest.raises(BudgetExceeded) as raised:
+                oracle_verdict(*args)
+            assert str(raised.value) == str(exc)
+        else:
+            assert oracle_verdict(*args) == expected
