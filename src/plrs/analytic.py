@@ -8,11 +8,13 @@ which has exactly one positive real root r_1 (simple, and of greatest
 magnitude since c_1 >= 1).  Because p(x) -> +inf, the sign of p at a
 non-negative rational point t decides the comparison with r_1 outright:
 p(t) > 0 iff t > r_1 and p(t) < 0 iff t < r_1.  Every root produced here
-is therefore a *certified* bracket: exact rational endpoints with
-p(lo) < 0 < p(hi) (or an exact integer hit), never a bare float.  A float
-may propose a bracket, but only an integer sign evaluation accepts it;
-otherwise floats appear only in display helpers.  Tolerances control
-bracket width, not any verdict logic.
+is therefore a *certified* bracket: an integer dyadic cell
+[num, num + 1] / 2^bits with p(lo) < 0 < p(hi) (or an exact integer hit),
+never a bare float.  Isolation, refinement, comparison and triage work on
+the integer numerators; ``lo``, ``hi`` and ``width`` are ``Fraction`` views
+for tests and independent re-checks.  A float may propose a bracket, but
+only an integer sign evaluation accepts it; otherwise floats appear only in
+display helpers.  Tolerances control bracket width, not any verdict logic.
 
 The triage test classifies fast: p(2) < 0 proves incompleteness (the root
 exceeds 2, too fast to be complete), while a root certified below the
@@ -22,10 +24,11 @@ between land in an indeterminate band where gap arithmetic must decide.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from . import brown
 from .core import Coefficients, validate, vectors, vectors_with_sum
@@ -60,10 +63,6 @@ class CharPoly:
 
     coefficients: Coefficients
 
-    @property
-    def degree(self) -> int:
-        return self.coefficients.L
-
     def eval(self, t: Rational) -> Rational:
         """Exact value of p(t) for rational t (int in, int out)."""
         acc: Rational = 1
@@ -80,10 +79,6 @@ class CharPoly:
             acc = acc * num - ci * dp
         return (acc > 0) - (acc < 0)
 
-    def dense(self) -> list[Fraction]:
-        """Descending coefficient list [1, -c_1, ..., -c_L] as Fractions."""
-        return [Fraction(1)] + [Fraction(-ci) for ci in self.coefficients.values]
-
 
 def char_poly_eval(c: Coefficients, t: Rational) -> Rational:
     """Exact evaluation of the characteristic polynomial of ``c`` at ``t``."""
@@ -94,73 +89,78 @@ def char_poly_eval(c: Coefficients, t: Rational) -> Rational:
 
 @dataclass(frozen=True)
 class RootBracket:
-    """Certified isolating interval for the principal root.
+    """Certified isolating cell [num, num + 1] / 2^bits of the principal root.
 
-    Either ``exact_root`` is set (and lo == hi == that integer), or
-    p(lo) < 0 < p(hi) holds under exact rational evaluation.
+    Either ``exact_root`` is set (num = exact_root, bits = 0, and
+    lo == hi == that integer), or p(lo) < 0 < p(hi) holds under exact
+    rational evaluation.  ``lo``, ``hi`` and ``width`` are ``Fraction``
+    views of the integer cell.
     """
 
     poly: CharPoly
-    lo: Fraction
-    hi: Fraction
+    num: int
+    bits: int
     exact_root: Optional[int] = None
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.num, 1 << self.bits)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._ends(self.bits)[1], 1 << self.bits)
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
     @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
     def approx(self) -> float:
-        """Float approximation, for display and reports."""
-        return float(self.exact_root) if self.exact_root is not None else float(self.mid)
+        """Float approximation (the midpoint, correctly rounded), for display."""
+        if self.exact_root is not None:
+            return float(self.exact_root)
+        return (2 * self.num + 1) / (1 << (self.bits + 1))
 
     def refined(self, tol) -> "RootBracket":
         """Bisect further until the width is at most ``tol``."""
         tol = _as_fraction(tol)
-        if self.exact_root is not None or self.width <= tol:
+        # Bisection halves until the width first drops to tol = p/q, so it
+        # takes the least n with 2^-(bits+n) <= p/q, i.e. q <= p * 2^(bits+n).
+        q, p = tol.denominator, tol.numerator << self.bits
+        n = max(0, q.bit_length() - p.bit_length() - 1)
+        while p << n < q:
+            n += 1
+        return self._split(n)
+
+    def _split(self, n: int) -> "RootBracket":
+        # The cell that n halvings end in; an exact root is its own cell.
+        if self.exact_root is not None or n == 0:
             return self
-        lo, hi = self.lo, self.hi
-        den = math.lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (den // lo.denominator)
-        b = hi.numerator * (den // hi.denominator)
-        return _cut(self.poly, a, b, den, tol)
+        return RootBracket(self.poly, _bisect(self.poly, self.num, self.bits, n), self.bits + n)
+
+    def _ends(self, bits: int) -> tuple[int, int]:
+        # (lo, hi) as numerators over 2^bits, for bits >= self.bits.
+        lo = self.num << (bits - self.bits)
+        return lo, lo if self.exact_root is not None else lo + (1 << (bits - self.bits))
 
 
-def _cut(poly: CharPoly, a: int, b: int, den: int, tol: Fraction) -> RootBracket:
-    # Bracket of width <= tol cut from [a/den, b/den], where
-    # p(a/den) < 0 <= p(b/den): the cell that plain bisection would reach.
-    # Bisection halves until the width first drops to tol, so it takes the
-    # least n with (b - a)/den <= tol * 2^n.
-    wide, unit = (b - a) * tol.denominator, tol.numerator * den
-    n = max(0, wide.bit_length() - unit.bit_length() - 1)
-    while unit << n < wide:
-        n += 1
-    a, b, den = _bisect(poly, a, b, den, n)
-    return RootBracket(poly, Fraction(a, den), Fraction(b, den), None)
+def _bisect(poly: CharPoly, a: int, bits: int, n: int) -> int:
+    """Numerator over 2^(bits+n) of the cell n halvings of [a, a+1]/2^bits end in.
 
-
-def _bisect(poly: CharPoly, a: int, b: int, den: int, n: int) -> tuple[int, int, int]:
-    """The cell [a', b']/den' that n halvings of [a, b]/den end in.
-
-    Requires p(a/den) < 0 <= p(b/den).  Cell j of the grid is
-    [a + j*w, a + (j+1)*w] / (den*2^n) with w = b - a; bisection keeps the
-    sign pattern, so it ends in the one cell with p(left) < 0 <= p(right).
-    That cell is unique because p changes sign once on the positive axis.
-    A float Newton estimate proposes j and two exact sign evaluations
-    accept it; otherwise integer bisection finds j.
+    Requires p(a/2^bits) < 0 <= p((a+1)/2^bits).  Cell j of the finer grid
+    is [a*2^n + j, a*2^n + j + 1] / 2^(bits+n); bisection keeps the sign
+    pattern, so it ends in the one cell with p(left) < 0 <= p(right).  That
+    cell is unique because p changes sign once on the positive axis.  A
+    float Newton estimate proposes j and two exact sign evaluations accept
+    it; otherwise integer bisection finds j.
     """
-    w = b - a
-    a, den = a << n, den << n
+    a, den = a << n, 1 << (bits + n)
 
     def sign(i: int) -> int:  # sign of p at grid point i
-        return poly.sign_at(a + i * w, den)
+        return poly.sign_at(a + i, den)
 
     # The check costs two sign evaluations, so a seed pays only past n = 2.
-    j = _seed_cell(poly, a, w, den, n) if n > 2 else None
+    j = _seed_cell(poly, a, den, n) if n > 2 else None
     if j is None or not sign(j) < 0 <= sign(j + 1):
         j, k = 0, 1 << n
         while k - j > 1:
@@ -169,18 +169,18 @@ def _bisect(poly: CharPoly, a: int, b: int, den: int, n: int) -> tuple[int, int,
                 j = mid
             else:
                 k = mid
-    return a + j * w, a + (j + 1) * w, den
+    return a + j
 
 
-def _seed_cell(poly: CharPoly, a: int, w: int, den: int, n: int) -> Optional[int]:
+def _seed_cell(poly: CharPoly, a: int, den: int, n: int) -> Optional[int]:
     """Grid cell of a float estimate of the root, or None if floats overflow.
 
-    Newton's method on f(x) = p(x) / x^L = 1 - sum c_i x^(-i), whose powers
-    cannot overflow for x >= 1 (a coefficient beyond the float range can).
-    f is increasing and concave for x > 0, so from the lower end each step
-    climbs towards the root without passing it (up to rounding).  The
-    estimate is only a proposal: ``_bisect`` accepts it by exact sign
-    evaluation.
+    Cell j is [a + j, a + j + 1] / den.  Newton's method on
+    f(x) = p(x) / x^L = 1 - sum c_i x^(-i), whose powers cannot overflow
+    for x >= 1 (a coefficient beyond the float range can).  f is increasing
+    and concave for x > 0, so from the lower end each step climbs towards
+    the root without passing it (up to rounding).  The estimate is only a
+    proposal: ``_bisect`` accepts it by exact sign evaluation.
     """
     try:
         cs = [float(ci) for ci in reversed(poly.coefficients.values)]
@@ -199,32 +199,22 @@ def _seed_cell(poly: CharPoly, a: int, w: int, den: int, n: int) -> Optional[int
         num, rden = x.as_integer_ratio()
     except (OverflowError, ZeroDivisionError, ValueError):
         return None
-    j = (num * den - a * rden) // (rden * w)
+    j = (num * den - a * rden) // rden
     return min(max(j, 0), (1 << n) - 1)
 
 
-def _integer_bracket(poly: CharPoly):
-    # Returns ("exact", t) or ("bracket", a, a+1) with p(a) < 0 < p(a+1).
-    s1 = poly.sign_at(1)
-    if s1 == 0:
-        return "exact", 1
-    # p(1) = 1 - sum(c_i) < 0 for every other valid vector.
-    hi = 2
-    while poly.sign_at(hi) < 0:
-        hi *= 2  # bounded: p(1 + max c_i) > 0
-    if poly.sign_at(hi) == 0:
-        return "exact", hi
-    lo = hi // 2
-    while hi - lo > 1:
+def _integer_bracket(poly: CharPoly) -> RootBracket:
+    # The unit cell [lo, lo+1] with p(lo) < 0 < p(lo+1), or an exact integer root.
+    lo, hi = 0, 1  # p(0) = -c_L < 0
+    while (s := poly.sign_at(hi)) < 0:
+        lo, hi = hi, 2 * hi  # bounded: p(1 + max c_i) > 0
+    while s != 0 and hi - lo > 1:  # p(lo) < 0 < p(hi)
         mid = (lo + hi) // 2
-        s = poly.sign_at(mid)
-        if s == 0:
-            return "exact", mid
-        if s < 0:
+        if (s := poly.sign_at(mid)) < 0:
             lo = mid
         else:
             hi = mid
-    return "bracket", lo, hi
+    return RootBracket(poly, hi, 0, exact_root=hi) if s == 0 else RootBracket(poly, lo, 0)
 
 
 def principal_root(c: Coefficients, tol=DEFAULT_TOL) -> RootBracket:
@@ -234,65 +224,29 @@ def principal_root(c: Coefficients, tol=DEFAULT_TOL) -> RootBracket:
     other rational roots); otherwise the bracket endpoints carry strict
     signs p(lo) < 0 < p(hi).
     """
-    tol = _as_fraction(tol)
-    poly = CharPoly(c)
-    found = _integer_bracket(poly)
-    if found[0] == "exact":
-        t = found[1]
-        return RootBracket(poly, Fraction(t), Fraction(t), exact_root=t)
-    return _cut(poly, found[1], found[2], 1, tol)
+    return _integer_bracket(CharPoly(c)).refined(tol)
 
 
 # ---------------------------------------------------------------------------
 # Exact root comparison
 
 
-def _strip_leading_zeros(p: Sequence[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while p and p[0] == 0:
-        p.pop(0)
-    return p
-
-
-def _poly_rem(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    # Remainder of dense descending p by nonzero q over Q.
-    p = _strip_leading_zeros(p)
-    while len(p) >= len(q):
-        factor = p[0] / q[0]
-        for i in range(len(q)):
-            p[i] -= factor * q[i]
-        p.pop(0)  # leading term cancelled exactly
-        p = _strip_leading_zeros(p)
-    return p
-
-
-def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    # Euclidean gcd of dense descending coefficient lists over Q, monic.
-    a, b = _strip_leading_zeros(a), _strip_leading_zeros(b)
-    while b:
-        a, b = b, _poly_rem(a, b)
-    if not a:
-        return [Fraction(1)]
-    return [x / a[0] for x in a]
-
-
-def _eval_dense(p: Sequence[Fraction], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coef in p:
-        acc = acc * t + coef
-    return acc
-
-
 def _roots_equal(a: RootBracket, b: RootBracket) -> bool:
     # Equal principal roots iff the polynomial gcd vanishes inside the
     # overlap; each polynomial has a single positive root, so a sign change
     # of the gcd across the overlap pins it down.
-    g = _poly_gcd(a.poly.dense(), b.poly.dense())
-    if len(g) <= 1:
+    f, g = ([Fraction(1)] + [Fraction(-ci) for ci in r.poly.coefficients.values] for r in (a, b))
+    while g:  # Euclid over Q on descending coefficient lists with nonzero leads
+        while len(f) >= len(g):  # f <- f mod g
+            q = f[0] / g[0]
+            f = [x - q * y for x, y in zip(f, g + [0] * (len(f) - len(g)))][1:]
+            while f and f[0] == 0:
+                f.pop(0)
+        f, g = g, f
+    if len(f) <= 1:
         return False
-    lo = max(a.lo, b.lo)
-    hi = min(a.hi, b.hi)
-    s1, s2 = _eval_dense(g, lo), _eval_dense(g, hi)
+    s1, s2 = (functools.reduce(lambda acc, x: acc * t + x, f, 0)
+              for t in (max(a.lo, b.lo), min(a.hi, b.hi)))
     return s1 == 0 or s2 == 0 or (s1 < 0) != (s2 < 0)
 
 
@@ -311,14 +265,15 @@ def compare_roots(a: RootBracket, b: RootBracket, max_rounds: int = 1000) -> int
         s = a.poly.sign_at(b.exact_root)
         return -s
     for round_no in range(max_rounds):
-        if a.hi <= b.lo:
+        bits = max(a.bits, b.bits)
+        (a_lo, a_hi), (b_lo, b_hi) = a._ends(bits), b._ends(bits)
+        if a_hi <= b_lo:
             return -1
-        if b.hi <= a.lo:
+        if b_hi <= a_lo:
             return 1
         if round_no % 16 == 8 and _roots_equal(a, b):
             return 0
-        a = a.refined(a.width / 4)
-        b = b.refined(b.width / 4)
+        a, b = a._split(2), b._split(2)
     raise RuntimeError("root comparison failed to converge")
 
 
@@ -397,12 +352,8 @@ def triage(c: Coefficients, tol=DEFAULT_TOL) -> brown.Verdict:
     if s2 < 0:
         return brown.Verdict(c, brown.INCOMPLETE, brown.root_triage(TRIAGE_FAST), False, 0)
     lam = lambda_threshold(c.L, tol).root
-    if lam.exact_root is not None:
-        below = poly.sign_at(lam.exact_root) > 0
-    else:
-        # Positive sign at the bracket's lower end certifies root < lambda.
-        below = poly.sign_at(lam.lo.numerator, lam.lo.denominator) > 0
-    if below:
+    # A positive sign at the bracket's lower end certifies root < lambda.
+    if poly.sign_at(lam.num, 1 << lam.bits) > 0:
         return brown.Verdict(c, brown.COMPLETE, brown.root_triage(TRIAGE_SLOW), True, 0)
     return brown.Verdict(
         c,
@@ -528,10 +479,12 @@ def _certify_gap_shrink(
     # Refines three consecutive roots q < r < s until r - q > s - r is
     # certified, and returns the refined brackets; None after 200 rounds.
     for _ in range(200):
+        bits = max(bq.bits, br.bits, bs.bits)
+        (_, q_hi), (r_lo, _), (_, s_hi) = (b._ends(bits) for b in (bq, br, bs))
         # gap1 >= br.lo - bq.hi and gap2 <= bs.hi - br.lo
-        if 2 * br.lo > bq.hi + bs.hi:
+        if 2 * r_lo > q_hi + s_hi:
             return bq, br, bs
-        bq, br, bs = (b.refined(b.width / 4) for b in (bq, br, bs))
+        bq, br, bs = (b._split(2) for b in (bq, br, bs))
     return None
 
 

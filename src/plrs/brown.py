@@ -266,9 +266,10 @@ def recheck(verdict: Verdict) -> bool:
     the verdict and confirms the certificate's claim.  Root certificates are
     re-checked by exact rational evaluation of the characteristic
     polynomials (``CharPoly.eval``), not by the integer sign test that
-    produced them.  Family certificates other than the 2L-1 rule are
-    produced by ``plrs.families`` and are not re-derived here; for those
-    this returns True.
+    produced them.  Family certificates must name a rule whose shape the
+    coefficients have, agree with that rule's re-derived bound, and not be
+    contradicted by a definite gap-engine verdict.  An unrecognised
+    certificate kind fails.
     """
     c = verdict.coefficients
     cert = verdict.certificate
@@ -310,11 +311,44 @@ def recheck(verdict: Verdict) -> bool:
     if cert.kind == "family" and cert.rule == RULE_2L1:
         trace = gap_trace(generate_terms(c, 2 * L - 1))
         return all(g >= 0 for g in trace.gaps)
+    if cert.kind == "family":
+        return _recheck_family(verdict)
     if cert.kind == "root":
         return _recheck_root(verdict)
     if cert.kind == "horizon":
         return verdict.kind == UNKNOWN
-    return True
+    return False
+
+
+def _recheck_family(verdict: Verdict) -> bool:
+    from . import families  # local: families imports brown
+
+    c, n = verdict.coefficients, verdict.coefficients.values[-1]
+    ones = c.values[:-1].count(1)
+    shape = {  # the member of the named family that c could be
+        families.RULE_ONE_ZEROS: families.OneZerosN(c.L - 2),
+        families.RULE_ONES_ZEROS: families.OnesZerosN(ones, c.L - 1 - ones),
+        families.RULE_TWO_ONES_ZEROS: families.TwoOnesZerosN(c.L - 3),
+        families.RULE_ONE_ZEROS_ONES: families.OneZerosOnesN(c.L, ones - 1),
+    }.get(verdict.certificate.rule)
+    if shape is None:
+        return False
+    try:
+        if shape.coefficients(n) != c:
+            return False
+        bound = shape.bound()
+    except ValueError:  # not a family member, or outside the rule's range
+        return False
+    kind = COMPLETE if n <= bound.max_n else INCOMPLETE
+    if (bound.rule_id, kind, not bound.proven) != (
+        verdict.certificate.rule, verdict.kind, verdict.conjectural
+    ):
+        return False
+    try:
+        engine = check_completeness(c).kind
+    except HorizonTooSmall:  # the default horizon stops short of 2L-1 past L = 512
+        engine = UNKNOWN
+    return engine in (UNKNOWN, kind)
 
 
 def _recheck_root(verdict: Verdict) -> bool:

@@ -81,6 +81,15 @@ def _parse_range(text: str) -> range:
 _parse_range.__name__ = "range"  # argparse uses this in usage errors
 
 
+def _tolerance(tol: Optional[float]) -> Fraction:
+    # --tol of min-root and dense; a float that underflows to 0.0 is rejected too.
+    if tol is None:
+        return analytic.DEFAULT_TOL
+    if not 0 < tol < float("inf"):
+        raise _InputError(f"--tol: tolerance must be positive and finite, got {tol}")
+    return Fraction(tol)
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
@@ -284,7 +293,9 @@ def _cmd_scan_2l1(args) -> int:
     L = args.L
     if L < 1 or args.coeff_cap < 1:
         raise _InputError("need --L >= 1 and --coeff-cap >= 1")
-    window = args.window if args.window else 2 * L - 1
+    if args.window is not None and args.window < 1:
+        raise _InputError(f"--window must be >= 1, got {args.window}")
+    window = 2 * L - 1 if args.window is None else args.window
     config = {"command": "scan-2l1", "L": L, "coeff_cap": args.coeff_cap,
               "window": window, "jobs": args.jobs, "format": args.format}
     edge, inner = range(1, args.coeff_cap + 1), range(args.coeff_cap + 1)
@@ -345,7 +356,7 @@ def _cmd_min_root(args) -> int:
     L, cap = args.L, args.sum_cap
     if L < 2 or cap < 2:
         raise _InputError("need --L >= 2 and --sum-cap >= 2")
-    tol = Fraction(args.tol) if args.tol else analytic.DEFAULT_TOL
+    tol = _tolerance(args.tol)
     config = {"command": "min-root", "L": L, "sum_cap": cap, "jobs": args.jobs,
               "tol": float(tol), "format": args.format}
     tasks = [c for total in range(2, cap + 1) for c in core.vectors_with_sum(L, total)]
@@ -393,7 +404,7 @@ def _cmd_min_root(args) -> int:
 def _cmd_dense(args) -> int:
     if args.L < 2:
         raise _InputError("need --L >= 2")
-    tol = Fraction(args.tol) if args.tol else analytic.DEFAULT_TOL
+    tol = _tolerance(args.tol)
     config = {"command": "dense", "L": args.L, "epsilon": args.epsilon,
               "tol": float(tol)}
     lines = [f"# config: {json.dumps(config, sort_keys=True)}", "k,root"]

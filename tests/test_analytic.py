@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plrs import (
@@ -280,6 +280,12 @@ class TestRootOrderGap:
         gap1, gap2 = root_order_gap(L, k)
         assert gap1 > gap2 > 0
 
+    def test_equal_gaps_are_not_certified_as_shrinking(self):
+        # The exact roots 1, 2, 3 have equal gaps; refining exact roots
+        # changes nothing, so the check gives up.
+        roots = [principal_root(validate([k])) for k in (1, 2, 3)]
+        assert analytic._certify_gap_shrink(*roots) is None
+
     def test_rejects_small_parameters(self):
         with pytest.raises(ValueError):
             root_order_gap(2, 3)
@@ -353,6 +359,50 @@ class TestRootIsolationProperties:
 
     @settings(deadline=None)
     @given(vectors, tolerances)
+    def test_split_in_two_halvings_matches_refined_and_reference(self, values, tol):
+        b = principal_root(validate(values), tol)
+        assume(b.exact_root is None)
+        split, quarter = b._split(2), b.width / 4
+        assert split == b.refined(quarter)
+        assert (split.lo, split.hi) == reference_bisect(b.poly, b.lo, b.hi, quarter)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.tuples(vectors, st.integers(0, 6)), min_size=3, max_size=3),
+        st.integers(1, 20),
+    )
+    @example([((1, 1), 0), ((1, 0, 1, 1), 3), ((1, 1, 2), 1)], 12)  # phi, phi, 2
+    def test_integer_ends_order_like_fraction_views(self, drawn, tol_exp):
+        # Brackets at different depths, compared as integers over a common
+        # 2^bits and as Fractions: the comparisons of compare_roots and of
+        # the gap-shrink check must agree.
+        tol = Fraction(1, 2**tol_exp)
+        bq, br, bs = (principal_root(validate(v), tol)._split(d) for v, d in drawn)
+        bits = max(b.bits for b in (bq, br, bs))
+        ends = [b._ends(bits) for b in (bq, br, bs)]
+        for b, (lo, hi) in zip((bq, br, bs), ends):
+            assert (Fraction(lo, 2**bits), Fraction(hi, 2**bits)) == (b.lo, b.hi)
+        (q_lo, q_hi), (r_lo, r_hi), (_, s_hi) = ends
+        assert (q_hi <= r_lo) == (bq.hi <= br.lo)
+        assert (r_hi <= q_lo) == (br.hi <= bq.lo)
+        assert (2 * r_lo > q_hi + s_hi) == (2 * br.lo > bq.hi + bs.hi)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(vectors, tolerances), min_size=3, max_size=3))
+    @example([((1, 1), Fraction(1, 10)), ((1, 0, 1, 1), Fraction(1, 10**9)), ((2,), 1)])
+    @example([((1, 0, 4), 1), ((1, 1, 2), 1), ((1, 1), 1)])  # equal exact roots
+    def test_compare_roots_is_transitive(self, drawn):
+        a, b, c = (principal_root(validate(v), tol) for v, tol in drawn)
+        ab, bc, ac = compare_roots(a, b), compare_roots(b, c), compare_roots(a, c)
+        if ab == bc:
+            assert ac == ab
+        if ab == 0:
+            assert ac == bc
+        if bc == 0:
+            assert ac == ab
+
+    @settings(deadline=None)
+    @given(vectors, tolerances)
     def test_brackets_are_certified_by_rational_evaluation(self, values, tol):
         b = principal_root(validate(values), tol)
         if b.exact_root is not None:
@@ -387,9 +437,9 @@ class TestRootIsolationProperties:
         assume(expected[0] != expected[1])  # integer roots need no bisection
         proposals = []
 
-        def neighbour(poly, a, w, den, n):
+        def neighbour(poly, a, den, n):
             # A cell next to the right one: always wrong.
-            right = int((expected[0] * den - a) / w)
+            right = int(expected[0] * den - a)
             proposals.append(right + 1 if right + 1 < 1 << n else right - 1)
             return proposals[-1]
 

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from plrs import cli
+from plrs import cli, validate
+from helpers import reference_root
 
 CONTRACT_KEYS = {"coefficients", "kind", "certificate", "index", "conjectural", "horizon_used"}
 
@@ -228,6 +230,20 @@ class TestScan2L1:
         parallel["config"].pop("jobs")
         assert serial == parallel
 
+    def test_window_defaults_to_two_l_minus_one(self, capsys):
+        code, payload, _ = run_json(capsys, "scan-2l1", "--L", "3", "--coeff-cap", "2",
+                                    "--jobs", "1")
+        assert code == 0
+        assert payload["window"] == payload["config"]["window"] == 5
+
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_window_below_one_is_input_error(self, capsys, window):
+        code, out, err = run(capsys, "scan-2l1", "--L", "3", "--coeff-cap", "2",
+                             "--jobs", "1", f"--window={window}")
+        assert code == 2
+        assert out == ""
+        assert "--window" in err
+
 
 class TestMinRoot:
     def test_base_case_frontier(self, capsys):
@@ -247,7 +263,30 @@ class TestMinRoot:
         assert payload["frontier_root"] == 2.0
 
 
+@pytest.mark.parametrize("command", [["min-root", "--L", "3", "--sum-cap", "5", "--jobs", "1"],
+                                     ["dense", "--L", "5"]])
+@pytest.mark.parametrize("tol", ["0", "1e-400", "-1e-3", "nan"])
+def test_nonpositive_tolerance_is_input_error(capsys, command, tol):
+    # 1e-400 parses to 0.0.
+    code, out, err = run(capsys, *command, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be positive" in err
+
+
 class TestDense:
+    def test_rows_match_reference_midpoints(self, capsys):
+        # [1, 0^7, k] for k from ceil(9*10/4) + 1 = 24 to 2^8, each root the
+        # midpoint of a plain Fraction bisection to width 1e-12.
+        code, out, _ = run(capsys, "dense", "--L", "9")
+        assert code == 0
+        rows = [l for l in out.splitlines()[2:] if not l.startswith("#")]
+        expected = []
+        for k in range(24, 257):
+            lo, hi = reference_root(validate([1] + [0] * 7 + [k]), Fraction(1, 10**12))
+            expected.append(f"{k},{float((lo + hi) / 2):.12f}")
+        assert rows == expected
+
     def test_csv_with_certified_footer(self, capsys):
         code, out, _ = run(capsys, "dense", "--L", "6", "--epsilon", "0.05")
         assert code == 0
@@ -258,6 +297,12 @@ class TestDense:
         assert "# terminal_root_exact_two: True" in out
         last_row = [l for l in lines if "," in l and not l.startswith("#")][-1]
         assert last_row == "32,2.000000000000"
+
+    def test_coarse_tolerance_leaves_the_exact_root_two_alone(self, capsys):
+        # The last triple ends at the exact root 2, which needs no refining.
+        code, out, _ = run(capsys, "dense", "--L", "6", "--tol", "0.1")
+        assert code == 0
+        assert "# gaps_decreasing_certified: True" in out.splitlines()
 
     def test_length_two_has_no_roots(self, capsys):
         code, out, _ = run(capsys, "dense", "--L", "2")

@@ -13,8 +13,11 @@ from plrs import (
     bound_one_zeros_ones,
     bound_ones_zeros,
     bound_two_ones_zeros,
+    brown,
     check_completeness,
     classify_family,
+    families,
+    recheck,
     validate,
 )
 from plrs.families import max_last
@@ -227,3 +230,78 @@ class TestRulesAgreeWithEngines:
         # The counterexample that pins the hypothesis range above.
         assert check_completeness(validate([1, 0, 0, 0, 7])).kind == COMPLETE
         assert check_completeness(validate([1, 0, 0, 1, 8])).kind == INCOMPLETE
+
+
+def _grid_shapes():
+    # The shapes of the grids above: proven rules at their edges, the
+    # conjectural two-ones rule and every valid one-zeros-ones cell to L = 12.
+    shapes = [OneZerosN(k) for k in range(0, 9)]
+    shapes += [OnesZerosN(g, k) for k in range(1, 4) for g in range(1, 9) if g >= k]
+    shapes += [TwoOnesZerosN(k) for k in range(0, 6)]
+    for L in range(3, 13):
+        for m in range(0, L):
+            try:
+                bound_one_zeros_ones(L, m)
+            except ShapeViolation:
+                continue
+            shapes.append(OneZerosOnesN(L, m))
+    return shapes
+
+
+class TestFamilyRecheck:
+    def test_every_grid_verdict_rechecks(self):
+        checked = 0
+        for shape in _grid_shapes():
+            max_n = shape.bound().max_n
+            for n in sorted({1, max_n - 1, max_n, max_n + 1, max_n + 2} - {0}):
+                v = classify_family(shape, n)
+                assert recheck(v), (shape, n)
+                checked += 1
+        assert checked > 250
+
+    @pytest.mark.parametrize(
+        "coeffs,kind,rule,conjectural",
+        [
+            ([1, 0, 0, 5], INCOMPLETE, "one-zeros", False),  # kind: bound is 5
+            ([1, 0, 0, 6], COMPLETE, "one-zeros", False),  # kind: 6 is past it
+            ([1, 1, 0, 3], COMPLETE, "one-zeros", False),  # shape: two leading ones
+            ([1, 0, 1, 3], COMPLETE, "ones-zeros", False),  # shape: ones after zeros
+            ([1, 0, 0, 3], COMPLETE, "ones-zeros", False),  # g = 1 is the one-zeros rule
+            ([1, 1, 1, 3], COMPLETE, "ones-zeros", False),  # no zeros
+            ([1, 1, 0, 0, 0, 3], COMPLETE, "ones-zeros", False),  # g < k: not proven
+            ([1, 0, 0, 3], COMPLETE, "two-ones-zeros", True),  # shape
+            ([1, 0, 1, 1, 3], COMPLETE, "one-zeros-ones", True),  # L < 2m + 2
+            ([1, 0, 0, 0, 1, 10], COMPLETE, "one-zeros-ones", False),  # flag: conjectural
+            ([1, 0, 0, 5], COMPLETE, "one-zeros", True),  # flag: proven
+            ([1, 1, 0, 3], COMPLETE, "two-ones-zeros", False),  # flag: conjectural
+            ([1, 0, 0, 5], COMPLETE, "no-such-rule", False),
+        ],
+    )
+    def test_forged_family_certificates_fail(self, coeffs, kind, rule, conjectural):
+        forged = brown.Verdict(validate(coeffs), kind, brown.family_rule(rule), conjectural, 0)
+        assert not recheck(forged)
+
+    def test_engine_contradiction_fails(self, monkeypatch):
+        # A conjectured bound one too high would call [1, 1, 0, 0, 7] complete;
+        # the gap engine proves it incomplete.
+        assert bound_two_ones_zeros(2).max_n == 6
+        monkeypatch.setattr(
+            families, "bound_two_ones_zeros",
+            lambda k: families.FamilyBound(7, False, families.RULE_TWO_ONES_ZEROS),
+        )
+        v = classify_family(TwoOnesZerosN(2), 7)
+        assert v.kind == COMPLETE
+        assert check_completeness(v.coefficients).kind == INCOMPLETE
+        assert not recheck(v)
+
+    def test_member_past_the_engine_horizon_rechecks_by_its_bound(self):
+        # At L = 602 the engine's default horizon is below 2L-1, so only the
+        # shape and the bound are checked.
+        assert recheck(classify_family(OneZerosN(600), 5))
+        assert not recheck(brown.Verdict(
+            validate([1] + [0] * 600 + [5]), INCOMPLETE, brown.family_rule("one-zeros"), False, 0
+        ))
+
+    def test_unknown_certificate_kind_fails(self):
+        forged = brown.Verdict(validate([1, 1]), COMPLETE, brown.Certificate("oracle"), False, 0)
+        assert not recheck(forged)
