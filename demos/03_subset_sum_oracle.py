@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Ground truth by brute force: subset-sum reachability.
 
-Independently of any gap arithmetic, a bit-vector dynamic program lists
+Without any gap arithmetic, a bit-vector dynamic program lists
 every integer expressible as a sum of distinct prefix terms.  If some
 integer below the next term is missing, it stays missing forever -- a
 self-contained incompleteness witness anyone can re-check by hand.
@@ -28,8 +28,8 @@ print("The doubling sequence covers every integer up to its running sum:")
 print("  smallest unrepresentable for [2], 6 terms:",
       smallest_unrepresentable(validate([2]), 6))
 
-print("\nOracle verdicts agree with the gap engine but never share its")
-print("reasoning on the incomplete side:")
+print("\nOracle verdicts come from one gap-engine run; an incomplete one")
+print("names a witness read off the bitset, re-checkable without gap arithmetic:")
 for coeffs in ([1, 3], [1, 1], [1, 2, 0, 0, 0, 0, 15]):
     v = oracle_verdict(validate(coeffs), max_prefix=16)
     witness = f", permanently missing {v.certificate.witness}" if v.certificate.witness else ""

@@ -32,7 +32,7 @@ COMPLETE = "complete"
 INCOMPLETE = "incomplete"
 UNKNOWN = "unknown"
 
-#: Hard cap on the automatically extended horizon.
+#: Cap on the automatically extended horizon, raised to 4L for long vectors.
 DEFAULT_MAX_HORIZON = 1024
 
 #: Conjectural rule id for the opt-in "non-negative through 2L-1" shortcut.
@@ -186,7 +186,7 @@ def check_completeness(
     c: Coefficients,
     horizon: Optional[int] = None,
     assume_2l1: bool = False,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
+    max_horizon: Optional[int] = None,
 ) -> Verdict:
     """Decide completeness of the PLRS defined by ``c`` on a finite horizon.
 
@@ -203,9 +203,14 @@ def check_completeness(
 
     When ``horizon`` is None the engine starts at max(4L, 64) and doubles
     it up to ``max_horizon`` before giving up, so the per-candidate cost
-    of large scans stays bounded.
+    of large scans stays bounded.  The default cap is
+    max(DEFAULT_MAX_HORIZON, 4L): past L = 256 it grows with L, so it
+    always covers the strict window (index 2L-1) and leaves room for a
+    doubling window (index 2L+1 or later).
     """
     L = c.L
+    if max_horizon is None:
+        max_horizon = max(DEFAULT_MAX_HORIZON, 4 * L)
     explicit = horizon is not None
     h = horizon if explicit else min(max(4 * L, 64), max_horizon)
     if h < 2 * L - 1:
@@ -344,11 +349,7 @@ def _recheck_family(verdict: Verdict) -> bool:
         verdict.certificate.rule, verdict.kind, verdict.conjectural
     ):
         return False
-    try:
-        engine = check_completeness(c).kind
-    except HorizonTooSmall:  # the default horizon stops short of 2L-1 past L = 512
-        engine = UNKNOWN
-    return engine in (UNKNOWN, kind)
+    return check_completeness(c).kind in (UNKNOWN, kind)
 
 
 def _recheck_root(verdict: Verdict) -> bool:

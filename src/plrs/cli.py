@@ -4,7 +4,8 @@ Commands:
 
 * ``gen``           exact terms of one sequence
 * ``check``         completeness verdict with certificate (JSON)
-* ``oracle-check``  subset-sum ground-truth verdict (JSON)
+* ``oracle-check``  verdict at an explicit prefix length; an incomplete one
+                    names a subset-sum witness (JSON)
 * ``family-table``  closed-form bounds vs. engine search (CSV)
 * ``scan-2l1``      exhaustive counterexample hunt for the 2L-1 window rule
 * ``min-root``      least principal root among incomplete vectors vs. the
@@ -12,7 +13,8 @@ Commands:
 * ``dense``         root sweep of the sparse family toward 2 (CSV)
 
 Exit codes: 0 a verdict/report was written (of any kind, including the
-``unknown`` verdict oracle-check writes when its bit budget runs out),
+``unknown`` verdict oracle-check writes when the bitset for a failure
+witness would exceed its bit budget),
 1 a certificate failed re-validation under --verify (the report is still
 written), 2 input error, 3 no definite answer within budget while
 --require-definite was set, 4 a scan surfaced a counterexample (never
@@ -270,10 +272,7 @@ def _scan_2l1_one(c: Coefficients, window: int, horizon: Optional[int]):
         return None
     verdict = brown.check_completeness(c, horizon=horizon)
     if verdict.kind == brown.UNKNOWN:
-        try:
-            verdict = oracle.oracle_verdict(c, max_prefix=max(4 * c.L, 32))
-        except oracle.BudgetExceeded:
-            pass
+        verdict = brown.check_completeness(c, horizon=max(4 * c.L, 32) + 1)
     if verdict.kind == brown.INCOMPLETE:
         return {"coefficients": list(c.values), "status": "counterexample",
                 "first_failure": verdict.certificate.index}
@@ -297,7 +296,8 @@ def _cmd_scan_2l1(args) -> int:
         raise _InputError(f"--window must be >= 1, got {args.window}")
     window = 2 * L - 1 if args.window is None else args.window
     config = {"command": "scan-2l1", "L": L, "coeff_cap": args.coeff_cap,
-              "window": window, "jobs": args.jobs, "format": args.format}
+              "window": window, "horizon": args.horizon, "jobs": args.jobs,
+              "format": args.format}
     edge, inner = range(1, args.coeff_cap + 1), range(args.coeff_cap + 1)
     ranges = [edge] if L == 1 else [edge, *[inner] * (L - 2), edge]
     tasks = list(core.vectors(ranges))
@@ -338,20 +338,6 @@ def _cmd_scan_2l1(args) -> int:
 # min-root
 
 
-def _min_root_one(c: Coefficients) -> str:
-    # Complete vectors are excluded by the sound gap certificates alone;
-    # incompleteness is additionally confirmed by the subset-sum oracle,
-    # which stops at the first permanently missing value and stays cheap.
-    engine = brown.check_completeness(c)
-    if engine.kind == brown.COMPLETE:
-        return engine.kind
-    max_prefix = max(2 * c.L - 1, engine.certificate.index or 0)
-    try:
-        return oracle.oracle_verdict(c, max_prefix=max_prefix).kind
-    except oracle.BudgetExceeded:
-        return brown.UNKNOWN
-
-
 def _cmd_min_root(args) -> int:
     L, cap = args.L, args.sum_cap
     if L < 2 or cap < 2:
@@ -360,7 +346,7 @@ def _cmd_min_root(args) -> int:
     config = {"command": "min-root", "L": L, "sum_cap": cap, "jobs": args.jobs,
               "tol": float(tol), "format": args.format}
     tasks = [c for total in range(2, cap + 1) for c in core.vectors_with_sum(L, total)]
-    kinds = _run_parallel(_min_root_one, tasks, args.jobs)
+    kinds = [v.kind for v in _run_parallel(brown.check_completeness, tasks, args.jobs)]
     incomplete = sorted((c for c, kind in zip(tasks, kinds) if kind == brown.INCOMPLETE),
                         key=lambda c: c.values)
     undecided = [list(c.values) for c, kind in zip(tasks, kinds) if kind == brown.UNKNOWN]
@@ -465,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("oracle-check", help="subset-sum ground-truth verdict")
+    p = sub.add_parser("oracle-check", help="verdict with a subset-sum witness")
     p.add_argument("coefficients")
     p.add_argument("--max-prefix", type=int, default=None)
     p.add_argument("--budget-bits", type=int, default=oracle.DEFAULT_BUDGET_BITS)

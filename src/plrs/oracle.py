@@ -1,17 +1,17 @@
-"""Brute-force ground truth for completeness via subset-sum reachability.
+"""Subset-sum reachability: the bitset that names incompleteness witnesses.
 
 The reachable sums of a prefix (H_1, ..., H_n) are computed exactly with a
 bit-vector dynamic program: bit s of the mask is set iff some subset of the
-prefix sums to s.  Two facts make this a usable oracle:
+prefix sums to s.  If some positive integer m is unreachable from the
+prefix and m is smaller than the next term H_{n+1}, then m is unreachable
+forever (all later terms exceed it), so the full sequence is incomplete.
+That witness is checked without any gap arithmetic (``brown.recheck``).
 
-* if some positive integer m is unreachable from the prefix and m is
-  smaller than the next term H_{n+1}, then m is unreachable forever (all
-  later terms exceed it), so the full sequence is incomplete.  This
-  incompleteness test never looks at gap arithmetic.
-* completeness of an infinite sequence cannot be decided by any finite
-  subset-sum computation alone, so the complete path additionally requires
-  a sound window certificate from the gap engine, with the subset-sum scan
-  confirming next-term coverage at every step along the way.
+The bitset decides nothing the gap engine does not.  Terms never decrease,
+so before the first failure B_n < 0 the subset sums of a prefix are exactly
+[0, S_n]; the first permanently missing value appears at prefix n - 1, and
+it is S_{n-1} + 1.  ``oracle_verdict`` therefore runs the engine once and
+builds a mask only for the prefix in front of a failure.
 """
 
 from __future__ import annotations
@@ -48,11 +48,10 @@ def reachable_sums(t: TermSequence, budget_bits: int = DEFAULT_BUDGET_BITS) -> i
     return mask
 
 
-def _next_missing(mask: int, low: int) -> int:
-    # Least s >= low whose bit is unset; the lowest zero bit of x = mask >> low
-    # is the highest set bit of x ^ (x + 1).  Only bits from `low` up are copied.
-    x = mask >> low
-    return low + (x ^ (x + 1)).bit_length() - 1
+def _least_missing(mask: int) -> int:
+    # Least s whose bit is unset (s >= 1, as bit 0 is always set): the
+    # lowest zero bit of mask is the highest set bit of mask ^ (mask + 1).
+    return (mask ^ (mask + 1)).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def prefix_report(
     mask = reachable_sums(prefix, budget_bits)
     # All of [1, total] reachable still leaves total+1 missing; it is
     # permanent whenever it is below the next term.
-    effective = _next_missing(mask, 1)
+    effective = _least_missing(mask)
     missing = effective if effective <= total else None
     permanent = effective if effective < t.term(prefix_length + 1) else None
     return RepresentabilityReport(prefix_length, total, missing, permanent)
@@ -104,50 +103,47 @@ def smallest_unrepresentable(
 def oracle_verdict(
     c: Coefficients, max_prefix: int, budget_bits: int = DEFAULT_BUDGET_BITS
 ) -> brown.Verdict:
-    """Ground-truth verdict by subset-sum scan, up to ``max_prefix`` terms.
+    """Verdict on the first ``max_prefix`` terms, with a subset-sum witness.
 
-    Incomplete verdicts carry the permanently missing integer as witness
-    and are independent of gap arithmetic.  Complete verdicts require the
-    subset-sum scan to confirm next-term coverage at every step *and* a
-    sound window certificate from the gap engine; anything else is unknown.
+    One gap-engine run reads B_1..B_{max_prefix + 1}.  A ``strict_window``
+    or ``doubling_window`` certificate within ``max_prefix`` is returned
+    as it is.  A first failure B_n < 0 with n <= max_prefix + 1 gives an
+    incomplete verdict at prefix n - 1 whose witness, the permanently
+    missing integer, is read off the bitset of that prefix.  Anything else
+    is unknown at ``max_prefix``.  Only the witness scan builds a mask, so
+    only it can raise ``BudgetExceeded``.
     """
     L = c.L
     if max_prefix < 2 * L - 1:
         raise brown.HorizonTooSmall(f"max_prefix {max_prefix} < 2L-1 = {2 * L - 1}")
-    t = generate_terms(c, max_prefix + 1)
-    mask = 1
-    total = 0
-    low = 1  # least unreached sum; the reachable set only grows, so low never falls
-    for n in range(1, max_prefix + 1):
-        h = t.term(n)
-        if total + h + 1 > budget_bits:
-            raise BudgetExceeded(
-                f"prefix {n} needs {total + h + 1} bits, budget is {budget_bits}"
-            )
-        mask |= mask << h
-        total += h
-        # No bit above `total` is set, so low <= total + 1: the least missing
-        # integer, or total + 1 when [1, total] is covered.
-        low = _next_missing(mask, low)
-        if low < t.term(n + 1):
-            return brown.Verdict(
-                c,
-                brown.INCOMPLETE,
-                brown.failure(n, witness=low),
-                False,
-                n,
-            )
-    # Coverage held at every step; a sound certificate settles the tail.
-    engine = brown.check_completeness(c, horizon=max_prefix, assume_2l1=False)
+    # One gap past the prefix: a failure at max_prefix + 1 has its witness
+    # within the prefix, and a certificate there does not count.
+    engine = brown.check_completeness(c, horizon=max_prefix + 1)
     if engine.kind == brown.INCOMPLETE:
-        # Coverage up to max_prefix and a gap failure within it cannot
-        # coexist; reaching this line would be a bug in one of the two.
-        raise RuntimeError(f"oracle/engine contradiction on {c}: {engine}")
-    if engine.kind == brown.COMPLETE and engine.certificate.kind in (
-        "strict_window",
-        "doubling_window",
-    ):
+        return _failure_witness(c, engine.certificate.index - 1, budget_bits)
+    if engine.kind == brown.COMPLETE and engine.certificate.index <= max_prefix:
         return engine
     return brown.Verdict(
         c, brown.UNKNOWN, brown.horizon_exhausted(max_prefix), False, max_prefix
     )
+
+
+def _failure_witness(c: Coefficients, n: int, budget_bits: int) -> brown.Verdict:
+    # Subset sums of the n terms before the first failing gap: their least
+    # missing value lies below H_{n+1}, so it is never reached.
+    t = generate_terms(c, n + 1)
+    mask = 1
+    total = 0
+    for j, h in enumerate(t.terms[:n], start=1):
+        if total + h + 1 > budget_bits:
+            raise BudgetExceeded(
+                f"prefix {j} needs {total + h + 1} bits, budget is {budget_bits}"
+            )
+        mask |= mask << h
+        total += h
+    low = _least_missing(mask)
+    if low >= t.term(n + 1):
+        # B_{n+1} < 0 and every value below H_{n+1} reachable cannot
+        # coexist; reaching this line would be a bug in one of the two.
+        raise RuntimeError(f"oracle/engine contradiction on {c} at prefix {n}")
+    return brown.Verdict(c, brown.INCOMPLETE, brown.failure(n, witness=low), False, n)

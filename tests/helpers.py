@@ -130,10 +130,12 @@ def reference_terms(values, n: int) -> tuple[int, ...]:
 
 
 def reference_check_completeness(
-    c: Coefficients, horizon=None, assume_2l1=False, max_horizon=brown.DEFAULT_MAX_HORIZON
+    c: Coefficients, horizon=None, assume_2l1=False, max_horizon=None
 ) -> brown.Verdict:
     """The gap engine with each horizon's whole prefix built before it is read."""
     L = c.L
+    if max_horizon is None:
+        max_horizon = max(brown.DEFAULT_MAX_HORIZON, 4 * L)
     explicit = horizon is not None
     h = horizon if explicit else min(max(4 * L, 64), max_horizon)
     if h < 2 * L - 1:
@@ -168,7 +170,10 @@ def reference_check_completeness(
 
 
 def reference_oracle_verdict(c: Coefficients, max_prefix: int, budget_bits: int) -> brown.Verdict:
-    """The subset-sum scan, re-deriving the smallest missing sum at every step."""
+    """The full subset-sum scan, re-deriving the smallest missing sum at every step.
+
+    It builds a mask for every prefix up to ``max_prefix``, complete or not.
+    """
     L = c.L
     if max_prefix < 2 * L - 1:
         raise brown.HorizonTooSmall(f"max_prefix {max_prefix} < 2L-1 = {2 * L - 1}")

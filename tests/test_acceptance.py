@@ -28,9 +28,12 @@ from plrs import (
     compare_roots,
     denseness_scan,
     first_failure_index,
+    generate_terms,
     lambda_threshold,
     oracle_verdict,
     principal_root,
+    reachable_sums,
+    recheck,
     root_order_gap,
     triage,
     validate,
@@ -49,6 +52,19 @@ def gate(name: str, ok: bool, started: float, budget_s: float, detail: str = "")
     assert elapsed < budget_s, f"{name}: exceeded {budget_s}s budget ({elapsed:.2f}s)"
 
 
+def subset_sums_agree(verdict) -> bool:
+    """Check a definite oracle verdict by subset sums alone.
+
+    A complete verdict's prefix, up to its certificate index m, must reach
+    exactly [0, S_m]; an incomplete verdict's witness must re-check
+    (``recheck`` reads it off ``reachable_sums``, not off the gaps).
+    """
+    if verdict.kind == INCOMPLETE:
+        return recheck(verdict)
+    prefix = generate_terms(verdict.coefficients, verdict.certificate.index)
+    return reachable_sums(prefix) == (1 << (sum(prefix.terms) + 1)) - 1
+
+
 def confirmed_verdict(values, max_prefix=None):
     """Engine verdict cross-checked by the subset-sum oracle."""
     c = validate(values)
@@ -57,6 +73,7 @@ def confirmed_verdict(values, max_prefix=None):
     orc = oracle_verdict(c, max_prefix=horizon)
     assert engine.kind != UNKNOWN and orc.kind != UNKNOWN, values
     assert engine.kind == orc.kind, f"engine/oracle split on {values}"
+    assert subset_sums_agree(orc), f"subset sums contradict {values}"
     return engine.kind
 
 
@@ -117,14 +134,17 @@ def test_criterion_03_oracle_engine_agreement_exhaustive():
         c = validate(vals)
         engine = check_completeness(c, horizon=4 * c.L, assume_2l1=False)
         orc = oracle_verdict(c, max_prefix=4 * c.L)
-        if {engine.kind, orc.kind} == {COMPLETE, INCOMPLETE}:
+        if {engine.kind, orc.kind} == {COMPLETE, INCOMPLETE} or (
+            orc.kind != UNKNOWN and not subset_sums_agree(orc)
+        ):
             contradictions += 1
             print(f"  contradiction: {vals} engine={engine.kind} oracle={orc.kind}")
         if engine.kind == UNKNOWN or orc.kind == UNKNOWN:
             unknowns += 1
             print(f"  unknown: {vals} engine={engine.kind} oracle={orc.kind}")
     ok = contradictions == 0 and unknowns < total * 0.01
-    gate("criterion 3: zero oracle/engine contradictions on L<=4, c_i<=4",
+    gate("criterion 3: zero oracle/engine contradictions on L<=4, c_i<=4, "
+         "every definite verdict checked by subset sums",
          ok, started, 120,
          detail=f"{total} vectors, {contradictions} contradictions, {unknowns} unknowns")
 

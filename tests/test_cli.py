@@ -110,6 +110,16 @@ class TestCheck:
         code, _, err = run(capsys, "check", "1,0,0,2", "--horizon", "3")
         assert code == 2
 
+    def test_default_horizon_grows_past_length_512(self, capsys):
+        # L = 602: the adaptive cap is 4L = 2408, past the strict window at 1203.
+        code, payload, _ = run_json(capsys, "check", ",".join(["1"] + ["0"] * 600 + ["5"]),
+                                    "--verify")
+        assert code == 0
+        assert payload["kind"] == "complete"
+        assert payload["certificate"] == "strict_window"
+        assert payload["index"] == 1203
+        assert payload["config"]["verified"] is True
+
 
 class TestOracleCheck:
     def test_witness_surfaces(self, capsys):
@@ -129,19 +139,37 @@ class TestOracleCheck:
         assert payload["config"]["verified"] is True
 
     def test_exhausted_budget_writes_unknown_report(self, capsys):
-        # [2] needs 2^29 bits by prefix 29, past the default budget.
-        code, payload, _ = run_json(capsys, "oracle-check", "2", "--verify")
+        # [1, 3] first fails at B_3, so its witness needs the subset sums of
+        # (1, 2): prefix 2 needs 4 bits, past a budget of 3.
+        code, payload, _ = run_json(capsys, "oracle-check", "1,3", "--budget-bits", "3",
+                                    "--verify")
         assert code == 0
         assert payload["kind"] == "unknown"
         assert payload["certificate"] == "horizon"
         assert payload["index"] == payload["horizon_used"] == 32
-        assert payload["note"].startswith("budget exceeded: prefix 29")
+        assert payload["note"] == "budget exceeded: prefix 2 needs 4 bits, budget is 3"
         assert payload["config"]["verified"] is True
 
     def test_exhausted_budget_with_require_definite_exits_three(self, capsys):
-        code, payload, _ = run_json(capsys, "oracle-check", "1,1,1", "--require-definite")
+        code, payload, _ = run_json(capsys, "oracle-check", "1,3", "--budget-bits", "3",
+                                    "--require-definite")
         assert code == 3
         assert payload["kind"] == "unknown"
+
+    def test_doubling_sequence_certified_without_a_mask(self, capsys):
+        # The sums of [2] pass 2^28 by prefix 29; the certificate sits at 3.
+        code, payload, _ = run_json(capsys, "oracle-check", "2", "--verify")
+        assert code == 0
+        assert payload["kind"] == "complete"
+        assert payload["certificate"] == "doubling_window"
+        assert payload["index"] == payload["horizon_used"] == 3
+        assert "note" not in payload
+        assert payload["config"]["verified"] is True
+
+    def test_growth_near_two_is_complete(self, capsys):
+        code, payload, _ = run_json(capsys, "oracle-check", "1,1,1", "--require-definite")
+        assert code == 0
+        assert payload["kind"] == "complete"
 
 
 class TestFamilyTable:
@@ -229,6 +257,17 @@ class TestScan2L1:
         serial["config"].pop("jobs")
         parallel["config"].pop("jobs")
         assert serial == parallel
+
+    @pytest.mark.parametrize("horizon", [[], ["--horizon", "1"]])
+    def test_first_failure_is_the_gap_index(self, capsys, horizon):
+        # [3] and [4] first fail at B_2 whether or not the horizon reaches it.
+        code, payload, _ = run_json(capsys, "scan-2l1", "--L", "1", "--coeff-cap", "4",
+                                    "--jobs", "1", *horizon)
+        assert code == 4
+        assert [(r["coefficients"], r["first_failure"]) for r in payload["counterexamples"]] \
+            == [([3], 2), ([4], 2)]
+        assert payload["undecided"] == []
+        assert payload["config"]["horizon"] == (int(horizon[1]) if horizon else None)
 
     def test_window_defaults_to_two_l_minus_one(self, capsys):
         code, payload, _ = run_json(capsys, "scan-2l1", "--L", "3", "--coeff-cap", "2",

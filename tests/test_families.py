@@ -295,8 +295,8 @@ class TestFamilyRecheck:
         assert not recheck(v)
 
     def test_member_past_the_engine_horizon_rechecks_by_its_bound(self):
-        # At L = 602 the engine's default horizon is below 2L-1, so only the
-        # shape and the bound are checked.
+        # At L = 602 the default horizon grows to 4L = 2408, so the engine's
+        # strict window at 1203 must agree with the bound as well.
         assert recheck(classify_family(OneZerosN(600), 5))
         assert not recheck(brown.Verdict(
             validate([1] + [0] * 600 + [5]), INCOMPLETE, brown.family_rule("one-zeros"), False, 0

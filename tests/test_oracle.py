@@ -1,20 +1,29 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from plrs import (
     COMPLETE,
     INCOMPLETE,
+    UNKNOWN,
     BudgetExceeded,
     HorizonTooSmall,
+    check_completeness,
     generate_terms,
     oracle_verdict,
     prefix_report,
     reachable_sums,
+    recheck,
     smallest_unrepresentable,
     validate,
 )
-from helpers import all_vectors, brute_subset_sums, mask_to_set, reference_oracle_verdict
+from helpers import (
+    all_vectors,
+    brute_subset_sums,
+    mask_to_set,
+    reference_oracle_verdict,
+    reference_terms,
+)
 
 
 class TestReachableSums:
@@ -152,13 +161,54 @@ class TestOracleVerdict:
     )
     def test_matches_full_mask_scan(self, values, extra, budget_log2):
         # Small budgets, so that BudgetExceeded and its text are compared too.
+        # Where the full scan runs out of bits, the witness scan runs out at
+        # the same prefix on the failure path; elsewhere no mask is built
+        # and the verdict is the engine's at the same horizon.
         c = validate(values)
         args = (c, 2 * c.L - 1 + extra, 1 << budget_log2)
         try:
             expected = reference_oracle_verdict(*args)
         except BudgetExceeded as exc:
-            with pytest.raises(BudgetExceeded) as raised:
-                oracle_verdict(*args)
-            assert str(raised.value) == str(exc)
+            try:
+                got = oracle_verdict(*args)
+            except BudgetExceeded as raised:
+                assert str(raised) == str(exc)
+            else:
+                assert got == check_completeness(c, horizon=args[1])
         else:
             assert oracle_verdict(*args) == expected
+
+    # [3] at M = 1: the engine is unknown there and B_2 < 0.
+    @example(((3,), 1))
+    @given(
+        st.one_of(
+            st.tuples(st.integers(1, 4)),
+            st.builds(
+                lambda c1, mid, cL: (c1, *mid, cL),
+                st.integers(1, 4),
+                st.lists(st.integers(0, 4), max_size=4),
+                st.integers(1, 4),
+            ),
+        ).flatmap(lambda v: st.tuples(st.just(v), st.integers(2 * len(v) - 1, 4 * len(v) + 4)))
+    )
+    def test_kind_is_the_engine_kind_at_the_prefix(self, case):
+        values, m = case
+        c = validate(values)
+        engine = check_completeness(c, horizon=m)
+        terms = reference_terms(values, m + 1)
+        try:
+            v = oracle_verdict(c, m, budget_bits=1 << 20)
+        except BudgetExceeded:
+            # Only a witness scan builds a mask.
+            assert engine.kind == INCOMPLETE or 1 + sum(terms[:m]) < terms[m]
+            return
+        if engine.kind == UNKNOWN and 1 + sum(terms[:m]) < terms[m]:
+            assert (v.kind, v.certificate.index) == (INCOMPLETE, m)
+        else:
+            assert v.kind == engine.kind
+        if engine.kind == INCOMPLETE:
+            assert v.certificate.index == engine.certificate.index - 1
+        if v.kind == INCOMPLETE:
+            # Before the first failure the subset sums are exactly [0, S_n].
+            assert v.certificate.witness == 1 + sum(terms[: v.certificate.index])
+            assert recheck(v)
