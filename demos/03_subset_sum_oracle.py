@@ -28,8 +28,9 @@ print("The doubling sequence covers every integer up to its running sum:")
 print("  smallest unrepresentable for [2], 6 terms:",
       smallest_unrepresentable(validate([2]), 6))
 
-print("\nOracle verdicts come from one gap-engine run; an incomplete one")
-print("names a witness read off the bitset, re-checkable without gap arithmetic:")
+print("\nOracle verdicts come from one gap-engine run.  Before the first failing")
+print("gap every sum up to the prefix total is reachable, so an incomplete one")
+print("names 1 + that total, re-checkable without gap arithmetic:")
 for coeffs in ([1, 3], [1, 1], [1, 2, 0, 0, 0, 0, 15]):
     v = oracle_verdict(validate(coeffs), max_prefix=16)
     witness = f", permanently missing {v.certificate.witness}" if v.certificate.witness else ""

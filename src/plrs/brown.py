@@ -32,7 +32,7 @@ COMPLETE = "complete"
 INCOMPLETE = "incomplete"
 UNKNOWN = "unknown"
 
-#: Cap on the automatically extended horizon, raised to 4L for long vectors.
+#: Horizon of an engine run that names none, raised to 4L for long vectors.
 DEFAULT_MAX_HORIZON = 1024
 
 #: Conjectural rule id for the opt-in "non-negative through 2L-1" shortcut.
@@ -183,10 +183,7 @@ def first_failure_index(c: Coefficients, horizon: int) -> Optional[int]:
 
 
 def check_completeness(
-    c: Coefficients,
-    horizon: Optional[int] = None,
-    assume_2l1: bool = False,
-    max_horizon: Optional[int] = None,
+    c: Coefficients, horizon: Optional[int] = None, assume_2l1: bool = False
 ) -> Verdict:
     """Decide completeness of the PLRS defined by ``c`` on a finite horizon.
 
@@ -201,18 +198,14 @@ def check_completeness(
        conjectural (the 2L-1 shortcut is an open conjecture).
     5. otherwise unknown; the horizon is reported.
 
-    When ``horizon`` is None the engine starts at max(4L, 64) and doubles
-    it up to ``max_horizon`` before giving up, so the per-candidate cost
-    of large scans stays bounded.  The default cap is
-    max(DEFAULT_MAX_HORIZON, 4L): past L = 256 it grows with L, so it
-    always covers the strict window (index 2L-1) and leaves room for a
-    doubling window (index 2L+1 or later).
+    The gaps are read in one pass, and the prefix is built only as far as
+    it is read, so an early verdict costs only the terms before it.  When
+    ``horizon`` is None it is max(DEFAULT_MAX_HORIZON, 4L): past L = 256
+    it grows with L, so it always covers the strict window (index 2L-1)
+    and leaves room for a doubling window (index 2L+1 or later).
     """
     L = c.L
-    if max_horizon is None:
-        max_horizon = max(DEFAULT_MAX_HORIZON, 4 * L)
-    explicit = horizon is not None
-    h = horizon if explicit else min(max(4 * L, 64), max_horizon)
+    h = max(DEFAULT_MAX_HORIZON, 4 * L) if horizon is None else horizon
     if h < 2 * L - 1:
         raise HorizonTooSmall(f"horizon {h} < 2L-1 = {2 * L - 1}")
 
@@ -223,41 +216,34 @@ def check_completeness(
     nonneg_margin_run = 0  # consecutive D_j >= 0 ending at the latest margin
     ok_through_2l1 = False
 
-    n = 0
-    while True:
-        target = h
-        while n < target:
-            n += 1
-            if n >= len(terms):  # D_n needs H_{n+1}: double the prefix, up to target+1
-                t = t.extended(min(2 * n, target + 1))
-                terms = t.terms
-            h_n = terms[n - 1]
-            gap = 1 + running - h_n
-            running += h_n
-            if gap < 0:
-                return Verdict(c, INCOMPLETE, failure(n, witness=gap), False, n)
-            if L <= n <= 2 * L - 1 and gap == 0:
-                strict_ok = False
-            if n == 2 * L - 1:
-                ok_through_2l1 = True  # no failure so far
-                if strict_ok and L >= 2:  # the strict-window theorem needs L >= 2
-                    return Verdict(c, COMPLETE, strict_window(n), False, n)
-            # Margin D_n = B_{n+1} - B_n, available from the extra term.
-            margin = 2 * h_n - terms[n]
-            if margin >= 0:
-                nonneg_margin_run += 1
-            else:
-                nonneg_margin_run = 0
-            # Window [m-L, m-1] with m = n+1 needs L margins and m-L >= L+1,
-            # plus B_m >= 0, checked at the top of the next iteration.
-            m = n + 1
-            if nonneg_margin_run >= L and m - L >= L + 1 and m <= target:
-                b_m = 1 + running - terms[m - 1]
-                if b_m >= 0:
-                    return Verdict(c, COMPLETE, doubling_window(m), False, m)
-        if explicit or h >= max_horizon:
-            break
-        h = min(2 * h, max_horizon)
+    for n in range(1, h + 1):
+        if n >= len(terms):  # D_n needs H_{n+1}: double the prefix, up to h+1
+            t = t.extended(min(2 * n, h + 1))
+            terms = t.terms
+        h_n = terms[n - 1]
+        gap = 1 + running - h_n
+        running += h_n
+        if gap < 0:
+            return Verdict(c, INCOMPLETE, failure(n, witness=gap), False, n)
+        if L <= n <= 2 * L - 1 and gap == 0:
+            strict_ok = False
+        if n == 2 * L - 1:
+            ok_through_2l1 = True  # no failure so far
+            if strict_ok and L >= 2:  # the strict-window theorem needs L >= 2
+                return Verdict(c, COMPLETE, strict_window(n), False, n)
+        # Margin D_n = B_{n+1} - B_n, available from the extra term.
+        margin = 2 * h_n - terms[n]
+        if margin >= 0:
+            nonneg_margin_run += 1
+        else:
+            nonneg_margin_run = 0
+        # Window [m-L, m-1] with m = n+1 needs L margins and m-L >= L+1,
+        # plus B_m >= 0, checked at the top of the next iteration.
+        m = n + 1
+        if nonneg_margin_run >= L and m - L >= L + 1 and m <= h:
+            b_m = 1 + running - terms[m - 1]
+            if b_m >= 0:
+                return Verdict(c, COMPLETE, doubling_window(m), False, m)
 
     if assume_2l1 and ok_through_2l1:
         return Verdict(c, COMPLETE, family_rule(RULE_2L1), True, h)
@@ -282,14 +268,18 @@ def recheck(verdict: Verdict) -> bool:
     if cert.kind == "failure":
         if cert.witness is not None and cert.witness > 0:
             # Subset-sum witness: a positive integer missing from the
-            # prefix of `index` terms and below the next term.
+            # prefix of `index` terms and below the next term.  No subset
+            # reaches past the prefix sum S_n, so only a witness w <= S_n,
+            # which only a hand-made certificate carries, needs the bitset.
             from .oracle import reachable_sums  # local: oracle imports brown
 
             t = generate_terms(c, cert.index + 1)
             prefix = TermSequence(c, t.terms[: cert.index])
-            mask = reachable_sums(prefix)
-            unreachable = not (mask >> cert.witness) & 1 or cert.witness > sum(prefix.terms)
-            return unreachable and cert.witness < t.term(cert.index + 1)
+            if cert.witness >= t.term(cert.index + 1):
+                return False
+            if cert.witness > sum(prefix.terms):
+                return True
+            return not (reachable_sums(prefix) >> cert.witness) & 1
         n = cert.index
         trace = gap_trace(generate_terms(c, n))
         if trace.gap(n) >= 0:

@@ -12,13 +12,11 @@ Commands:
                     lambda threshold
 * ``dense``         root sweep of the sparse family toward 2 (CSV)
 
-Exit codes: 0 a verdict/report was written (of any kind, including the
-``unknown`` verdict oracle-check writes when the bitset for a failure
-witness would exceed its bit budget),
-1 a certificate failed re-validation under --verify (the report is still
-written), 2 input error, 3 no definite answer within budget while
---require-definite was set, 4 a scan surfaced a counterexample (never
-silently ignored).
+Exit codes: 0 a verdict/report was written (of any kind, ``unknown``
+included), 1 a certificate failed re-validation under --verify (the report
+is still written), 2 input error, 3 no definite answer within the horizon
+or cost cap while --require-definite was set, 4 a scan surfaced a
+counterexample (never silently ignored).
 
 Output goes to stdout unless --out is given.  JSON outputs embed the
 effective configuration under "config"; CSV outputs carry it as a leading
@@ -206,16 +204,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     c = _parse_coefficients(args.coefficients)
-    max_prefix = args.max_prefix if args.max_prefix else max(4 * c.L, 32)
+    max_prefix = max(4 * c.L, 32) if args.max_prefix is None else args.max_prefix
     config = {"command": "oracle-check", "coefficients": list(c.values),
-              "max_prefix": max_prefix, "budget_bits": args.budget_bits,
-              "format": args.format}
-    try:
-        verdict = oracle.oracle_verdict(c, max_prefix, budget_bits=args.budget_bits)
-    except oracle.BudgetExceeded as exc:
-        verdict = brown.Verdict(c, brown.UNKNOWN, brown.horizon_exhausted(max_prefix), False,
-                                max_prefix, note=f"budget exceeded: {exc}")
-    return _finish(verdict, config, args)
+              "max_prefix": max_prefix, "format": args.format}
+    return _finish(oracle.oracle_verdict(c, max_prefix), config, args)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +274,8 @@ def _scan_2l1_one(c: Coefficients, window: int, horizon: Optional[int]):
 
 
 def _run_parallel(worker, tasks, jobs: int):
+    if jobs < 1:
+        raise _InputError(f"--jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(tasks) < 64:
         return [worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -454,7 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="verdict with a subset-sum witness")
     p.add_argument("coefficients")
     p.add_argument("--max-prefix", type=int, default=None)
-    p.add_argument("--budget-bits", type=int, default=oracle.DEFAULT_BUDGET_BITS)
     p.add_argument("--verify", action="store_true",
                    help="re-validate the certificate from scratch")
     common(p)

@@ -7,11 +7,11 @@ prefix and m is smaller than the next term H_{n+1}, then m is unreachable
 forever (all later terms exceed it), so the full sequence is incomplete.
 That witness is checked without any gap arithmetic (``brown.recheck``).
 
-The bitset decides nothing the gap engine does not.  Terms never decrease,
-so before the first failure B_n < 0 the subset sums of a prefix are exactly
-[0, S_n]; the first permanently missing value appears at prefix n - 1, and
-it is S_{n-1} + 1.  ``oracle_verdict`` therefore runs the engine once and
-builds a mask only for the prefix in front of a failure.
+The bitset decides nothing the gap engine does not, and names no witness
+that it could not.  Terms never decrease, so before the first failure
+B_n < 0 the subset sums of a prefix are exactly [0, S_n]; the first
+permanently missing value appears at prefix n - 1, and it is S_{n-1} + 1.
+``oracle_verdict`` therefore runs the engine once and builds no mask.
 """
 
 from __future__ import annotations
@@ -100,18 +100,16 @@ def smallest_unrepresentable(
     return report.smallest_missing
 
 
-def oracle_verdict(
-    c: Coefficients, max_prefix: int, budget_bits: int = DEFAULT_BUDGET_BITS
-) -> brown.Verdict:
+def oracle_verdict(c: Coefficients, max_prefix: int) -> brown.Verdict:
     """Verdict on the first ``max_prefix`` terms, with a subset-sum witness.
 
     One gap-engine run reads B_1..B_{max_prefix + 1}.  A ``strict_window``
     or ``doubling_window`` certificate within ``max_prefix`` is returned
     as it is.  A first failure B_n < 0 with n <= max_prefix + 1 gives an
     incomplete verdict at prefix n - 1 whose witness, the permanently
-    missing integer, is read off the bitset of that prefix.  Anything else
-    is unknown at ``max_prefix``.  Only the witness scan builds a mask, so
-    only it can raise ``BudgetExceeded``.
+    missing integer, is S_{n-1} + 1: the subset sums of that prefix are
+    exactly [0, S_{n-1}], and B_n < 0 puts S_{n-1} + 1 below H_n.
+    Anything else is unknown at ``max_prefix``.
     """
     L = c.L
     if max_prefix < 2 * L - 1:
@@ -120,30 +118,11 @@ def oracle_verdict(
     # within the prefix, and a certificate there does not count.
     engine = brown.check_completeness(c, horizon=max_prefix + 1)
     if engine.kind == brown.INCOMPLETE:
-        return _failure_witness(c, engine.certificate.index - 1, budget_bits)
+        n = engine.certificate.index - 1
+        witness = 1 + sum(generate_terms(c, n).terms)
+        return brown.Verdict(c, brown.INCOMPLETE, brown.failure(n, witness=witness), False, n)
     if engine.kind == brown.COMPLETE and engine.certificate.index <= max_prefix:
         return engine
     return brown.Verdict(
         c, brown.UNKNOWN, brown.horizon_exhausted(max_prefix), False, max_prefix
     )
-
-
-def _failure_witness(c: Coefficients, n: int, budget_bits: int) -> brown.Verdict:
-    # Subset sums of the n terms before the first failing gap: their least
-    # missing value lies below H_{n+1}, so it is never reached.
-    t = generate_terms(c, n + 1)
-    mask = 1
-    total = 0
-    for j, h in enumerate(t.terms[:n], start=1):
-        if total + h + 1 > budget_bits:
-            raise BudgetExceeded(
-                f"prefix {j} needs {total + h + 1} bits, budget is {budget_bits}"
-            )
-        mask |= mask << h
-        total += h
-    low = _least_missing(mask)
-    if low >= t.term(n + 1):
-        # B_{n+1} < 0 and every value below H_{n+1} reachable cannot
-        # coexist; reaching this line would be a bug in one of the two.
-        raise RuntimeError(f"oracle/engine contradiction on {c} at prefix {n}")
-    return brown.Verdict(c, brown.INCOMPLETE, brown.failure(n, witness=low), False, n)

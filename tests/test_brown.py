@@ -112,18 +112,19 @@ class TestLazyPrefixProperties:
         got = check_completeness(c, horizon=h, assume_2l1=assume)
         assert got == reference_check_completeness(c, horizon=h, assume_2l1=assume)
 
-    @example((1, 0, 3, 0, 1, 4), None, False)
-    @example((1, 0, 3, 0, 3, 1), 13, True)
-    @given(short_vectors, st.sampled_from([None, 13, 20, 64, 100, 300]), st.booleans())
-    def test_engine_matches_eager_engine_at_default_horizons(self, values, cap, assume):
+    # The default horizon is max(1024, 4L), read in one pass.
+    @example((1, 0, 3, 0, 1, 4), False)
+    @example((1, 0, 3, 0, 3, 1), True)
+    @given(short_vectors, st.booleans())
+    def test_engine_matches_eager_engine_at_default_horizons(self, values, assume):
         c = validate(values)
-        kwargs = {} if cap is None else {"max_horizon": max(cap, 2 * c.L - 1)}
-        got = check_completeness(c, assume_2l1=assume, **kwargs)
-        assert got == reference_check_completeness(c, assume_2l1=assume, **kwargs)
+        got = check_completeness(c, assume_2l1=assume)
+        h = max(1024, 4 * c.L)
+        assert got == reference_check_completeness(c, horizon=h, assume_2l1=assume)
 
     def test_prefix_grows_only_as_far_as_it_is_read(self, monkeypatch):
         # [1, 3] fails at index 3: the engine builds 2L + 1 = 5 terms,
-        # not the max(4L, 64) + 1 of its starting horizon.
+        # not the 1024 + 1 of its default horizon.
         built = []
         real = brown.generate_terms
 

@@ -138,23 +138,32 @@ class TestOracleCheck:
         assert code == 0
         assert payload["config"]["verified"] is True
 
-    def test_exhausted_budget_writes_unknown_report(self, capsys):
-        # [1, 3] first fails at B_3, so its witness needs the subset sums of
-        # (1, 2): prefix 2 needs 4 bits, past a budget of 3.
-        code, payload, _ = run_json(capsys, "oracle-check", "1,3", "--budget-bits", "3",
-                                    "--verify")
-        assert code == 0
-        assert payload["kind"] == "unknown"
-        assert payload["certificate"] == "horizon"
-        assert payload["index"] == payload["horizon_used"] == 32
-        assert payload["note"] == "budget exceeded: prefix 2 needs 4 bits, budget is 3"
-        assert payload["config"]["verified"] is True
-
-    def test_exhausted_budget_with_require_definite_exits_three(self, capsys):
-        code, payload, _ = run_json(capsys, "oracle-check", "1,3", "--budget-bits", "3",
+    def test_unknown_with_require_definite_exits_three(self, capsys):
+        code, payload, _ = run_json(capsys, "oracle-check", "2", "--max-prefix", "1",
                                     "--require-definite")
         assert code == 3
         assert payload["kind"] == "unknown"
+        assert payload["certificate"] == "horizon"
+        assert payload["index"] == payload["horizon_used"] == 1
+
+    def test_witness_past_the_bit_budget_of_a_mask(self, capsys):
+        # The first 38 terms sum to 370248372, past 2^28: the witness is
+        # their sum plus one, and no mask of them is built.
+        vector = ",".join(["1", "1"] + ["0"] * 33 + ["25583530"])
+        code, payload, _ = run_json(capsys, "oracle-check", vector, "--verify")
+        assert code == 0
+        assert payload["kind"] == "incomplete"
+        assert payload["certificate"] == "failure"
+        assert payload["index"] == 38
+        assert payload["witness"] == 370248373
+        assert payload["config"]["verified"] is True
+        assert "budget_bits" not in payload["config"]
+
+    def test_max_prefix_zero_is_input_error(self, capsys):
+        code, out, err = run(capsys, "oracle-check", "2", "--max-prefix", "0")
+        assert code == 2
+        assert out == ""
+        assert "max_prefix 0 < 2L-1" in err
 
     def test_doubling_sequence_certified_without_a_mask(self, capsys):
         # The sums of [2] pass 2^28 by prefix 29; the certificate sits at 3.
@@ -282,6 +291,21 @@ class TestScan2L1:
         assert code == 2
         assert out == ""
         assert "--window" in err
+
+
+# Fewer than 64 tasks run serially, more go to the worker pool.
+@pytest.mark.parametrize("command", [
+    ["scan-2l1", "--L", "2", "--coeff-cap", "2"],
+    ["scan-2l1", "--L", "3", "--coeff-cap", "4"],
+    ["min-root", "--L", "3", "--sum-cap", "4"],
+    ["min-root", "--L", "4", "--sum-cap", "8"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_input_error(capsys, command, jobs):
+    code, out, err = run(capsys, *command, f"--jobs={jobs}")
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
 
 
 class TestMinRoot:

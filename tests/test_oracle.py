@@ -137,6 +137,37 @@ class TestOracleVerdict:
         )
         assert not recheck(bad)
 
+    def test_witness_past_the_prefix_sum_rechecks_without_a_mask(self, monkeypatch):
+        # [1, 1, 0^33, 25583530] first fails at B_39; the sums of its first
+        # 38 terms pass 2^28, so a mask of them would exceed the default budget.
+        c = validate([1, 1] + [0] * 33 + [25583530])
+        v = oracle_verdict(c, max_prefix=4 * c.L)
+        assert (v.kind, v.certificate.index, v.certificate.witness) == (
+            INCOMPLETE, 38, 370248373,
+        )
+
+        def no_mask(*args, **kwargs):
+            raise AssertionError("recheck built a mask")
+
+        monkeypatch.setattr("plrs.oracle.reachable_sums", no_mask)
+        assert recheck(v)
+
+    def test_hand_made_witnesses_on_both_sides_of_the_prefix_sum(self):
+        from plrs import brown
+
+        # The subset sums of (1, 2, 5) miss 4 but reach 5; both lie below
+        # S_3 = 8 and H_4 = 11.  Past S_3, 9 is missing and below H_4; 11
+        # is not below it.
+        c = validate([1, 3])
+
+        def made(witness):
+            return brown.Verdict(c, INCOMPLETE, brown.failure(3, witness=witness), False, 3)
+
+        assert recheck(made(4))
+        assert not recheck(made(5))
+        assert recheck(made(9))
+        assert not recheck(made(11))
+
     def test_agreement_with_gap_engine_beyond_the_acceptance_space(self):
         # Wider than the acceptance sweep: longer vectors at cap 3.
         from plrs import check_completeness
@@ -160,23 +191,24 @@ class TestOracleVerdict:
         st.integers(4, 16),
     )
     def test_matches_full_mask_scan(self, values, extra, budget_log2):
-        # Small budgets, so that BudgetExceeded and its text are compared too.
-        # Where the full scan runs out of bits, the witness scan runs out at
-        # the same prefix on the failure path; elsewhere no mask is built
-        # and the verdict is the engine's at the same horizon.
+        # Small budgets, so that the full scan, which builds a mask for every
+        # prefix, often runs out of bits.  The oracle builds none: there it
+        # gives the engine's verdict at the same horizon, or an incomplete
+        # verdict whose witness is 1 + S_n.
         c = validate(values)
-        args = (c, 2 * c.L - 1 + extra, 1 << budget_log2)
+        m = 2 * c.L - 1 + extra
+        got = oracle_verdict(c, m)
         try:
-            expected = reference_oracle_verdict(*args)
-        except BudgetExceeded as exc:
-            try:
-                got = oracle_verdict(*args)
-            except BudgetExceeded as raised:
-                assert str(raised) == str(exc)
+            expected = reference_oracle_verdict(c, m, 1 << budget_log2)
+        except BudgetExceeded:
+            if got.kind == INCOMPLETE:
+                n = got.certificate.index
+                assert got.certificate.witness == 1 + sum(reference_terms(values, n))
+                assert recheck(got)
             else:
-                assert got == check_completeness(c, horizon=args[1])
+                assert got == check_completeness(c, horizon=m)
         else:
-            assert oracle_verdict(*args) == expected
+            assert got == expected
 
     # [3] at M = 1: the engine is unknown there and B_2 < 0.
     @example(((3,), 1))
@@ -196,12 +228,7 @@ class TestOracleVerdict:
         c = validate(values)
         engine = check_completeness(c, horizon=m)
         terms = reference_terms(values, m + 1)
-        try:
-            v = oracle_verdict(c, m, budget_bits=1 << 20)
-        except BudgetExceeded:
-            # Only a witness scan builds a mask.
-            assert engine.kind == INCOMPLETE or 1 + sum(terms[:m]) < terms[m]
-            return
+        v = oracle_verdict(c, m)
         if engine.kind == UNKNOWN and 1 + sum(terms[:m]) < terms[m]:
             assert (v.kind, v.certificate.index) == (INCOMPLETE, m)
         else:
