@@ -12,15 +12,18 @@ Commands:
                     lambda threshold
 * ``dense``         root sweep of the sparse family toward 2 (CSV)
 
-Exit codes: 0 a verdict/report was written (of any kind, ``unknown``
-included), 1 a certificate failed re-validation under --verify (the report
-is still written), 2 input error, 3 no definite answer within the horizon
-or cost cap while --require-definite was set, 4 a scan surfaced a
-counterexample (never silently ignored).
+Exit codes: 0 a report was written (of any kind, ``unknown`` included),
+1 a certificate failed re-validation under --verify (the report is still
+written), 2 input error, including an --out file that cannot be written
+(no report is written), 3 no definite answer within the horizon or cost cap
+while --require-definite was set (the report is still written), 4 a scan or
+table surfaced a counterexample or discrepancy (never silently ignored).
 
-Output goes to stdout unless --out is given.  JSON outputs embed the
+Each command returns its report as (config, body, exit code); ``main``
+alone writes it, to stdout unless --out is given.  JSON outputs embed the
 effective configuration under "config"; CSV outputs carry it as a leading
-``#`` comment; plain outputs echo it to stderr.  The only environment
+``#`` comment; plain outputs echo it to stderr after the report.  Plain
+verdicts are coloured only on a terminal stdout.  The only environment
 variable consulted is NO_COLOR.
 """
 
@@ -38,7 +41,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import analytic, brown, core, families, oracle
-from .core import Coefficients, InvalidCoefficients, generate_terms, validate
+from .core import Coefficients, generate_terms, validate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -46,24 +49,15 @@ EXIT_EXHAUSTED = 3
 EXIT_COUNTEREXAMPLE = 4
 
 
-class _InputError(ValueError):
-    # ValueError subclass so argparse `type=` callbacks convert cleanly
-    # into usage errors instead of tracebacks.
-    pass
-
-
 def _parse_coefficients(text: str) -> Coefficients:
     parts = [p.strip() for p in text.split(",")]
     try:
         values = [int(p) for p in parts if p != ""]
     except ValueError:
-        raise _InputError(f"coefficients must be comma-separated integers, got {text!r}")
+        raise ValueError(f"coefficients must be comma-separated integers, got {text!r}")
     if not values:
-        raise _InputError("empty coefficient vector")
-    try:
-        return validate(values)
-    except InvalidCoefficients as exc:
-        raise _InputError(str(exc))
+        raise ValueError("empty coefficient vector")
+    return validate(values)
 
 
 def _parse_range(text: str) -> range:
@@ -75,7 +69,7 @@ def _parse_range(text: str) -> range:
         v = int(text)
         return range(v, v + 1)
     except ValueError:
-        raise _InputError(f"expected N or A..B, got {text!r}")
+        raise ValueError(f"expected N or A..B, got {text!r}")
 
 
 _parse_range.__name__ = "range"  # argparse uses this in usage errors
@@ -86,100 +80,89 @@ def _tolerance(tol: Optional[float]) -> Fraction:
     if tol is None:
         return analytic.DEFAULT_TOL
     if not 0 < tol < float("inf"):
-        raise _InputError(f"--tol: tolerance must be positive and finite, got {tol}")
+        raise ValueError(f"--tol: tolerance must be positive and finite, got {tol}")
     return Fraction(tol)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _write(config: dict, body: dict | str, fmt: str, out: Optional[str]) -> None:
+    # The one writer of every report; config is serialised once.
+    if fmt == "json":
+        text = json.dumps({**body, "config": config}, sort_keys=True)
+    else:
+        echo = f"# config: {json.dumps(config, sort_keys=True)}"
+        text = f"{echo}\n{body}" if fmt == "csv" else body
     if out:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text + "\n")
     else:
         print(text)
-
-
-def _color(word: str, kind: str) -> str:
-    if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
-        return word
-    codes = {brown.COMPLETE: "32", brown.INCOMPLETE: "31", brown.UNKNOWN: "33"}
-    return f"\x1b[{codes.get(kind, '0')}m{word}\x1b[0m"
-
-
-def _verdict_payload(verdict: brown.Verdict, config: dict) -> dict:
-    payload = verdict.to_json_dict()
-    payload["config"] = config
-    return payload
-
-
-def _render_verdict(verdict: brown.Verdict, config: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "plain":
-        cert = verdict.certificate
-        bits = [str(verdict.coefficients), _color(verdict.kind, verdict.kind),
-                f"certificate={cert.tag()}"]
-        if cert.index is not None:
-            bits.append(f"index={cert.index}")
-        if verdict.conjectural:
-            bits.append("conjectural")
-        if verdict.note:
-            bits.append(f"({verdict.note})")
-        _emit(" ".join(bits), out)
-        print(f"# config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
-    elif fmt == "csv":
-        payload = _verdict_payload(verdict, config)
-        head = "coefficients,kind,certificate,index,conjectural,horizon_used"
-        row = ";".join(str(v) for v in verdict.coefficients.values)
-        line = (
-            f"{row},{payload['kind']},{payload['certificate']},"
-            f"{payload['index'] if payload['index'] is not None else ''},"
-            f"{str(payload['conjectural']).lower()},{payload['horizon_used']}"
-        )
-        _emit(f"# config: {json.dumps(config, sort_keys=True)}\n{head}\n{line}", out)
-    else:
-        _emit(json.dumps(_verdict_payload(verdict, config), sort_keys=True), out)
+        print(echo, file=sys.stderr)
 
 
-def _finish(verdict: brown.Verdict, config: dict, args) -> int:
+def _color(kind: str, out: Optional[str]) -> str:
+    # Only a terminal stdout is coloured, never an --out file.
+    if out or os.environ.get("NO_COLOR") or not sys.stdout.isatty():
+        return kind
+    codes = {brown.COMPLETE: "32", brown.INCOMPLETE: "31", brown.UNKNOWN: "33"}
+    return f"\x1b[{codes.get(kind, '0')}m{kind}\x1b[0m"
+
+
+def _finish(verdict: brown.Verdict, config: dict, args) -> tuple[dict, dict | str, int]:
     # Shared tail of check and oracle-check: optional re-check, report, exit code.
     if args.verify:
         config["verified"] = brown.recheck(verdict)
         if not config["verified"]:
             print(f"certificate failed re-validation: {verdict}", file=sys.stderr)
-    _render_verdict(verdict, config, args.format, args.out)
+    body = verdict.to_json_dict()
+    index = body["index"]
+    if args.format == "csv":
+        body = (
+            "coefficients,kind,certificate,index,conjectural,horizon_used\n"
+            f"{';'.join(str(v) for v in body['coefficients'])},{body['kind']},"
+            f"{body['certificate']},{'' if index is None else index},"
+            f"{str(body['conjectural']).lower()},{body['horizon_used']}"
+        )
+    elif args.format == "plain":
+        bits = [str(verdict.coefficients), _color(verdict.kind, args.out),
+                f"certificate={body['certificate']}"]
+        if index is not None:
+            bits.append(f"index={index}")
+        if verdict.conjectural:
+            bits.append("conjectural")
+        if verdict.note:
+            bits.append(f"({verdict.note})")
+        body = " ".join(bits)
     if config.get("verified") is False:
-        return 1
-    if args.require_definite and verdict.kind == brown.UNKNOWN:
-        return EXIT_EXHAUSTED
-    return EXIT_OK
+        return config, body, 1
+    return config, body, EXIT_EXHAUSTED if verdict.kind == brown.UNKNOWN else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # gen
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[dict, dict | str, int]:
     c = _parse_coefficients(args.coefficients)
     if args.n < 1:
-        raise _InputError(f"--n must be >= 1, got {args.n}")
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     t = generate_terms(c, args.n)
     config = {"command": "gen", "coefficients": list(c.values), "n": args.n,
               "format": args.format}
     if args.format == "json":
-        _emit(json.dumps({"coefficients": list(c.values), "terms": list(t.terms),
-                          "config": config}, sort_keys=True), args.out)
+        body = {"coefficients": list(c.values), "terms": list(t.terms)}
     elif args.format == "csv":
-        rows = "\n".join(f"{i},{h}" for i, h in enumerate(t.terms, start=1))
-        _emit(f"# config: {json.dumps(config, sort_keys=True)}\nn,term\n{rows}", args.out)
+        body = "n,term\n" + "\n".join(f"{i},{h}" for i, h in enumerate(t.terms, start=1))
     else:
-        _emit(" ".join(str(h) for h in t.terms), args.out)
-        print(f"# config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
-    return EXIT_OK
+        body = " ".join(str(h) for h in t.terms)
+    return config, body, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # check / oracle-check
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, dict | str, int]:
     c = _parse_coefficients(args.coefficients)
     config = {
         "command": "check",
@@ -202,7 +185,7 @@ def _cmd_check(args) -> int:
     return _finish(verdict, config, args)
 
 
-def _cmd_oracle_check(args) -> int:
+def _cmd_oracle_check(args) -> tuple[dict, dict | str, int]:
     c = _parse_coefficients(args.coefficients)
     max_prefix = max(4 * c.L, 32) if args.max_prefix is None else args.max_prefix
     config = {"command": "oracle-check", "coefficients": list(c.values),
@@ -214,22 +197,21 @@ def _cmd_oracle_check(args) -> int:
 # family-table
 
 
-def _cmd_family_table(args) -> int:
+def _cmd_family_table(args) -> tuple[dict, str, int]:
     shape_of = families.FAMILIES[args.family]
     params = [f.name for f in dataclasses.fields(shape_of)]
     missing = [p for p in params if getattr(args, p) is None]
     if missing:
         flags = ", ".join(f"--{p}" for p in missing)
-        raise _InputError(f"family {args.family!r} needs {flags} (e.g. --{missing[0]} 1..4)")
+        raise ValueError(f"family {args.family!r} needs {flags} (e.g. --{missing[0]} 1..4)")
     config = {"command": "family-table", "family": args.family,
               "g": [args.g.start, args.g.stop - 1] if args.g else None,
               "k": [args.k.start, args.k.stop - 1] if args.k else None,
               "L": [args.L.start, args.L.stop - 1] if args.L else None,
               "m": [args.m.start, args.m.stop - 1] if args.m else None,
               "horizon": args.horizon}
-    lines = [f"# config: {json.dumps(config, sort_keys=True)}",
-             "family,g,k,L,m,max_n_rule,proven,max_n_search,agree"]
-    discrepancies = 0
+    lines = ["family,g,k,L,m,max_n_rule,proven,max_n_search,agree"]
+    discrepancies = undecided = 0
     for values in itertools.product(*(getattr(args, p) for p in params)):
         shape = shape_of(*values)
         try:
@@ -242,8 +224,8 @@ def _cmd_family_table(args) -> int:
             b = None
         found = families.max_last(first.values[:-1], args.horizon)
         agree = "" if b is None or found is None else str(b.max_n == found).lower()
-        if agree == "false":
-            discrepancies += 1
+        discrepancies += agree == "false"
+        undecided += found is None
         lines.append(
             f"{args.family},{getattr(shape, 'g', '')},{getattr(shape, 'k', '')},{first.L},"
             f"{getattr(shape, 'm', '')},{b.max_n if b else ''},"
@@ -251,8 +233,8 @@ def _cmd_family_table(args) -> int:
         )
     if discrepancies:
         lines.append(f"# discrepancies: {discrepancies}")
-    _emit("\n".join(lines), args.out)
-    return EXIT_COUNTEREXAMPLE if discrepancies else EXIT_OK
+        return config, "\n".join(lines), EXIT_COUNTEREXAMPLE
+    return config, "\n".join(lines), EXIT_EXHAUSTED if undecided else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +257,19 @@ def _scan_2l1_one(c: Coefficients, window: int, horizon: Optional[int]):
 
 def _run_parallel(worker, tasks, jobs: int):
     if jobs < 1:
-        raise _InputError(f"--jobs must be >= 1, got {jobs}")
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(tasks) < 64:
         return [worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (jobs * 8))))
 
 
-def _cmd_scan_2l1(args) -> int:
+def _cmd_scan_2l1(args) -> tuple[dict, dict | str, int]:
     L = args.L
     if L < 1 or args.coeff_cap < 1:
-        raise _InputError("need --L >= 1 and --coeff-cap >= 1")
+        raise ValueError("need --L >= 1 and --coeff-cap >= 1")
     if args.window is not None and args.window < 1:
-        raise _InputError(f"--window must be >= 1, got {args.window}")
+        raise ValueError(f"--window must be >= 1, got {args.window}")
     window = 2 * L - 1 if args.window is None else args.window
     config = {"command": "scan-2l1", "L": L, "coeff_cap": args.coeff_cap,
               "window": window, "horizon": args.horizon, "jobs": args.jobs,
@@ -300,42 +282,35 @@ def _cmd_scan_2l1(args) -> int:
     counterexamples = [r for r in results if r["status"] == "counterexample"]
     undecided = [r for r in results if r["status"] == "undecided"]
     report = {
-        "config": config,
         "candidates": len(tasks),
         "window": window,
         "counterexamples": counterexamples,
         "undecided": undecided,
     }
     if args.format == "plain":
-        _emit(
+        report = "\n".join([
             f"scanned {len(tasks)} vectors (L={L}, cap={args.coeff_cap}, window={window}): "
             f"{len(counterexamples)} counterexample(s), {len(undecided)} undecided",
-            args.out,
-        )
-        for r in counterexamples:
-            print(f"  fails at {r['first_failure']}: {r['coefficients']}")
-    else:
-        _emit(json.dumps(report, sort_keys=True), args.out)
+            *(f"  fails at {r['first_failure']}: {r['coefficients']}" for r in counterexamples),
+        ])
     if counterexamples:
         print(
             f"counterexample(s) found for window {window} at L={L}; "
             "see report for coefficient vectors",
             file=sys.stderr,
         )
-        return EXIT_COUNTEREXAMPLE
-    if undecided and args.require_definite:
-        return EXIT_EXHAUSTED
-    return EXIT_OK
+        return config, report, EXIT_COUNTEREXAMPLE
+    return config, report, EXIT_EXHAUSTED if undecided else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # min-root
 
 
-def _cmd_min_root(args) -> int:
+def _cmd_min_root(args) -> tuple[dict, dict | str, int]:
     L, cap = args.L, args.sum_cap
     if L < 2 or cap < 2:
-        raise _InputError("need --L >= 2 and --sum-cap >= 2")
+        raise ValueError("need --L >= 2 and --sum-cap >= 2")
     tol = _tolerance(args.tol)
     config = {"command": "min-root", "L": L, "sum_cap": cap, "jobs": args.jobs,
               "tol": float(tol), "format": args.format}
@@ -349,7 +324,6 @@ def _cmd_min_root(args) -> int:
     best = list(best_c.values) if best_c is not None else None
     violated = best_bracket is not None and analytic.compare_roots(best_bracket, lam.root) < 0
     report = {
-        "config": config,
         "candidates": len(tasks),
         "incomplete": len(incomplete),
         "undecided": undecided,
@@ -360,40 +334,33 @@ def _cmd_min_root(args) -> int:
         "conjecture_violated": violated,
     }
     if args.format == "plain":
-        _emit(
+        report = (
             f"L={L} cap={cap}: {len(incomplete)} incomplete of {len(tasks)}; "
             f"frontier {best} root={report['frontier_root']} vs lambda={report['lambda']} "
-            f"margin={report['margin']}",
-            args.out,
+            f"margin={report['margin']}"
         )
-    else:
-        _emit(json.dumps(report, sort_keys=True), args.out)
     if violated:
         print("frontier root lies below the lambda threshold: conjecture "
               "counterexample; report retained", file=sys.stderr)
-        return EXIT_COUNTEREXAMPLE
-    if undecided and args.require_definite:
-        return EXIT_EXHAUSTED
-    return EXIT_OK
+        return config, report, EXIT_COUNTEREXAMPLE
+    return config, report, EXIT_EXHAUSTED if undecided else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # dense
 
 
-def _cmd_dense(args) -> int:
+def _cmd_dense(args) -> tuple[dict, str, int]:
     if args.L < 2:
-        raise _InputError("need --L >= 2")
+        raise ValueError("need --L >= 2")
     tol = _tolerance(args.tol)
     config = {"command": "dense", "L": args.L, "epsilon": args.epsilon,
               "tol": float(tol)}
-    lines = [f"# config: {json.dumps(config, sort_keys=True)}", "k,root"]
     try:
         report = analytic.denseness_scan(args.L, epsilon=args.epsilon, tol=tol)
     except analytic.CostCap as exc:
-        _emit("\n".join([*lines, f"# cost_cap: {exc}"]), args.out)
-        return EXIT_EXHAUSTED if args.require_definite else EXIT_OK
-    lines += [f"{k},{root:.12f}" for k, root in report.roots]
+        return config, f"k,root\n# cost_cap: {exc}", EXIT_EXHAUSTED
+    lines = ["k,root", *(f"{k},{root:.12f}" for k, root in report.roots)]
     gap = "none" if report.max_gap is None else f"{report.max_gap:.12f} at k={report.max_gap_at}"
     covered = "none" if report.covered is None else "[{:.12f}, {:.12f}]".format(*report.covered)
     lines += [
@@ -405,8 +372,7 @@ def _cmd_dense(args) -> int:
     ]
     if args.epsilon is not None:
         lines.append(f"# epsilon_met: {report.epsilon_met}")
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    return config, "\n".join(lines), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +386,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "csv", "plain"), default="json"):
+    def common(p, formats=("json", "csv", "plain"), default="json", definite=True):
         p.add_argument("--format", choices=formats, default=default)
         p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--require-definite", action="store_true",
-                       help="exit 3 when no definite verdict is reached")
+        if definite:
+            p.add_argument("--require-definite", action="store_true",
+                           help="exit 3 when no definite verdict is reached")
 
     p = sub.add_parser("gen", help="generate exact sequence terms")
     p.add_argument("coefficients", help="comma-separated, e.g. 1,0,3")
     p.add_argument("--n", type=int, required=True, help="number of terms")
-    common(p, default="plain")
+    common(p, default="plain", definite=False)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="completeness verdict with certificate")
@@ -494,16 +461,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # terms grow geometrically; never truncate
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _InputError as exc:
+        config, body, code = args.func(args)
+        _write(config, body, args.format, args.out)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InvalidCoefficients, brown.HorizonTooSmall, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # gen never returns 3, so only commands with --require-definite reach it.
+    if code == EXIT_EXHAUSTED and not args.require_definite:
+        return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from plrs import cli, validate
+from plrs import cli, families, validate
 from helpers import reference_root
 
 CONTRACT_KEYS = {"coefficients", "kind", "certificate", "index", "conjectural", "horizon_used"}
@@ -233,6 +234,26 @@ class TestFamilyTable:
             assert out == ""
             assert "need g >= 1 and k >= 1" in err
 
+    def test_undecided_row_with_require_definite_exits_three(self, capsys):
+        # At horizon 13 the engine cannot decide [1, 1, 0^4, N]: max_n_search is "?".
+        argv = ["family-table", "--family", "ones-zeros", "--g", "2", "--k", "4",
+                "--horizon", "13"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == "ones-zeros,2,4,7,,,,?,"
+        code, definite_out, _ = run(capsys, *argv, "--require-definite")
+        assert code == 3
+        assert definite_out == out
+
+    def test_discrepancy_outranks_undecided_row(self, capsys, monkeypatch):
+        # One row undecided, one wrong: the discrepancy's exit 4 wins.
+        answers = iter([None, 100])
+        monkeypatch.setattr(families, "max_last", lambda prefix, horizon: next(answers))
+        code, out, _ = run(capsys, "family-table", "--family", "one-zeros", "--k", "1..2",
+                           "--require-definite")
+        assert code == 4
+        assert out.splitlines()[-1] == "# discrepancies: 1"
+
     def test_missing_range_is_input_error(self, capsys):
         code, _, err = run(capsys, "family-table", "--family", "one-zeros")
         assert code == 2
@@ -402,3 +423,68 @@ class TestOutput:
         assert code == 0
         assert out == ""
         assert target.read_text().strip() == "1 2 3 5 8"
+
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "check", "1,3", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert "Traceback" not in err
+
+    def test_plain_scan_goes_entirely_to_out(self, capsys, tmp_path):
+        target = tmp_path / "scan.txt"
+        code, out, err = run(capsys, "scan-2l1", "--L", "2", "--coeff-cap", "4", "--jobs", "1",
+                             "--window", "2", "--format", "plain", "--out", str(target))
+        assert code == 4
+        assert out == ""
+        lines = target.read_text().splitlines()
+        assert lines[0].startswith("scanned 16 vectors")
+        assert lines[1:] == ["  fails at 3: [1, 3]", "  fails at 3: [1, 4]"]
+        assert "counterexample" in err
+
+    def test_plain_verdict_is_coloured_on_a_terminal_only(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        code, out, _ = run(capsys, "check", "1,3", "--format", "plain")
+        assert code == 0
+        assert "\x1b[31mincomplete\x1b[0m" in out
+        target = tmp_path / "verdict.txt"
+        code, out, _ = run(capsys, "check", "1,3", "--format", "plain", "--out", str(target))
+        assert code == 0
+        assert out == ""
+        assert target.read_text() == "[1,3] incomplete certificate=failure index=3\n"
+
+    def test_gen_has_no_require_definite(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen", "1,1", "--n", "3", "--require-definite"])
+        assert exc.value.code == 2
+        assert "--require-definite" in capsys.readouterr().err
+
+
+# Every subcommand in every format it accepts echoes its config.
+@pytest.mark.parametrize("fmt,argv", [
+    pytest.param(fmt, argv, id=f"{argv[0]}-{fmt}")
+    for argv, formats in [
+        (["gen", "1,1", "--n", "4"], ("json", "csv", "plain")),
+        (["check", "1,3"], ("json", "csv", "plain")),
+        (["oracle-check", "1,3"], ("json", "csv", "plain")),
+        (["family-table", "--family", "one-zeros", "--k", "0..2"], ("csv",)),
+        (["scan-2l1", "--L", "2", "--coeff-cap", "2", "--jobs", "1"], ("json", "plain")),
+        (["min-root", "--L", "2", "--sum-cap", "4", "--jobs", "1"], ("json", "plain")),
+        (["dense", "--L", "5"], ("csv",)),
+    ]
+    for fmt in formats
+])
+def test_every_report_echoes_its_config(capsys, fmt, argv):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["config"]["command"] == argv[0]
+    elif fmt == "csv":
+        assert out.startswith("# config: ")
+        assert json.loads(out.splitlines()[0][len("# config: "):])["command"] == argv[0]
+    else:
+        echo = err.splitlines()[-1]
+        assert echo.startswith("# config: ")
+        assert json.loads(echo[len("# config: "):])["command"] == argv[0]
