@@ -14,10 +14,11 @@ Commands:
 
 Exit codes: 0 a report was written (of any kind, ``unknown`` included),
 1 a certificate failed re-validation under --verify (the report is still
-written), 2 input error, including an --out file that cannot be written
-(no report is written), 3 no definite answer within the horizon or cost cap
-while --require-definite was set (the report is still written), 4 a scan or
-table surfaced a counterexample or discrepancy (never silently ignored).
+written), 2 input error, including an --out file that cannot be written,
+which is rejected before any work (no report is written), 3 no definite
+answer within the horizon or cost cap while --require-definite was set (the
+report is still written), 4 a scan or table surfaced a counterexample or
+discrepancy (never silently ignored).
 
 Each command returns its report as (config, body, exit code); ``main``
 alone writes it, to stdout unless --out is given.  JSON outputs embed the
@@ -25,6 +26,12 @@ effective configuration under "config"; CSV outputs carry it as a leading
 ``#`` comment; plain outputs echo it to stderr after the report.  Plain
 verdicts are coloured only on a terminal stdout.  The only environment
 variable consulted is NO_COLOR.
+
+``main(argv)`` may be called any number of times in one process.  The
+argument parser is built on the first call, not on import, and reused;
+each call parses into a fresh namespace, so no option carries over from
+one call to the next.  Every call sets the process-wide int-digit limit to
+0, since terms of many thousands of digits are printed in full.
 """
 
 from __future__ import annotations
@@ -82,6 +89,21 @@ def _tolerance(tol: Optional[float]) -> Fraction:
     if not 0 < tol < float("inf"):
         raise ValueError(f"--tol: tolerance must be positive and finite, got {tol}")
     return Fraction(tol)
+
+
+def _check_out(out: str) -> None:
+    # Runs before the command, so an --out that open() would reject costs no
+    # work; it only inspects the path, never creating or truncating a file.
+    if os.path.isdir(out):
+        raise ValueError(f"--out {out}: is a directory")
+    if os.path.exists(out):
+        target = out
+    else:
+        target = os.path.dirname(out) or "."
+        if not os.path.isdir(target):
+            raise ValueError(f"--out {out}: no such directory: {target}")
+    if not os.access(target, os.W_OK):
+        raise ValueError(f"--out {out}: permission denied")
 
 
 def _write(config: dict, body: dict | str, fmt: str, out: Optional[str]) -> None:
@@ -379,6 +401,7 @@ def _cmd_dense(args) -> tuple[dict, str, int]:
 # parser
 
 
+@functools.cache  # built on the first main() call, not on import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plrs",
@@ -463,6 +486,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)  # terms grow geometrically; never truncate
     args = _build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         config, body, code = args.func(args)
         _write(config, body, args.format, args.out)
     except (ValueError, OSError) as exc:

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plrs import cli, families, validate
+import plrs
+from plrs import brown, cli, core, families, oracle, validate
 from helpers import reference_root
 
 CONTRACT_KEYS = {"coefficients", "kind", "certificate", "index", "conjectural", "horizon_used"}
@@ -432,6 +439,44 @@ class TestOutput:
         assert err.startswith("error: ") and str(target) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir", "not-a-dir"])
+    def test_unwritable_out_is_rejected_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                        where):
+        def no_scan(ranges):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(core, "vectors", no_scan)
+        (tmp_path / "file").write_text("")
+        target = {"missing-dir": tmp_path / "missing" / "x.json", "a-dir": tmp_path,
+                  "not-a-dir": tmp_path / "file" / "x.json"}[where]
+        code, out, err = run(capsys, "scan-2l1", "--L", "6", "--coeff-cap", "5", "--jobs", "1",
+                             "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_out_without_write_permission_is_rejected(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "x.json"
+        target.write_text("keep\n")
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        code, out, err = run(capsys, "check", "1,3", "--out", str(target))
+        assert code == 2
+        assert err == f"error: --out {target}: permission denied\n"
+        assert target.read_text() == "keep\n"
+
+    def test_input_error_neither_creates_nor_truncates_out(self, capsys, tmp_path):
+        kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+        kept.write_text("keep\n")
+        for target in (kept, absent):
+            code, out, _ = run(capsys, "check", "0,1", "--out", str(target))
+            assert (code, out) == (2, "")
+        assert kept.read_text() == "keep\n"
+        assert not absent.exists()
+        code, _, _ = run(capsys, "check", "1,3", "--out", str(kept))
+        assert code == 0
+        assert json.loads(kept.read_text())["kind"] == "incomplete"
+
     def test_plain_scan_goes_entirely_to_out(self, capsys, tmp_path):
         target = tmp_path / "scan.txt"
         code, out, err = run(capsys, "scan-2l1", "--L", "2", "--coeff-cap", "4", "--jobs", "1",
@@ -488,3 +533,83 @@ def test_every_report_echoes_its_config(capsys, fmt, argv):
         echo = err.splitlines()[-1]
         assert echo.startswith("# config: ")
         assert json.loads(echo[len("# config: "):])["command"] == argv[0]
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(plrs.__file__))
+        probe = (f"import sys; sys.path.insert(0, {src!r}); import plrs.cli; "
+                 "print(plrs.cli._build_parser.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
+
+    def test_option_does_not_carry_over(self, capsys):
+        _, first, _ = run_json(capsys, "check", "1,3", "--horizon", "5")
+        _, second, _ = run_json(capsys, "check", "1,3")
+        assert first["config"]["horizon"] == 5
+        assert second["config"]["horizon"] is None
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        cli._build_parser.cache_clear()
+        expected = run(capsys, "check", "1,3")
+        with pytest.raises(SystemExit):
+            cli.main(["gen", "1,1", "--n", "3", "--require-definite"])
+        capsys.readouterr()
+        assert run(capsys, "check", "1,3") == expected
+
+    def test_plain_then_json_gives_clean_json(self, capsys):
+        run(capsys, "check", "1,3", "--format", "plain")
+        code, out, err = run(capsys, "check", "1,3", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["kind"] == "incomplete"
+
+
+def _call(*argv):
+    # capsys is function-scoped, so Hypothesis examples capture output themselves.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None)
+@given(values=st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(lambda v: v[0] and v[-1]),
+       command=st.sampled_from(["check", "oracle-check"]))
+def test_reports_round_trip(values, command):
+    text = ",".join(map(str, values))
+    code, out, _ = _call(command, text, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    config = payload.pop("config")
+    c = validate(values)
+    if command == "check":
+        verdict = brown.check_completeness(c)
+    else:
+        verdict = oracle.oracle_verdict(c, config["max_prefix"])
+    assert payload == verdict.to_json_dict()
+
+    code, out, _ = _call(command, text, "--format", "csv")
+    assert code == 0
+    echo, header, row, *rest = out.splitlines()
+    assert echo.startswith("# config: ") and rest == []
+    fields = dict(zip(header.split(","), row.split(","), strict=True))
+    assert {
+        "coefficients": [int(v) for v in fields["coefficients"].split(";")],
+        "kind": fields["kind"],
+        "certificate": fields["certificate"],
+        "index": int(fields["index"]) if fields["index"] else None,
+        "conjectural": {"true": True, "false": False}[fields["conjectural"]],
+        "horizon_used": int(fields["horizon_used"]),
+    } == {key: payload[key] for key in CONTRACT_KEYS}
+
+    code, out, _ = _call(command, text, "--format", "plain")
+    assert code == 0
+    words = out.split()
+    assert words[:2] == [str(c), payload["kind"]]
+    index = [w for w in words if w.startswith("index=")]
+    assert index == ([] if payload["index"] is None else [f"index={payload['index']}"])
