@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .core import Coefficients, TermSequence, generate_terms
 
@@ -180,6 +180,62 @@ def first_failure_index(c: Coefficients, horizon: int) -> Optional[int]:
         if n == horizon:
             return None
         t = t.extended(min(2 * n, horizon))  # read on: double the prefix
+
+
+def window_survivors(ranges: Sequence[range], window: int) -> Iterator[Coefficients]:
+    """The vectors c of the box ``core.vectors(ranges)`` with
+    ``first_failure_index(c, window) is None``, in the same lexicographic order.
+
+    The box is walked depth-first by prefix.  For k < L, H_{k+1} depends on
+    c_1..c_k alone, so the terms and their running sum are shared by every
+    vector below a prefix.  The gap a coordinate fixes (B_{k+1} at depth k,
+    B_{L+1} at the leaf) falls strictly as that coordinate grows, since c_k
+    multiplies H_1 = 1 and nothing else in the gap depends on it.  So the
+    first value whose gap is negative at an index <= ``window`` ends the
+    level: its subtree and every later sibling fail too.  That needs every
+    range ascending.  A leaf reads on to the window from the terms it holds,
+    and only a vector that is yielded becomes a ``Coefficients``; as in
+    ``core.vectors``, the first and last ranges must exclude 0.
+    """
+    if window < 1:
+        raise ValueError(f"window must be positive, got {window}")
+    if any(r.step < 0 for r in ranges):
+        raise ValueError("ranges must be ascending")
+    L = len(ranges)
+    prefix: list[int] = []  # c_1..c_{k-1}
+    terms = [1]  # H_1..H_k, the terms the prefix fixes
+
+    def walk(k: int, running: int) -> Iterator[Coefficients]:
+        # Chooses c_k; `running` is H_1 + ... + H_k.
+        # H_{k+1} = base + c_k*H_1, with the +1 correction while k < L.
+        base = (k < L) + sum(ci * terms[k - i] for i, ci in enumerate(prefix, start=1))
+        for ck in ranges[k - 1]:
+            h = base + ck
+            if k + 1 <= window and h > 1 + running:  # B_{k+1} < 0
+                return
+            prefix.append(ck)
+            terms.append(h)
+            if k < L:
+                yield from walk(k + 1, running + h)
+            elif _passes_through(prefix, terms, running + h, window):
+                yield Coefficients(tuple(prefix))
+            prefix.pop()
+            del terms[k:]  # a leaf may have read on past H_{k+1}
+
+    yield from walk(1, 1)
+
+
+def _passes_through(values: list[int], terms: list[int], running: int, window: int) -> bool:
+    # Extends `terms` (H_1..H_n, with n >= L and `running` their sum) term by
+    # term, and is False at the first B_m < 0 with m <= window.
+    taps = [(ci, -i) for i, ci in enumerate(values, start=1) if ci]
+    for _ in range(len(terms), window):
+        h = sum(ci * terms[j] for ci, j in taps)
+        if h > 1 + running:
+            return False
+        terms.append(h)
+        running += h
+    return True
 
 
 def check_completeness(

@@ -41,6 +41,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -68,15 +69,19 @@ def _parse_coefficients(text: str) -> Coefficients:
 
 
 def _parse_range(text: str) -> range:
-    # "3" or "1..6", inclusive.
+    # "3" or "1..6", inclusive; "3..1" is rejected, not read as empty.
     try:
         if ".." in text:
             a, b = text.split("..", 1)
-            return range(int(a), int(b) + 1)
-        v = int(text)
-        return range(v, v + 1)
+            r = range(int(a), int(b) + 1)
+        else:
+            v = int(text)
+            r = range(v, v + 1)
     except ValueError:
         raise ValueError(f"expected N or A..B, got {text!r}")
+    if not r:
+        raise ValueError(f"expected A..B with A <= B, got {text!r}")
+    return r
 
 
 _parse_range.__name__ = "range"  # argparse uses this in usage errors
@@ -263,9 +268,8 @@ def _cmd_family_table(args) -> tuple[dict, str, int]:
 # scan-2l1
 
 
-def _scan_2l1_one(c: Coefficients, window: int, horizon: Optional[int]):
-    if brown.first_failure_index(c, window) is not None:
-        return None
+def _scan_2l1_one(c: Coefficients, horizon: Optional[int]):
+    # c already passes the window (brown.window_survivors).
     verdict = brown.check_completeness(c, horizon=horizon)
     if verdict.kind == brown.UNKNOWN:
         verdict = brown.check_completeness(c, horizon=max(4 * c.L, 32) + 1)
@@ -298,20 +302,21 @@ def _cmd_scan_2l1(args) -> tuple[dict, dict | str, int]:
               "format": args.format}
     edge, inner = range(1, args.coeff_cap + 1), range(args.coeff_cap + 1)
     ranges = [edge] if L == 1 else [edge, *[inner] * (L - 2), edge]
-    tasks = list(core.vectors(ranges))
-    worker = functools.partial(_scan_2l1_one, window=window, horizon=args.horizon)
+    candidates = math.prod(len(r) for r in ranges)
+    tasks = list(brown.window_survivors(ranges, window))
+    worker = functools.partial(_scan_2l1_one, horizon=args.horizon)
     results = [r for r in _run_parallel(worker, tasks, args.jobs) if r]  # in task order
     counterexamples = [r for r in results if r["status"] == "counterexample"]
     undecided = [r for r in results if r["status"] == "undecided"]
     report = {
-        "candidates": len(tasks),
+        "candidates": candidates,
         "window": window,
         "counterexamples": counterexamples,
         "undecided": undecided,
     }
     if args.format == "plain":
         report = "\n".join([
-            f"scanned {len(tasks)} vectors (L={L}, cap={args.coeff_cap}, window={window}): "
+            f"scanned {candidates} vectors (L={L}, cap={args.coeff_cap}, window={window}): "
             f"{len(counterexamples)} counterexample(s), {len(undecided)} undecided",
             *(f"  fails at {r['first_failure']}: {r['coefficients']}" for r in counterexamples),
         ])

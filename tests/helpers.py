@@ -54,6 +54,32 @@ def all_vectors(max_len: int, cap: int):
                     yield (c1, *mid, cL)
 
 
+def reference_scan_2l1(L: int, cap: int, window: int, horizon=None):
+    """``scan-2l1``'s (candidates, counterexamples, undecided) by brute force.
+
+    Every vector of the box is built and filtered by ``first_failure_index``;
+    each one that passes gets the engine at ``horizon``, then at the scan's
+    fallback horizon max(4L, 32) + 1 if that is undecided.
+    """
+    edge, inner = range(1, cap + 1), range(cap + 1)
+    box = list(itertools.product(edge, *[inner] * (L - 2), edge)) if L > 1 else \
+        [(c1,) for c1 in edge]
+    counterexamples, undecided = [], []
+    for values in box:
+        c = validate(values)
+        if brown.first_failure_index(c, window) is not None:
+            continue
+        verdict = brown.check_completeness(c, horizon=horizon)
+        if verdict.kind == brown.UNKNOWN:
+            verdict = brown.check_completeness(c, horizon=max(4 * L, 32) + 1)
+        if verdict.kind == brown.INCOMPLETE:
+            counterexamples.append({"coefficients": list(values), "status": "counterexample",
+                                    "first_failure": verdict.certificate.index})
+        elif verdict.kind == brown.UNKNOWN:
+            undecided.append({"coefficients": list(values), "status": "undecided"})
+    return len(box), counterexamples, undecided
+
+
 def definite_oracle(c: Coefficients) -> brown.Verdict:
     """Oracle verdict with a prefix long enough to be definite for small c.
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -91,6 +93,56 @@ class TestFirstFailureIndex:
     @pytest.mark.parametrize("k", range(1, 8))
     def test_failure_lands_at_2k_plus_3(self, k):
         assert first_failure_index(validate([1] * k + [0, 4]), 64) == 2 * k + 3
+
+
+def _passing(ranges, window):
+    # The filter window_survivors replaces: every tuple of the box, then the gaps.
+    return [values for values in itertools.product(*ranges)
+            if first_failure_index(validate(values), window) is None]
+
+
+class TestWindowSurvivors:
+    @pytest.mark.parametrize("L", range(1, 6))
+    def test_matches_the_filter_on_every_window(self, L):
+        for cap in range(1, 5):
+            edge, inner = range(1, cap + 1), range(cap + 1)
+            ranges = [edge] if L == 1 else [edge, *[inner] * (L - 2), edge]
+            for window in range(1, 2 * L + 6):
+                got = [c.values for c in brown.window_survivors(ranges, window)]
+                assert got == _passing(ranges, window), (cap, window)
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(1, 3)),
+                    min_size=1, max_size=5),
+           st.integers(1, 14))
+    def test_matches_the_filter_on_any_ascending_box(self, specs, window):
+        ranges = [range(lo + (i in (0, len(specs) - 1) and not lo), lo + size, step)
+                  for i, (lo, size, step) in enumerate(specs)]
+        got = [c.values for c in brown.window_survivors(ranges, window)]
+        assert got == _passing(ranges, window)
+
+    def test_only_survivors_are_built_and_no_prefix_regrows(self, monkeypatch):
+        built = []
+        real = brown.Coefficients
+
+        def counting(values):
+            built.append(values)
+            return real(values)
+
+        def no_growth(c, n):
+            raise AssertionError("terms regrown from H_1")
+
+        monkeypatch.setattr(brown, "Coefficients", counting)
+        monkeypatch.setattr(brown, "generate_terms", no_growth)
+        ranges = [range(1, 5), *[range(5)] * 4, range(1, 5)]
+        survivors = list(brown.window_survivors(ranges, 11))
+        assert len(survivors) == 297  # of 10,000 vectors; c_1 >= 2 fails at B_2
+        assert built == [c.values for c in survivors]
+
+    def test_rejects_a_descending_range_and_a_window_below_one(self):
+        with pytest.raises(ValueError, match="ascending"):
+            list(brown.window_survivors([range(3, 0, -1)], 3))
+        with pytest.raises(ValueError, match="window"):
+            list(brown.window_survivors([range(1, 3)], 0))
 
 
 class TestLazyPrefixProperties:

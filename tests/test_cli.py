@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plrs
-from plrs import brown, cli, core, families, oracle, validate
-from helpers import reference_root
+from plrs import brown, cli, families, oracle, validate
+from helpers import reference_root, reference_scan_2l1
 
 CONTRACT_KEYS = {"coefficients", "kind", "certificate", "index", "conjectural", "horizon_used"}
 
@@ -189,6 +189,30 @@ class TestOracleCheck:
         assert payload["kind"] == "complete"
 
 
+class TestHugeTerms:
+    # c_2 = 10^100000 - 1 has 100,000 digits; so do H_3 and every later term.
+    C2 = 10**100000 - 1
+    VECTOR = "1," + "9" * 100000
+
+    def test_check_fails_at_the_first_term_past_c2(self, capsys):
+        code, payload, _ = run_json(capsys, "check", self.VECTOR, "--verify")
+        assert code == 0
+        assert payload["coefficients"] == [1, self.C2]
+        assert (payload["kind"], payload["certificate"], payload["index"]) \
+            == ("incomplete", "failure", 3)
+        assert payload["witness"] == 2 - self.C2  # B_3 = 1 + H_1 + H_2 - H_3
+        assert payload["config"]["verified"] is True
+
+    def test_oracle_check_names_the_missing_sum(self, capsys):
+        code, payload, _ = run_json(capsys, "oracle-check", self.VECTOR, "--verify")
+        assert code == 0
+        assert payload["coefficients"] == [1, self.C2]
+        assert (payload["kind"], payload["certificate"], payload["index"]) \
+            == ("incomplete", "failure", 2)
+        assert payload["witness"] == 4  # H_1 + H_2 + 1
+        assert payload["config"]["verified"] is True
+
+
 class TestFamilyTable:
     def test_one_zeros_column(self, capsys):
         code, out, _ = run(capsys, "family-table", "--family", "one-zeros", "--k", "0..6")
@@ -261,6 +285,15 @@ class TestFamilyTable:
         assert code == 4
         assert out.splitlines()[-1] == "# discrepancies: 1"
 
+    @pytest.mark.parametrize("flag,text", [("--k", "3..1"), ("--k", "1..0"), ("--g", "2..1")])
+    def test_reversed_range_is_usage_error(self, capsys, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["family-table", "--family", "ones-zeros", "--g", "1", "--k", "1", flag, text])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert flag in err and text in err
+
     def test_missing_range_is_input_error(self, capsys):
         code, _, err = run(capsys, "family-table", "--family", "one-zeros")
         assert code == 2
@@ -286,9 +319,12 @@ class TestScan2L1:
         assert "counterexample" in err
 
     def test_parallel_output_matches_serial(self, capsys):
-        # cap 4 yields 80 candidates, enough to engage the worker pool.
-        _, serial, _ = run(capsys, "scan-2l1", "--L", "3", "--coeff-cap", "4", "--jobs", "1")
-        _, parallel, _ = run(capsys, "scan-2l1", "--L", "3", "--coeff-cap", "4", "--jobs", "2")
+        # Of the 2000 candidates at L=5, cap 4, 66 pass the window: enough
+        # to engage the worker pool, which runs the survivors only.
+        box = [range(1, 5), *[range(5)] * 3, range(1, 5)]
+        assert len(list(brown.window_survivors(box, 9))) >= 64
+        _, serial, _ = run(capsys, "scan-2l1", "--L", "5", "--coeff-cap", "4", "--jobs", "1")
+        _, parallel, _ = run(capsys, "scan-2l1", "--L", "5", "--coeff-cap", "4", "--jobs", "2")
         serial = json.loads(serial)
         parallel = json.loads(parallel)
         serial["config"].pop("jobs")
@@ -321,10 +357,11 @@ class TestScan2L1:
         assert "--window" in err
 
 
-# Fewer than 64 tasks run serially, more go to the worker pool.
+# Fewer than 64 tasks run serially, more go to the worker pool; a scan's
+# tasks are the vectors that pass its window (2 at L=2, cap 2; 66 at L=5, cap 4).
 @pytest.mark.parametrize("command", [
     ["scan-2l1", "--L", "2", "--coeff-cap", "2"],
-    ["scan-2l1", "--L", "3", "--coeff-cap", "4"],
+    ["scan-2l1", "--L", "5", "--coeff-cap", "4"],
     ["min-root", "--L", "3", "--sum-cap", "4"],
     ["min-root", "--L", "4", "--sum-cap", "8"],
 ])
@@ -442,10 +479,10 @@ class TestOutput:
     @pytest.mark.parametrize("where", ["missing-dir", "a-dir", "not-a-dir"])
     def test_unwritable_out_is_rejected_before_any_work(self, capsys, tmp_path, monkeypatch,
                                                         where):
-        def no_scan(ranges):
+        def no_scan(ranges, window):
             raise AssertionError("the scan ran")
 
-        monkeypatch.setattr(core, "vectors", no_scan)
+        monkeypatch.setattr(brown, "window_survivors", no_scan)
         (tmp_path / "file").write_text("")
         target = {"missing-dir": tmp_path / "missing" / "x.json", "a-dir": tmp_path,
                   "not-a-dir": tmp_path / "file" / "x.json"}[where]
@@ -613,3 +650,21 @@ def test_reports_round_trip(values, command):
     assert words[:2] == [str(c), payload["kind"]]
     index = [w for w in words if w.startswith("index=")]
     assert index == ([] if payload["index"] is None else [f"index={payload['index']}"])
+
+
+@settings(deadline=None)
+@given(data=st.data(), L=st.integers(1, 5), cap=st.integers(1, 4))
+def test_scan_matches_brute_force(data, L, cap):
+    window = data.draw(st.integers(1, 2 * L + 3), label="window")
+    horizon = data.draw(st.none() | st.integers(2 * L - 1, 2 * L + 4), label="horizon")
+    argv = ["scan-2l1", "--L", str(L), "--coeff-cap", str(cap), "--window", str(window),
+            "--jobs", "1", "--require-definite"]
+    if horizon is not None:
+        argv += ["--horizon", str(horizon)]
+    code, out, _ = _call(*argv)
+    payload = json.loads(out)
+    candidates, counterexamples, undecided = reference_scan_2l1(L, cap, window, horizon)
+    assert payload["candidates"] == candidates
+    assert payload["counterexamples"] == counterexamples
+    assert payload["undecided"] == undecided
+    assert code == (4 if counterexamples else 3 if undecided else 0)
