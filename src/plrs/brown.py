@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .core import Coefficients, TermSequence, generate_terms
+from .core import Coefficients, TermSequence, generate_terms, validate
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
@@ -238,6 +238,36 @@ def _passes_through(values: list[int], terms: list[int], running: int, window: i
     return True
 
 
+def last_coefficient_window(prefix: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Brown's gaps B_1..B_{2L} of ``prefix + [N]`` as exact lines in N.
+
+    Returns the pairs (a_n, s_n), n = 1..2L, with B_n = a_n + s_n*N for
+    every N >= 1.  N = c_L first enters at H_{L+1} = ... + N*H_1, and a term
+    H_{n+1} with n < 2L multiplies N only by H_{n+1-L}, which is free of N;
+    so H_1..H_{2L} are affine in N, and N^2 first appears in H_{2L+1}.  Two
+    term prefixes, at N = 1 and N = 2, fix every line.  s_n = 0 for n <= L,
+    s_{L+1} = -1, and later slopes may have either sign.
+    """
+    L = len(prefix) + 1
+    at_1 = gap_trace(generate_terms(validate([*prefix, 1]), 2 * L)).gaps
+    at_2 = gap_trace(generate_terms(validate([*prefix, 2]), 2 * L)).gaps
+    return tuple((2 * b1 - b2, b2 - b1) for b1, b2 in zip(at_1, at_2))
+
+
+def engine_horizon(L: int, horizon: Optional[int] = None) -> int:
+    """The horizon of an engine run on a length-L vector.
+
+    ``horizon`` itself, or max(DEFAULT_MAX_HORIZON, 4L) when it is None:
+    past L = 256 that grows with L, so it always covers the strict window
+    (index 2L-1) and leaves room for a doubling window (index 2L+1 or
+    later).  Raises HorizonTooSmall below 2L-1.
+    """
+    h = max(DEFAULT_MAX_HORIZON, 4 * L) if horizon is None else horizon
+    if h < 2 * L - 1:
+        raise HorizonTooSmall(f"horizon {h} < 2L-1 = {2 * L - 1}")
+    return h
+
+
 def check_completeness(
     c: Coefficients, horizon: Optional[int] = None, assume_2l1: bool = False
 ) -> Verdict:
@@ -255,15 +285,11 @@ def check_completeness(
     5. otherwise unknown; the horizon is reported.
 
     The gaps are read in one pass, and the prefix is built only as far as
-    it is read, so an early verdict costs only the terms before it.  When
-    ``horizon`` is None it is max(DEFAULT_MAX_HORIZON, 4L): past L = 256
-    it grows with L, so it always covers the strict window (index 2L-1)
-    and leaves room for a doubling window (index 2L+1 or later).
+    it is read, so an early verdict costs only the terms before it.  The
+    horizon is ``engine_horizon(L, horizon)``.
     """
     L = c.L
-    h = max(DEFAULT_MAX_HORIZON, 4 * L) if horizon is None else horizon
-    if h < 2 * L - 1:
-        raise HorizonTooSmall(f"horizon {h} < 2L-1 = {2 * L - 1}")
+    h = engine_horizon(L, horizon)
 
     t = generate_terms(c, min(2 * L + 1, h + 1))
     terms = t.terms  # H_n is terms[n - 1]

@@ -69,7 +69,8 @@ def _parse_coefficients(text: str) -> Coefficients:
 
 
 def _parse_range(text: str) -> range:
-    # "3" or "1..6", inclusive; "3..1" is rejected, not read as empty.
+    # "3" or "1..6", inclusive; "3..1" is rejected, not read as empty.  argparse
+    # prints the message of an ArgumentTypeError, not of a ValueError.
     try:
         if ".." in text:
             a, b = text.split("..", 1)
@@ -78,13 +79,10 @@ def _parse_range(text: str) -> range:
             v = int(text)
             r = range(v, v + 1)
     except ValueError:
-        raise ValueError(f"expected N or A..B, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected N or A..B, got {text!r}")
     if not r:
-        raise ValueError(f"expected A..B with A <= B, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected A..B with A <= B, got {text!r}")
     return r
-
-
-_parse_range.__name__ = "range"  # argparse uses this in usage errors
 
 
 def _tolerance(tol: Optional[float]) -> Fraction:

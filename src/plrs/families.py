@@ -193,9 +193,44 @@ def max_last(prefix: Sequence[int], horizon: Optional[int] = None) -> Optional[i
     0 when N = 1 is already incomplete; None when the engine leaves a
     probed member unknown.  Lowering the last coefficient keeps a complete
     sequence complete, so doubling and then bisection find N exactly.
+    Raises HorizonTooSmall when ``horizon`` < 2L-1, as the engine does.
+
+    Most probes need no engine run.  The gaps B_1..B_{2L} are lines
+    a_n + s_n*N (``brown.last_coefficient_window``), and each one is cut by
+    the sign of its slope.  They bracket the answer in [lo, hi - 1]:
+
+    * lo: every N <= lo is complete, backed by the strict window (B_n >= 0
+      for n < L, B_n > 0 on L..2L-1, L >= 2).  lo is the largest N passing
+      it, or 0 when N = 1 does not.
+    * hi: the least N >= 1 with some B_n < 0 at n <= 2L-1, backed by that
+      failure.  B_{L+1} has slope -1, so hi exists for L >= 2.  When
+      hi > 1, only falling lines fail at hi, so every larger N fails too.
+      B_{2L} is left out: it could fail first only at a counterexample to
+      the 2L-1 conjecture, and a run at horizon 2L-1 does not read it.
+
+    On every N outside (lo, hi) that the search probes, the engine would
+    return exactly that verdict, since no certificate of its fires before
+    index 2L-1 or, for a doubling window, 2L+1.  So those probes are
+    answered from the bracket, only the ones inside run the engine, and the
+    result, None included, is the one the engine gives on every probe.
     """
+    L = len(prefix) + 1
+    brown.engine_horizon(L, horizon)  # HorizonTooSmall, as from the engine
+    gaps = brown.last_coefficient_window(prefix)[: 2 * L - 1]
+    head, window = gaps[: L - 1], gaps[L - 1 :]
+    lo = 0
+    if L >= 2 and all(a >= 0 for a, _ in head) and all(a + s > 0 for a, s in window):
+        lo = min((a - 1) // -s for a, s in window if s < 0)
+    # A line fails from N = 1 if it is already negative there, else, if it
+    # falls, from a // -s + 1.
+    hi = min((1 if a + s < 0 else a // -s + 1 for a, s in gaps if a + s < 0 or s < 0),
+             default=None)
 
     def complete(n: int) -> Optional[bool]:
+        if n <= lo:
+            return True
+        if hi is not None and n >= hi:
+            return False
         v = brown.check_completeness(validate([*prefix, n]), horizon=horizon)
         return None if v.kind == brown.UNKNOWN else v.kind == brown.COMPLETE
 
@@ -204,21 +239,21 @@ def max_last(prefix: Sequence[int], horizon: Optional[int] = None) -> Optional[i
         return None
     if first is False:
         return 0
-    lo, hi = 1, 2
-    while (s := complete(hi)) is True:
-        lo, hi = hi, hi * 2
+    good, bad = 1, 2
+    while (s := complete(bad)) is True:
+        good, bad = bad, bad * 2
     if s is None:
         return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+    while bad - good > 1:
+        mid = (good + bad) // 2
         s = complete(mid)
         if s is None:
             return None
         if s:
-            lo = mid
+            good = mid
         else:
-            hi = mid
-    return lo
+            bad = mid
+    return good
 
 
 def classify_family(shape: FamilyShape, n: int) -> brown.Verdict:

@@ -80,6 +80,40 @@ def reference_scan_2l1(L: int, cap: int, window: int, horizon=None):
     return len(box), counterexamples, undecided
 
 
+def reference_max_last(prefix, horizon=None):
+    """``families.max_last`` with every probe an engine run.
+
+    Doubling and then bisection on the last coefficient N, since lowering
+    it keeps a complete sequence complete.  0 when N = 1 is already
+    incomplete; None when the engine leaves a probed member unknown.
+    """
+
+    def complete(n):
+        v = brown.check_completeness(validate([*prefix, n]), horizon=horizon)
+        return None if v.kind == brown.UNKNOWN else v.kind == brown.COMPLETE
+
+    first = complete(1)
+    if first is None:
+        return None
+    if first is False:
+        return 0
+    lo, hi = 1, 2
+    while (s := complete(hi)) is True:
+        lo, hi = hi, hi * 2
+    if s is None:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s = complete(mid)
+        if s is None:
+            return None
+        if s:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def definite_oracle(c: Coefficients) -> brown.Verdict:
     """Oracle verdict with a prefix long enough to be definite for small c.
 

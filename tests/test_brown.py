@@ -145,6 +145,33 @@ class TestWindowSurvivors:
             list(brown.window_survivors([range(1, 3)], 0))
 
 
+# Prefixes c_1..c_{L-1} of a vector, L = 1..10; the last coefficient is N.
+prefixes = st.one_of(
+    st.just([]),
+    st.builds(lambda c1, mid: [c1, *mid], st.integers(1, 5), st.lists(st.integers(0, 5), max_size=8)),
+)
+
+
+class TestLastCoefficientWindow:
+    @example([], 1)
+    @example([1, 0, 0, 1], 7)  # B_10 rises with N
+    @given(prefixes, st.integers(1, 10**6) | st.integers(1, 30))
+    def test_lines_give_every_gap_through_2l(self, prefix, n):
+        L = len(prefix) + 1
+        lines = brown.last_coefficient_window(prefix)
+        assert [a + s * n for a, s in lines] == brute_gaps(reference_terms([*prefix, n], 2 * L))
+        assert [s for _, s in lines[:L]] == [0] * L
+        assert lines[L][1] == -1  # s_{L+1}
+
+    def test_some_gaps_rise_with_n(self):
+        assert [n for n, (_, s) in enumerate(brown.last_coefficient_window([1, 0, 0, 1]), 1)
+                if s > 0] == [10]
+
+    def test_rejects_an_invalid_prefix(self):
+        with pytest.raises(ValueError):
+            brown.last_coefficient_window([0, 1])
+
+
 class TestLazyPrefixProperties:
     @given(short_vectors, st.integers(1, 120))
     def test_first_failure_is_first_negative_gap(self, values, horizon):

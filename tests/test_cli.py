@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import plrs
 from plrs import brown, cli, families, oracle, validate
-from helpers import reference_root, reference_scan_2l1
+from helpers import reference_max_last, reference_root, reference_scan_2l1
 
 CONTRACT_KEYS = {"coefficients", "kind", "certificate", "index", "conjectural", "horizon_used"}
 
@@ -292,7 +293,52 @@ class TestFamilyTable:
         out, err = capsys.readouterr()
         assert exc.value.code == 2
         assert out == ""
-        assert flag in err and text in err
+        assert f"argument {flag}: expected A..B with A <= B, got '{text}'" in err
+
+    @pytest.mark.parametrize("text", ["x", "1..y", "2.5"])
+    def test_malformed_range_is_usage_error(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["family-table", "--family", "one-zeros", "--k", text])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert f"argument --k: expected N or A..B, got '{text}'" in err
+
+    def test_horizon_below_the_window_is_input_error(self, capsys):
+        # k = 1 gives L = 3; no row needs the engine, yet the horizon is refused.
+        code, out, err = run(capsys, "family-table", "--family", "one-zeros", "--k", "1..3",
+                             "--horizon", "3")
+        assert code == 2
+        assert out == ""
+        assert "horizon 3 < 2L-1 = 5" in err
+
+    # The four family-table jobs of the benchmark's sweep workload.
+    @pytest.mark.parametrize("ranges", [
+        ("one-zeros", "--k", "1..60"),
+        ("ones-zeros", "--g", "1..6", "--k", "1..6"),
+        ("two-ones-zeros", "--k", "1..30"),
+        ("one-zeros-ones", "--L", "3..10", "--m", "1..8"),
+    ], ids=lambda ranges: ranges[0])
+    def test_table_matches_probing_every_member(self, capsys, monkeypatch, ranges):
+        expected = run(capsys, "family-table", "--family", *ranges)
+        monkeypatch.setattr(families, "max_last", reference_max_last)
+        assert run(capsys, "family-table", "--family", *ranges) == expected
+
+    def test_long_one_zeros_column_within_a_second(self, capsys, monkeypatch):
+        # Probing every member takes about a second and 4,458 engine runs here;
+        # the gap bracket leaves 100 runs.
+        runs = []
+        real = brown.check_completeness
+        monkeypatch.setattr(brown, "check_completeness",
+                            lambda *args, **kwargs: runs.append(args) or real(*args, **kwargs))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "family-table", "--family", "one-zeros", "--k", "1..200")
+        elapsed = time.perf_counter() - start
+        rows = [l for l in out.splitlines() if l.startswith("one-zeros")]
+        assert code == 0
+        assert len(rows) == 200 and all(l.endswith(",true") for l in rows)
+        assert len(runs) <= len(rows)
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
 
     def test_missing_range_is_input_error(self, capsys):
         code, _, err = run(capsys, "family-table", "--family", "one-zeros")

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plrs import (
     COMPLETE,
     INCOMPLETE,
+    HorizonTooSmall,
     OneZerosN,
     OneZerosOnesN,
     OnesZerosN,
@@ -21,7 +24,7 @@ from plrs import (
     validate,
 )
 from plrs.families import max_last
-from helpers import definite_oracle, is_complete
+from helpers import definite_oracle, is_complete, reference_max_last
 
 
 class TestBoundOneZeros:
@@ -144,6 +147,38 @@ class TestMaxLast:
     def test_matches_closed_forms(self):
         assert max_last([1, 0, 0]) == bound_one_zeros(2).max_n
         assert max_last([1, 1, 1, 0, 0]) == bound_ones_zeros(3, 2).max_n
+
+    def test_horizon_below_the_window_raises_even_without_the_engine(self):
+        # [1, 3, N] fails at B_3 for every N, so no probe needs the engine.
+        with pytest.raises(HorizonTooSmall, match="horizon 4 < 2L-1 = 5"):
+            max_last([1, 3], horizon=4)
+        assert max_last([1, 3], horizon=5) == 0
+
+    def test_a_tight_bracket_needs_no_engine_run(self, monkeypatch):
+        # [1, 0, N]: the strict window holds up to N = 3 and B_4 fails from N = 4.
+        def no_engine(c, horizon=None):
+            raise AssertionError(f"engine run on {c}")
+
+        monkeypatch.setattr(brown, "check_completeness", no_engine)
+        assert max_last([1, 0]) == 3
+
+    # Horizon None, or 2L-1 + extra folded into [2L-1, 4L].
+    @settings(deadline=None)
+    @example([], 0)  # L = 1: B_1 = 0 is the only gap through 2L-1, so no bracket from above
+    @example([1], 1)  # horizon 4: unknown inside the bracket
+    @example([1, 0, 0, 0], 6)  # horizon 15
+    @example([1, 0, 0, 0, 0], None)  # B_11, inside the window, rises with N
+    @example([1, 3], 0)
+    @example([1, 0, 3, 0], 0)  # B_5 = 0 for every N: never a strict window
+    @example([1, 0, 3, 1, 0], None)  # B_5 < 0, yet B_6..B_11 > 0 at N = 1
+    @given(st.one_of(st.just([]),
+                     st.builds(lambda c1, mid: [c1, *mid], st.integers(1, 4),
+                               st.lists(st.sampled_from([0, 0, 0, 1, 1, 2, 3]), max_size=8))),
+           st.none() | st.integers(0, 40))
+    def test_matches_probing_every_member(self, prefix, extra):
+        L = len(prefix) + 1
+        horizon = None if extra is None else 2 * L - 1 + extra % (2 * L + 2)
+        assert max_last(prefix, horizon) == reference_max_last(prefix, horizon)
 
 
 class TestClassifyFamily:
