@@ -144,6 +144,11 @@ class RootBracket:
         return lo, lo if self.exact_root is not None else lo + (1 << (bits - self.bits))
 
 
+#: Bits below the root's leading bit at which ``_bisect`` seeds its cell: a
+#: float names the root to about 52, and the other 6 absorb rounding.
+_SEED_BITS = 46
+
+
 def _bisect(poly: CharPoly, a: int, bits: int, n: int) -> int:
     """Numerator over 2^(bits+n) of the cell n halvings of [a, a+1]/2^bits end in.
 
@@ -151,24 +156,27 @@ def _bisect(poly: CharPoly, a: int, bits: int, n: int) -> int:
     is [a*2^n + j, a*2^n + j + 1] / 2^(bits+n); bisection keeps the sign
     pattern, so it ends in the one cell with p(left) < 0 <= p(right).  That
     cell is unique because p changes sign once on the positive axis.  A
-    float Newton estimate proposes j and two exact sign evaluations accept
-    it; otherwise integer bisection finds j.
+    float Newton estimate proposes the cell m <= n levels down whose width
+    is about _SEED_BITS bits below the root's leading bit (finer cells are
+    narrower than a float ulp), two exact sign evaluations accept it, and
+    integer bisection finds the remaining n - m levels inside it; a
+    rejected proposal leaves all n levels to integer bisection.
     """
-    a, den = a << n, 1 << (bits + n)
-
-    def sign(i: int) -> int:  # sign of p at grid point i
-        return poly.sign_at(a + i, den)
-
     # The check costs two sign evaluations, so a seed pays only past n = 2.
-    j = _seed_cell(poly, a, den, n) if n > 2 else None
-    if j is None or not sign(j) < 0 <= sign(j + 1):
-        j, k = 0, 1 << n
-        while k - j > 1:
-            mid = (j + k) // 2
-            if sign(mid) < 0:
-                j = mid
-            else:
-                k = mid
+    m = min(n, max(3, _SEED_BITS + 1 - a.bit_length()))
+    if m > 2:
+        s, den = a << m, 1 << (bits + m)
+        j = _seed_cell(poly, s, den, m)
+        if j is not None and poly.sign_at(s + j, den) < 0 <= poly.sign_at(s + j + 1, den):
+            a, bits, n = s + j, bits + m, n - m
+    a, den = a << n, 1 << (bits + n)
+    j, k = 0, 1 << n
+    while k - j > 1:
+        mid = (j + k) // 2
+        if poly.sign_at(a + mid, den) < 0:
+            j = mid
+        else:
+            k = mid
     return a + j
 
 
@@ -282,14 +290,17 @@ def least_root(
 ) -> Optional[tuple[Coefficients, RootBracket]]:
     """The first vector with the least principal root, and its bracket.
 
-    Ties keep the earlier vector; None when there are no vectors.
+    Ties keep the earlier vector; None when there are no vectors.  Each
+    root is held as its integer unit cell and ``compare_roots`` refines two
+    cells only until they separate; the winner alone is then refined to
+    ``tol``, which gives exactly ``principal_root(winner, tol)``.
     """
     best: Optional[tuple[Coefficients, RootBracket]] = None
     for c in vectors:
-        bracket = principal_root(c, tol)
+        bracket = _integer_bracket(CharPoly(c))
         if best is None or compare_roots(bracket, best[1]) < 0:
             best = c, bracket
-    return best
+    return None if best is None else (best[0], best[1].refined(tol))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +386,8 @@ def min_root_in_pls(
     """Minimizer of the principal root over vectors of length L, sum S+1.
 
     The minimum is attained by [1, 0^(L-2), S]; with ``verify`` the whole
-    class is enumerated and minimality is asserted by exact comparison.
+    class is enumerated and minimality is asserted by exact comparison with
+    each vector's integer unit cell, refined only until the roots separate.
     """
     if L < 1 or S < 1:
         raise ValueError(f"need L >= 1 and S >= 1, got L={L}, S={S}")
@@ -385,7 +397,7 @@ def min_root_in_pls(
         for v in vectors_with_sum(L, S + 1):
             if v == claimed:
                 continue
-            if compare_roots(bracket, principal_root(v, tol)) > 0:
+            if compare_roots(bracket, _integer_bracket(CharPoly(v))) > 0:
                 raise AssertionError(f"{v} has a smaller principal root than {claimed}")
     return claimed, bracket
 
@@ -513,13 +525,44 @@ class DensenessReport:
     epsilon_met: Optional[bool]
 
 
+#: Depth of the cell next to the previous root that ``_sparse_roots`` starts from.
+_WALK_BITS = 8
+
+
+def _sparse_roots(L: int, ks: range, tol: Fraction) -> list[RootBracket]:
+    """``principal_root(sparse_vector(L, k), tol)`` for each k of ``ks``, ascending.
+
+    p_k(x) = p_{k-1}(x) - 1, so root k exceeds root k-1 and p_k < 0 at the
+    lower end of root k-1's cell.  Root k therefore starts from root k-1's
+    cell at depth _WALK_BITS and walks up cell by cell until p_k >= 0 at the
+    right end; refining that cell gives the unique cell of ``refined``.
+    """
+    brackets = [principal_root(sparse_vector(L, ks[0]), tol)] if ks else []
+    for k in ks[1:]:
+        poly, prev = CharPoly(sparse_vector(L, k)), brackets[-1]
+        d = min(_WALK_BITS, prev.bits)
+        m = prev.num >> (prev.bits - d)
+        while (s := poly.sign_at(m + 1, 1 << d)) < 0:
+            m += 1
+        if s == 0:  # a rational root of a monic integer polynomial is an integer
+            r = (m + 1) >> d
+            brackets.append(RootBracket(poly, r, 0, exact_root=r))
+        else:
+            brackets.append(RootBracket(poly, m, d).refined(tol))
+    return brackets
+
+
 def denseness_scan(
     L: int,
     epsilon: Optional[float] = None,
     tol=DEFAULT_TOL,
     budget: int = 1 << 16,
 ) -> DensenessReport:
-    """Sweep the sparse family's roots from the threshold up to exactly 2."""
+    """Sweep the sparse family's roots from the threshold up to exactly 2.
+
+    Each root starts from a coarse cell next to the previous one, since the
+    roots increase in k (p_k = p_{k-1} - 1); see ``_sparse_roots``.
+    """
     if L < 2:
         raise ValueError(f"need L >= 2, got {L}")
     if epsilon is not None and epsilon <= 0:
@@ -530,7 +573,7 @@ def denseness_scan(
     count = k_max - k_min + 1
     if count > budget:
         raise CostCap(f"{count} roots exceed budget {budget}")
-    brackets = [principal_root(sparse_vector(L, k), tol) for k in range(k_min, k_max + 1)]
+    brackets = _sparse_roots(L, range(k_min, k_max + 1), tol)
 
     increasing = True
     for a, b in zip(brackets, brackets[1:]):

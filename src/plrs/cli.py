@@ -279,10 +279,14 @@ def _scan_2l1_one(c: Coefficients, horizon: Optional[int]):
     return None
 
 
-def _run_parallel(worker, tasks, jobs: int):
+def _check_jobs(jobs: int) -> int:
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(tasks) < 64:
+    return jobs
+
+
+def _run_parallel(worker, tasks, jobs: int):
+    if _check_jobs(jobs) == 1 or len(tasks) < 64:
         return [worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (jobs * 8))))
@@ -337,10 +341,12 @@ def _cmd_min_root(args) -> tuple[dict, dict | str, int]:
     if L < 2 or cap < 2:
         raise ValueError("need --L >= 2 and --sum-cap >= 2")
     tol = _tolerance(args.tol)
-    config = {"command": "min-root", "L": L, "sum_cap": cap, "jobs": args.jobs,
+    # --jobs is validated and echoed, but the engine runs serially: a
+    # worker pool lost to one process at every size measured.
+    config = {"command": "min-root", "L": L, "sum_cap": cap, "jobs": _check_jobs(args.jobs),
               "tol": float(tol), "format": args.format}
     tasks = [c for total in range(2, cap + 1) for c in core.vectors_with_sum(L, total)]
-    kinds = [v.kind for v in _run_parallel(brown.check_completeness, tasks, args.jobs)]
+    kinds = [brown.check_completeness(c).kind for c in tasks]
     incomplete = sorted((c for c, kind in zip(tasks, kinds) if kind == brown.INCOMPLETE),
                         key=lambda c: c.values)
     undecided = [list(c.values) for c, kind in zip(tasks, kinds) if kind == brown.UNKNOWN]

@@ -24,7 +24,7 @@ from plrs import (
     validate,
 )
 from plrs.analytic import least_root
-from plrs.core import generate_terms
+from plrs.core import generate_terms, vectors_with_sum
 from helpers import quadratic_root, reference_bisect, reference_root
 
 vectors = st.one_of(
@@ -273,6 +273,38 @@ class TestLeastRoot:
     def test_no_vectors(self):
         assert least_root([]) is None
 
+    @settings(deadline=None)
+    @given(
+        st.lists(st.one_of(vectors, st.sampled_from(
+            [(1, 0, 4), (1, 1, 2), (2,), (1, 1), (1, 0, 1, 1), (1, 0, 0, 6)])), max_size=8),
+        tolerances,
+    )
+    @example([(1, 0, 4), (1, 1, 2), (2,), (1, 0, 4)], Fraction(1, 10**12))  # root 2 thrice
+    @example([(1, 1), (3,), (1, 0, 1, 1), (1, 1)], Fraction(1, 10**15))  # phi thrice
+    def test_matches_refining_every_root(self, drawn, tol):
+        # The reference refines every root to tol, then keeps the first minimum.
+        cs = [validate(v) for v in drawn]
+        expected = None
+        for c in cs:
+            bracket = principal_root(c, tol)
+            if expected is None or compare_roots(bracket, expected[1]) < 0:
+                expected = c, bracket
+        assert least_root(cs, tol) == expected
+
+    def test_refines_only_the_winner(self, monkeypatch):
+        seeds = []
+        seed_cell = analytic._seed_cell
+
+        def recorded(*args):
+            seeds.append(args)
+            return seed_cell(*args)
+
+        monkeypatch.setattr(analytic, "_seed_cell", recorded)
+        cs = [c for total in range(2, 11) for c in vectors_with_sum(4, total)]
+        c, bracket = least_root(cs)
+        assert len(seeds) <= 1
+        assert (c, bracket) == (validate([1, 0, 0, 1]), principal_root(c))
+
 
 class TestRootOrderGap:
     @pytest.mark.parametrize("L,k", [(3, 3), (4, 5), (10, 30)])
@@ -310,6 +342,17 @@ class TestDensenessScan:
     def test_budget_cap(self):
         with pytest.raises(CostCap):
             denseness_scan(18, budget=1 << 10)
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10), Fraction(1, 10**12)])
+    @pytest.mark.parametrize("L", range(2, 12))
+    def test_roots_are_principal_roots(self, L, tol):
+        # Each root starts next to the previous one and still ends in the
+        # cell principal_root isolates; k = 1 starts below the scanned range.
+        ks = range(1, 2 ** (L - 1) + 1)
+        expected = [principal_root(analytic.sparse_vector(L, k), tol) for k in ks]
+        assert analytic._sparse_roots(L, ks, tol) == expected
+        r = denseness_scan(L, tol=tol)
+        assert r.roots == tuple((k, expected[k - 1].approx) for k in range(r.k_min, r.k_max + 1))
 
 
 class TestRootMonotonicity:
@@ -450,6 +493,33 @@ class TestRootIsolationProperties:
         finally:
             analytic._seed_cell = seed_cell
         assert len(proposals) == 1
+        assert (b.lo, b.hi) == expected
+
+    @settings(deadline=None)
+    @given(vectors, st.integers(15, 60))
+    @example((21, 1), 15)
+    @example((1, 1), 30)
+    def test_grids_finer_than_a_float_match_reference(self, values, digits):
+        c, tol = validate(values), Fraction(1, 10**digits)
+        b = principal_root(c, tol)
+        assert (b.lo, b.hi) == reference_root(c, tol)
+
+    @pytest.mark.parametrize("values,digits,budget", [((21, 1), 15, 20), ((1, 1), 30, 60)])
+    def test_seed_at_the_depth_a_float_resolves(self, monkeypatch, values, digits, budget):
+        # The float seed names the cell about 46 bits below the root's
+        # leading bit; only the levels past it are bisected.
+        c, tol = validate(values), Fraction(1, 10**digits)
+        expected = reference_root(c, tol)
+        calls = []
+        sign_at = CharPoly.sign_at
+
+        def counted(self, *args):
+            calls.append(args)
+            return sign_at(self, *args)
+
+        monkeypatch.setattr(CharPoly, "sign_at", counted)
+        b = principal_root(c, tol)
+        assert len(calls) <= budget
         assert (b.lo, b.hi) == expected
 
     @settings(deadline=None)

@@ -436,6 +436,36 @@ class TestMinRoot:
         assert payload["frontier"] == [1, 0, 4]
         assert payload["frontier_root"] == 2.0
 
+    def test_runs_serially_at_any_jobs(self, capsys, monkeypatch):
+        # --jobs is echoed, but min-root never starts a worker pool.
+        _, serial, _ = run_json(capsys, "min-root", "--L", "4", "--sum-cap", "8", "--jobs", "1")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("min-root started a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        code, parallel, _ = run_json(capsys, "min-root", "--L", "4", "--sum-cap", "8",
+                                     "--jobs", "2")
+        assert code == 0
+        assert (serial["config"].pop("jobs"), parallel["config"].pop("jobs")) == (1, 2)
+        assert serial == parallel
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
+with open(os.path.join(GOLDEN_DIR, "roots_jobs.txt")) as fh:
+    GOLDEN_JOBS = {name: argv for name, *argv in map(str.split, fh)}
+
+
+@pytest.mark.parametrize("name", GOLDEN_JOBS)
+def test_root_reports_match_goldens(capsys, name):
+    # The reports of the benchmark's root jobs, byte for byte, as written by
+    # the implementation that refined every candidate root to tol.
+    code, out, _ = run(capsys, *GOLDEN_JOBS[name])
+    with open(os.path.join(GOLDEN_DIR, f"{name}.stdout")) as fh:
+        assert out == fh.read()
+    with open(os.path.join(GOLDEN_DIR, f"{name}.exit")) as fh:
+        assert code == int(fh.read())
+
 
 @pytest.mark.parametrize("command", [["min-root", "--L", "3", "--sum-cap", "5", "--jobs", "1"],
                                      ["dense", "--L", "5"]])
