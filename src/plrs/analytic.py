@@ -16,6 +16,12 @@ for tests and independent re-checks.  A float may propose a bracket, but
 only an integer sign evaluation accepts it; otherwise floats appear only in
 display helpers.  Tolerances control bracket width, not any verdict logic.
 
+Sign evaluations past length 8 and the float seed visit only the nonzero
+coefficients (``CharPoly.taps``) and jump across runs of zeros with powers,
+so a sparse vector [1, 0^(L-2), N] costs two steps, not L.
+``CharPoly.eval`` stays the dense ``Fraction`` Horner over every
+coefficient: it is the independent re-check of the roots found here.
+
 The triage test classifies fast: p(2) < 0 proves incompleteness (the root
 exceeds 2, too fast to be complete), while a root certified below the
 lambda threshold of the same length is conjecturally complete.  Roots in
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -57,11 +63,39 @@ def _as_fraction(tol) -> Fraction:
     return tol
 
 
-@dataclass(frozen=True)
+#: Length up to which ``sign_at`` walks every coefficient: building and
+#: keeping the taps of a short polynomial costs more than the zeros they
+#: skip, and ``min-root`` builds thousands of polynomials of length 3 to 5.
+_DENSE_L = 8
+
+
+@dataclass(frozen=True, slots=True)
 class CharPoly:
-    """Characteristic polynomial p(x) = x^L - sum c_i x^(L-i)."""
+    """Characteristic polynomial p(x) = x^L - sum c_i x^(L-i).
+
+    ``eval`` walks every coefficient with exact rationals; ``sign_at`` (past
+    length _DENSE_L) and ``_seed_cell`` walk ``taps``, the nonzero
+    coefficients only.
+    """
 
     coefficients: Coefficients
+    _taps: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def taps(self) -> tuple[int, ...]:
+        """i - j, c_i for each nonzero c_i, where c_j is the previous one (j = 0 first).
+
+        One flat tuple (g_1, c_1, g_2, c_2, ...), built on first use and kept:
+        a bracket holds its polynomial, and ``dense`` holds thousands.
+        """
+        if self._taps is None:
+            taps, j = [], 0
+            for i, ci in enumerate(self.coefficients.values, start=1):
+                if ci:
+                    taps += (i - j, ci)
+                    j = i
+            object.__setattr__(self, "_taps", tuple(taps))
+        return self._taps
 
     def eval(self, t: Rational) -> Rational:
         """Exact value of p(t) for rational t (int in, int out)."""
@@ -71,12 +105,30 @@ class CharPoly:
         return acc
 
     def sign_at(self, num: int, den: int = 1) -> int:
-        """Sign of p(num/den) using integer arithmetic only."""
-        acc = 1
-        dp = 1
-        for ci in self.coefficients.values:
-            dp *= den
-            acc = acc * num - ci * dp
+        """Sign of p(num/den) for den >= 1, using integer arithmetic only.
+
+        den^L p(num/den) = num^L - sum c_i num^(L-i) den^i by Horner, over
+        every coefficient up to length _DENSE_L and over ``taps`` past it:
+        there a run of g - 1 zeros is one factor num^g, and c_i meets den^i,
+        a shift when den is a power of two.  The last tap is c_L (validated
+        nonzero), so no factor of num is left over.
+        """
+        values = self.coefficients.values
+        if len(values) <= _DENSE_L:
+            acc = dp = 1
+            for ci in values:
+                dp *= den
+                acc = acc * num - ci * dp
+        else:
+            acc, i = 1, 0
+            shift = den.bit_length() - 1
+            dyadic = den == 1 << shift
+            it = iter(self.taps)
+            for g, ci in zip(it, it):
+                i += g
+                acc = (acc * num if g == 1 else acc * num**g) - (
+                    ci << shift * i if dyadic else ci * den**i
+                )
         return (acc > 0) - (acc < 0)
 
 
@@ -123,14 +175,14 @@ class RootBracket:
 
     def refined(self, tol) -> "RootBracket":
         """Bisect further until the width is at most ``tol``."""
-        tol = _as_fraction(tol)
-        # Bisection halves until the width first drops to tol = p/q, so it
-        # takes the least n with 2^-(bits+n) <= p/q, i.e. q <= p * 2^(bits+n).
-        q, p = tol.denominator, tol.numerator << self.bits
-        n = max(0, q.bit_length() - p.bit_length() - 1)
-        while p << n < q:
-            n += 1
-        return self._split(n)
+        return self._split(max(0, _depth(tol) - self.bits))
+
+    def _at(self, bits: int) -> "RootBracket":
+        # The cell at depth ``bits``.  A finer cell lies inside one cell of
+        # each coarser grid, and that cell keeps the sign pattern.
+        if self.exact_root is None and bits < self.bits:
+            return RootBracket(self.poly, self.num >> (self.bits - bits), bits)
+        return self._split(bits - self.bits)
 
     def _split(self, n: int) -> "RootBracket":
         # The cell that n halvings end in; an exact root is its own cell.
@@ -142,6 +194,17 @@ class RootBracket:
         # (lo, hi) as numerators over 2^bits, for bits >= self.bits.
         lo = self.num << (bits - self.bits)
         return lo, lo if self.exact_root is not None else lo + (1 << (bits - self.bits))
+
+
+def _depth(tol) -> int:
+    """The least depth d >= 0 whose cells are at most ``tol`` wide."""
+    tol = _as_fraction(tol)
+    # 2^-d <= tol = p/q, i.e. q <= p * 2^d.
+    q, p = tol.denominator, tol.numerator
+    d = max(0, q.bit_length() - p.bit_length() - 1)
+    while p << d < q:
+        d += 1
+    return d
 
 
 #: Bits below the root's leading bit at which ``_bisect`` seeds its cell: a
@@ -187,18 +250,29 @@ def _seed_cell(poly: CharPoly, a: int, den: int, n: int) -> Optional[int]:
     f(x) = p(x) / x^L = 1 - sum c_i x^(-i), whose powers cannot overflow
     for x >= 1 (a coefficient beyond the float range can).  f is increasing
     and concave for x > 0, so from the lower end each step climbs towards
-    the root without passing it (up to rounding).  The estimate is only a
-    proposal: ``_bisect`` accepts it by exact sign evaluation.
+    the root without passing it (up to rounding).  Each step walks the
+    nonzero taps only, jumping across zeros with a power of y = 1/x.  The
+    estimate is only a proposal: ``_bisect`` accepts it by exact sign
+    evaluation.
     """
     try:
-        cs = [float(ci) for ci in reversed(poly.coefficients.values)]
+        # h(y) by Horner from c_L down to c_1 over the taps: a jump of g
+        # multiplies by y^g, and h' picks up g h y^(g-1).
+        gaps, cs = poly.taps[::2], poly.taps[1::2]
+        top = float(cs[-1])
+        steps = [(gaps[j + 1], float(cs[j])) for j in reversed(range(len(cs) - 1))]
         x = a / den
         for _ in range(100):  # unconverged, the seed fails its sign check
             y = 1.0 / x
-            h = dh = 0.0  # h(y) = c_1 + c_2 y + ... + c_L y^(L-1), and h'
-            for ci in cs:
-                dh = dh * y + h
-                h = h * y + ci
+            h, dh = top, 0.0  # h(y) = c_1 + c_2 y + ... + c_L y^(L-1), and h'
+            for g, ci in steps:
+                if g == 1:
+                    dh = dh * y + h
+                    h = h * y + ci
+                else:
+                    yg = y ** (g - 1)
+                    dh = (dh * y + g * h) * yg
+                    h = h * y * yg + ci
             # f(x) = 1 - y h(y) and f'(x) = (h + y h') y^2, with y = 1/x.
             nxt = x - (1.0 - y * h) / ((h + y * dh) * y * y)
             if not nxt > x:  # converged, or nan
@@ -264,24 +338,31 @@ def compare_roots(a: RootBracket, b: RootBracket, max_rounds: int = 1000) -> int
     Decides by refining the brackets until they separate; equal roots are
     recognized through the polynomial gcd instead of looping forever.
     """
+    return _separate(a, b, max_rounds)[0]
+
+
+def _separate(
+    a: RootBracket, b: RootBracket, max_rounds: int = 1000
+) -> tuple[int, RootBracket, RootBracket]:
+    # ``compare_roots`` with the cells it refined.  Each round splits the
+    # coarser cell (both at equal depth) by two levels.
     if a.exact_root is not None and b.exact_root is not None:
-        return (a.exact_root > b.exact_root) - (a.exact_root < b.exact_root)
+        return (a.exact_root > b.exact_root) - (a.exact_root < b.exact_root), a, b
     if a.exact_root is not None:
-        s = b.poly.sign_at(a.exact_root)
-        return s  # p_b(r_a) > 0 iff r_a > r_b
+        return b.poly.sign_at(a.exact_root), a, b  # p_b(r_a) > 0 iff r_a > r_b
     if b.exact_root is not None:
-        s = a.poly.sign_at(b.exact_root)
-        return -s
+        return -a.poly.sign_at(b.exact_root), a, b
     for round_no in range(max_rounds):
         bits = max(a.bits, b.bits)
         (a_lo, a_hi), (b_lo, b_hi) = a._ends(bits), b._ends(bits)
         if a_hi <= b_lo:
-            return -1
+            return -1, a, b
         if b_hi <= a_lo:
-            return 1
+            return 1, a, b
         if round_no % 16 == 8 and _roots_equal(a, b):
-            return 0
-        a, b = a._split(2), b._split(2)
+            return 0, a, b
+        low = min(a.bits, b.bits)
+        a, b = (a._split(2) if a.bits == low else a), (b._split(2) if b.bits == low else b)
     raise RuntimeError("root comparison failed to converge")
 
 
@@ -291,16 +372,20 @@ def least_root(
     """The first vector with the least principal root, and its bracket.
 
     Ties keep the earlier vector; None when there are no vectors.  Each
-    root is held as its integer unit cell and ``compare_roots`` refines two
-    cells only until they separate; the winner alone is then refined to
-    ``tol``, which gives exactly ``principal_root(winner, tol)``.
+    root starts as its integer unit cell and ``_separate`` refines two
+    cells only until they separate; the current minimum keeps its refined
+    cell, and the winner alone is then brought to the depth of ``tol``,
+    which gives exactly ``principal_root(winner, tol)``.
     """
     best: Optional[tuple[Coefficients, RootBracket]] = None
     for c in vectors:
         bracket = _integer_bracket(CharPoly(c))
-        if best is None or compare_roots(bracket, best[1]) < 0:
+        if best is None:
             best = c, bracket
-    return None if best is None else (best[0], best[1].refined(tol))
+            continue
+        s, bracket, kept = _separate(bracket, best[1])
+        best = (c, bracket) if s < 0 else (best[0], kept)
+    return None if best is None else (best[0], best[1]._at(_depth(tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +594,9 @@ class DensenessReport:
     The range is empty at L = 2 and holds the single root 2 at L = 3, so
     ``max_gap`` and ``max_gap_at`` are None below two roots (and
     ``epsilon_met`` holds vacuously), and ``covered`` is None without a root.
+    ``max_gap_at`` is k_min once the gaps are certified to shrink, and
+    ``max_gap`` is the gap of the displayed midpoints there; ``epsilon_met``
+    compares exact cell ends with epsilon, never the floats.
     """
 
     L: int
@@ -565,7 +653,7 @@ def denseness_scan(
     """
     if L < 2:
         raise ValueError(f"need L >= 2, got {L}")
-    if epsilon is not None and epsilon <= 0:
+    if epsilon is not None and not epsilon > 0:  # nan too
         raise ValueError("epsilon must be positive")
     tol = _as_fraction(tol)
     n_l = ((L * (L + 1)) + 3) // 4
@@ -590,20 +678,45 @@ def denseness_scan(
             break
         work[i : i + 3] = shrunk
 
+    # Certified shrinking gaps put the largest first; otherwise the float
+    # midpoints pick the one displayed, and every gap meets epsilon exactly.
     gaps = [b.approx - a.approx for a, b in zip(brackets, brackets[1:])]
-    max_gap = max(gaps, default=None)
-    report = DensenessReport(
+    at = 0 if decreasing or not gaps else gaps.index(max(gaps))
+    return DensenessReport(
         L=L,
         k_min=k_min,
         k_max=k_max,
         roots=tuple((k_min + i, b.approx) for i, b in enumerate(brackets)),
-        max_gap=max_gap,
-        max_gap_at=None if max_gap is None else k_min + gaps.index(max_gap),
+        max_gap=gaps[at] if gaps else None,
+        max_gap_at=k_min + at if gaps else None,
         covered=(brackets[0].approx, brackets[-1].approx) if brackets else None,
         increasing_certified=increasing,
         gaps_decreasing_certified=decreasing,
         terminal_root_exact_two=bool(brackets) and brackets[-1].exact_root == 2,
         epsilon=epsilon,
-        epsilon_met=None if epsilon is None else all(g < epsilon for g in gaps),
+        epsilon_met=None if epsilon is None else all(
+            _gap_below(a, b, epsilon)
+            for a, b in zip(brackets, brackets[1:2] if decreasing else brackets[1:])
+        ),
     )
-    return report
+
+
+def _gap_below(a: RootBracket, b: RootBracket, epsilon: float) -> bool:
+    """Whether the gap between the roots of ``a`` < ``b`` is below ``epsilon``.
+
+    Both cells are refined until the gap's bounds [b.lo - a.hi, b.hi - a.lo]
+    lie on one side of epsilon; exact integer comparisons decide.
+    """
+    if epsilon == math.inf:
+        return True
+    epsilon = Fraction(epsilon)
+    for _ in range(200):
+        bits = max(a.bits, b.bits)
+        (a_lo, a_hi), (b_lo, b_hi) = a._ends(bits), b._ends(bits)
+        scaled = epsilon.numerator << bits  # epsilon * 2^bits * q
+        if (b_hi - a_lo) * epsilon.denominator < scaled:
+            return True
+        if (b_lo - a_hi) * epsilon.denominator >= scaled:
+            return False
+        a, b = a._split(2), b._split(2)
+    raise RuntimeError("gap certification against epsilon failed to converge")

@@ -131,14 +131,24 @@ def is_complete(values) -> bool:
     return definite_oracle(validate(values)).kind == brown.COMPLETE
 
 
+def reference_sign(poly: CharPoly, num: int, den: int = 1) -> int:
+    """Sign of p(num/den) from den^L p(num/den), one step per coefficient, zeros included."""
+    acc = dp = 1
+    for ci in poly.coefficients.values:
+        dp *= den
+        acc = acc * num - ci * dp
+    return (acc > 0) - (acc < 0)
+
+
 def reference_bisect(poly: CharPoly, lo: Fraction, hi: Fraction, tol: Fraction):
     """Plain Fraction bisection of [lo, hi] down to width <= tol.
 
     Keeps p(lo) < 0 <= p(hi); the reference for the integer root isolation.
+    Signs come from ``reference_sign``, not from ``CharPoly.sign_at``.
     """
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if poly.sign_at(mid.numerator, mid.denominator) < 0:
+        if reference_sign(poly, mid.numerator, mid.denominator) < 0:
             lo = mid
         else:
             hi = mid

@@ -1,3 +1,4 @@
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from plrs import (
 )
 from plrs.analytic import least_root
 from plrs.core import generate_terms, vectors_with_sum
-from helpers import quadratic_root, reference_bisect, reference_root
+from helpers import quadratic_root, reference_bisect, reference_root, reference_sign
 
 vectors = st.one_of(
     st.tuples(st.integers(1, 50)),
@@ -67,6 +68,86 @@ class TestCharPolyEval:
             exact = poly.eval(Fraction(num, den))
             sign = (exact > 0) - (exact < 0)
             assert poly.sign_at(num, den) == sign
+
+
+def _with_runs(first, runs):
+    # [first] followed by each run of zeros and the nonzero entry that ends it.
+    values = [first]
+    for zeros, ci in runs:
+        values += [0] * zeros + [ci]
+    return tuple(values)
+
+
+# Long runs of zeros (L up to about 1100), short runs past the dense cut-off
+# of sign_at (L up to 49), or short vectors.
+tap_vectors = st.one_of(
+    st.builds(_with_runs, st.integers(1, 2**70),
+              st.lists(st.tuples(st.integers(200, 550), st.integers(1, 2**70)),
+                       min_size=1, max_size=2)),
+    st.builds(_with_runs, st.integers(1, 50),
+              st.lists(st.tuples(st.integers(0, 3), st.integers(1, 50)),
+                       min_size=3, max_size=12)),
+    vectors,
+)
+numerators = st.one_of(
+    st.just(0), st.integers(-(2**48), -1), st.integers(1, 2**48), st.integers(2**60, 2**64)
+)
+denominators = st.one_of(st.integers(1, 2**40), st.integers(0, 40).map(lambda k: 1 << k))
+
+
+@st.composite
+def points(draw):
+    # (num, den): anywhere, or within 2.5 of 0, where the sign of p changes.
+    den = draw(denominators)
+    near = st.floats(-2.5, 2.5).map(lambda x: round(x * den))
+    return draw(st.one_of(numerators, near)), den
+
+
+class TestTapKernel:
+    """``sign_at`` over the nonzero taps against the dense evaluations."""
+
+    def test_taps_skip_zeros(self):
+        assert CharPoly(validate([3, 0, 0, 5, 0, 7])).taps == (1, 3, 3, 5, 2, 7)
+        assert CharPoly(validate([4])).taps == (1, 4)
+
+    @settings(deadline=None, max_examples=200)
+    @given(tap_vectors, points())
+    @example((1, *[0] * 1022, 2**512 + 1), (-(2**40) - 1, 2**40))  # odd power of a negative
+    @example((2, 0, 0, 1), (-3, 7))
+    @example((1, *[0] * 511, 5), (0, 3))
+    def test_sign_matches_fraction_eval(self, values, point):
+        (num, den), poly = point, CharPoly(validate(values))
+        exact = poly.eval(Fraction(num, den))
+        assert poly.sign_at(num, den) == (exact > 0) - (exact < 0)
+
+    @pytest.mark.parametrize("L", [513, 1024])
+    def test_long_roots_match_reference(self, L):
+        lam = lambda_threshold(L)
+        assert (lam.root.lo, lam.root.hi) == reference_root(lam.root.poly.coefficients,
+                                                            analytic.DEFAULT_TOL)
+        c = validate([1] + [0] * (L - 2) + [(1 << (L // 2)) + 2 * L + 1])
+        tol = Fraction(1, 10**15)
+        b = principal_root(c, tol)
+        assert (b.lo, b.hi) == reference_root(c, tol)
+
+    @pytest.mark.parametrize("N", [300, 262401])
+    def test_long_triage_costs_less_than_two_dense_evaluations(self, monkeypatch, N):
+        # Triage (p(2), an uncached threshold root and one sign at it) and a
+        # 40-bit root of [1, 0^1022, N] take about half as long as one sign
+        # evaluation over all L coefficients at a 40-bit point; evaluating
+        # over all coefficients, they took about seven times as long.  The
+        # budget is measured in this process, so it scales with the machine.
+        c = validate([1] + [0] * 1022 + [N])
+        poly, num = CharPoly(c), (3 << 40) // 2 + 12345
+
+        def run():
+            monkeypatch.setattr(analytic, "_lambda_cache", {})
+            triage(c)
+            principal_root(c)
+
+        dense = min(timeit.repeat(lambda: reference_sign(poly, num, 1 << 40), number=1, repeat=5))
+        cost = min(timeit.repeat(run, number=1, repeat=5))
+        assert cost < 2 * dense
 
 
 class TestPrincipalRoot:
@@ -291,6 +372,23 @@ class TestLeastRoot:
                 expected = c, bracket
         assert least_root(cs, tol) == expected
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_winner_refined_past_tol_is_widened_back(self, order):
+        # phi and the root of [1, 1, 0^20, 1] differ by about 2e-5, so the
+        # comparison refines phi's cell far past a tol of 1/2.
+        phi = validate([1, 1])
+        cs = [phi, validate([1, 1, *[0] * 20, 1])][::order]
+        tol = Fraction(1, 2)
+        assert least_root(cs, tol) == (phi, principal_root(phi, tol))
+
+    def test_separate_returns_the_refined_cells(self):
+        a = analytic._integer_bracket(CharPoly(validate([1, 1])))
+        b = analytic._integer_bracket(CharPoly(validate([1, 1, *[0] * 20, 1])))
+        s, a2, b2 = analytic._separate(a, b)
+        assert s == compare_roots(a, b) == -1
+        assert a2.bits > 10 and a2.hi <= b2.lo
+        assert a2 == a._split(a2.bits) and b2 == b._split(b2.bits)
+
     def test_refines_only_the_winner(self, monkeypatch):
         seeds = []
         seed_cell = analytic._seed_cell
@@ -342,6 +440,25 @@ class TestDensenessScan:
     def test_budget_cap(self):
         with pytest.raises(CostCap):
             denseness_scan(18, budget=1 << 10)
+
+    @pytest.mark.parametrize("L", [6, 9, 11])
+    @pytest.mark.parametrize("tol", [Fraction(1, 10), Fraction(1, 10**12)])
+    def test_epsilon_is_decided_by_exact_gaps(self, L, tol):
+        # The largest gap is the first; epsilon just above or below it is
+        # decided the same way at any tol.
+        k_min = analytic.lambda_threshold(L).max_complete_n + 1
+        (q_lo, _), (_, r_hi) = (reference_root(analytic.sparse_vector(L, k), Fraction(1, 10**30))
+                                for k in (k_min, k_min + 1))
+        gap = float(r_hi - q_lo)
+        for epsilon, met in ((gap * (1 + 1e-9), True), (gap * (1 - 1e-9), False)):
+            r = denseness_scan(L, epsilon=epsilon, tol=tol)
+            assert r.max_gap_at == k_min
+            assert r.epsilon_met is met
+
+    def test_epsilon_bounds(self):
+        with pytest.raises(ValueError):
+            denseness_scan(5, epsilon=float("nan"))
+        assert denseness_scan(5, epsilon=float("inf")).epsilon_met is True
 
     @pytest.mark.parametrize("tol", [Fraction(1, 10), Fraction(1, 10**12)])
     @pytest.mark.parametrize("L", range(2, 12))

@@ -458,8 +458,10 @@ with open(os.path.join(GOLDEN_DIR, "roots_jobs.txt")) as fh:
 
 @pytest.mark.parametrize("name", GOLDEN_JOBS)
 def test_root_reports_match_goldens(capsys, name):
-    # The reports of the benchmark's root jobs, byte for byte, as written by
-    # the implementation that refined every candidate root to tol.
+    # Byte for byte: the reports of the benchmark's root jobs, as written by
+    # the implementation that refined every candidate root to tol, and of
+    # check with and without --triage-first on long sparse vectors, as
+    # written by the dense sign evaluation over all L coefficients.
     code, out, _ = run(capsys, *GOLDEN_JOBS[name])
     with open(os.path.join(GOLDEN_DIR, f"{name}.stdout")) as fh:
         assert out == fh.read()
@@ -507,6 +509,18 @@ class TestDense:
         code, out, _ = run(capsys, "dense", "--L", "6", "--tol", "0.1")
         assert code == 0
         assert "# gaps_decreasing_certified: True" in out.splitlines()
+
+    def test_coarse_tolerance_keeps_the_epsilon_verdict(self, capsys):
+        # Cells of width 1/16 cannot show gaps near 0.0034; the first gap is
+        # the largest, and its exact cell ends decide epsilon.
+        code, out, _ = run(capsys, "dense", "--L", "11", "--tol", "0.1", "--epsilon", "0.01")
+        assert code == 0
+        lines = out.splitlines()
+        assert "# epsilon_met: True" in lines
+        assert [l for l in lines if l.startswith("# max_gap: ")][0].endswith(" at k=34")
+        _, fine, _ = run(capsys, "dense", "--L", "11", "--epsilon", "0.01")
+        assert "# max_gap: 0.003412394082 at k=34" in fine.splitlines()
+        assert "# epsilon_met: True" in fine.splitlines()
 
     def test_length_two_has_no_roots(self, capsys):
         code, out, _ = run(capsys, "dense", "--L", "2")
