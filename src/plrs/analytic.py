@@ -18,7 +18,10 @@ display helpers.  Tolerances control bracket width, not any verdict logic.
 
 Sign evaluations past length 8 and the float seed visit only the nonzero
 coefficients (``CharPoly.taps``) and jump across runs of zeros with powers,
-so a sparse vector [1, 0^(L-2), N] costs two steps, not L.
+so a sparse vector [1, 0^(L-2), N] costs two steps, not L.  The denseness
+sweep over the family [1, 0^(L-2), k] needs no polynomial objects at all:
+every root is a cell of one grid 2^-d, accepted by the closed form
+2^(dL) p_k(j / 2^d) = j^(L-1) (j - 2^d) - k 2^(dL) in integers.
 ``CharPoly.eval`` stays the dense ``Fraction`` Horner over every
 coefficient: it is the independent re-check of the roots found here.
 
@@ -31,10 +34,11 @@ between land in an indeterminate band where gap arithmetic must decide.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import brown
 from .core import Coefficients, validate, vectors, vectors_with_sum
@@ -249,10 +253,13 @@ def _seed_cell(poly: CharPoly, a: int, den: int, n: int) -> Optional[int]:
     Cell j is [a + j, a + j + 1] / den.  Newton's method on
     f(x) = p(x) / x^L = 1 - sum c_i x^(-i), whose powers cannot overflow
     for x >= 1 (a coefficient beyond the float range can).  f is increasing
-    and concave for x > 0, so from the lower end each step climbs towards
-    the root without passing it (up to rounding).  Each step walks the
-    nonzero taps only, jumping across zeros with a power of y = 1/x.  The
-    estimate is only a proposal: ``_bisect`` accepts it by exact sign
+    and concave for x > 0, so from below the root each step climbs towards
+    it without passing it (up to rounding).  The climb starts at the larger
+    of the lower end and max c_i^(1/i): p(x) <= x^(L-i) (x^i - c_i) < 0
+    below c_i^(1/i), and from there a tap that dominates the others needs a
+    few steps, not a slow climb from a cell end far below.  Each step walks
+    the nonzero taps only, jumping across zeros with a power of y = 1/x.
+    The estimate is only a proposal: ``_bisect`` accepts it by exact sign
     evaluation.
     """
     try:
@@ -261,7 +268,8 @@ def _seed_cell(poly: CharPoly, a: int, den: int, n: int) -> Optional[int]:
         gaps, cs = poly.taps[::2], poly.taps[1::2]
         top = float(cs[-1])
         steps = [(gaps[j + 1], float(cs[j])) for j in reversed(range(len(cs) - 1))]
-        x = a / den
+        x = max(a / den, *(math.exp(math.log(ci) / i)
+                           for i, ci in zip(itertools.accumulate(gaps), cs)))
         for _ in range(100):  # unconverged, the seed fails its sign check
             y = 1.0 / x
             h, dh = top, 0.0  # h(y) = c_1 + c_2 y + ... + c_L y^(L-1), and h'
@@ -596,7 +604,9 @@ class DensenessReport:
     ``epsilon_met`` holds vacuously), and ``covered`` is None without a root.
     ``max_gap_at`` is k_min once the gaps are certified to shrink, and
     ``max_gap`` is the gap of the displayed midpoints there; ``epsilon_met``
-    compares exact cell ends with epsilon, never the floats.
+    compares exact cell ends with epsilon, never the floats.  All roots are
+    cells of one dyadic grid, each accepted by a closed-form integer check
+    (``_sparse_roots``), and the certificates compare their integer ends.
     """
 
     L: int
@@ -613,31 +623,98 @@ class DensenessReport:
     epsilon_met: Optional[bool]
 
 
-#: Depth of the cell next to the previous root that ``_sparse_roots`` starts from.
-_WALK_BITS = 8
+def _sparse_roots(L: int, ks: range, tol: Fraction) -> tuple[int, list[int], list[int]]:
+    """Cells of the roots of [1, 0^(L-2), k] for k in ``ks`` (ascending), on one grid.
 
+    Returns (d, los, his) with d the depth of ``tol``: root i lies in
+    [los[i], his[i]] / 2^d, the cell of ``principal_root(sparse_vector(L, k),
+    tol)``.  Either his[i] = los[i] + 1 and p_k changes sign strictly inside,
+    or his[i] = los[i] and the root is that integer.
 
-def _sparse_roots(L: int, ks: range, tol: Fraction) -> list[RootBracket]:
-    """``principal_root(sparse_vector(L, k), tol)`` for each k of ``ks``, ascending.
-
-    p_k(x) = p_{k-1}(x) - 1, so root k exceeds root k-1 and p_k < 0 at the
-    lower end of root k-1's cell.  Root k therefore starts from root k-1's
-    cell at depth _WALK_BITS and walks up cell by cell until p_k >= 0 at the
-    right end; refining that cell gives the unique cell of ``refined``.
+    With den = 2^d, den^L p_k(j/den) = g(j) - k den^L for g(j) = j^(L-1) (j -
+    den), so cell j is the one with g(j) < k den^L <= g(j + 1), and equality
+    there is an exact root.  The first root comes from ``principal_root``.
+    Each later root is a float proposal of ``_sparse_newton``, started from
+    the previous root plus the previous gap, which two integer evaluations
+    accept (``_grid_cell``).  Since p_k = p_{k-1} - 1, the previous cell's
+    left end lies below the root and bounds the proposal and the exact
+    search that replaces a wrong one.  No polynomial or bracket object is
+    built past the first root.
     """
-    brackets = [principal_root(sparse_vector(L, ks[0]), tol)] if ks else []
+    d = _depth(tol)
+    if not ks:
+        return d, [], []
+    first = principal_root(sparse_vector(L, ks[0]), tol)
+    lo = first.num << (d - first.bits)
+    los, his = [lo], [lo if first.exact_root is not None else lo + 1]
+    den, x = 1 << d, first.approx
+    prev = x  # no gap is known before the second root
+    step = den >> _SEED_BITS or 1  # about the error of a float in cells
+
+    def g(j: int) -> int:
+        return j ** (L - 1) * (j - den)
+
     for k in ks[1:]:
-        poly, prev = CharPoly(sparse_vector(L, k)), brackets[-1]
-        d = min(_WALK_BITS, prev.bits)
-        m = prev.num >> (prev.bits - d)
-        while (s := poly.sign_at(m + 1, 1 << d)) < 0:
-            m += 1
-        if s == 0:  # a rational root of a monic integer polynomial is an integer
-            r = (m + 1) >> d
-            brackets.append(RootBracket(poly, r, 0, exact_root=r))
+        x, prev = _sparse_newton(L, k, 2 * x - prev), x  # one more gap lands past the root
+        try:
+            n, m = x.as_integer_ratio()
+            j = max(lo, (n << d) // m)
+        except (OverflowError, ValueError):  # inf or nan
+            j = lo
+        j, hit = _grid_cell(g, k << d * L, lo, j, step)
+        lo = j + hit  # an exact root is the point j + 1
+        los.append(lo)
+        his.append(lo if hit else lo + 1)
+    return d, los, his
+
+
+def _sparse_newton(L: int, k: int, x: float) -> float:
+    """Float root of x^(L-1) (x - 1) = k by Newton's method from x >= 1.
+
+    The function is increasing and convex past 1, so the steps descend to
+    the root from above it, and from below the first step lands above it.
+    The result is a proposal only; ``_grid_cell`` accepts or replaces it
+    exactly.
+    """
+    for _ in range(16):
+        y = x ** (L - 2)
+        step = (y * x * (x - 1) - k) / (y * (L * x - (L - 1)))
+        x -= step
+        if abs(step) < 1e-9 * x:  # the error left is about L * step^2
+            break
+    return x
+
+
+def _grid_cell(
+    g: Callable[[int], int], target: int, lo: int, j: int, step: int
+) -> tuple[int, bool]:
+    """The c >= lo with g(c) < target <= g(c + 1), and whether g(c + 1) == target.
+
+    Requires g(lo) < target and j >= lo, where g - target has the sign of
+    p at the grid points from lo on (one sign change).  Two evaluations
+    accept the guess j.  A wrong guess starts an exact gallop away from it,
+    by steps that begin at ``step`` and double, and bisection finishes
+    inside the last step.
+    """
+    if g(j) >= target:
+        hi = j
+        while hi - step > lo and g(hi - step) >= target:
+            hi, step = hi - step, 2 * step
+        lo = max(lo, hi - step)
+    elif (top := g(j + 1)) >= target:
+        return j, top == target
+    else:
+        lo = j + 1
+        while g(lo + step) < target:
+            lo, step = lo + step, 2 * step
+        hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if g(mid) < target:
+            lo = mid
         else:
-            brackets.append(RootBracket(poly, m, d).refined(tol))
-    return brackets
+            hi = mid
+    return lo, g(hi) == target
 
 
 def denseness_scan(
@@ -648,8 +725,13 @@ def denseness_scan(
 ) -> DensenessReport:
     """Sweep the sparse family's roots from the threshold up to exactly 2.
 
-    Each root starts from a coarse cell next to the previous one, since the
-    roots increase in k (p_k = p_{k-1} - 1); see ``_sparse_roots``.
+    Every root is a cell of one grid of depth ``_depth(tol)`` (see
+    ``_sparse_roots``), and the certificates read the integer cell ends:
+    roots increase where one cell ends at or below the next one's start,
+    and gaps shrink where 2 r_lo > q_hi + s_hi.  Only a pair or triple
+    that the grid does not separate (at a coarse ``tol``), and the gaps
+    checked against ``epsilon``, become ``RootBracket``s for
+    ``compare_roots``, ``_certify_gap_shrink`` and ``_gap_below``.
     """
     if L < 2:
         raise ValueError(f"need L >= 2, got {L}")
@@ -661,42 +743,51 @@ def denseness_scan(
     count = k_max - k_min + 1
     if count > budget:
         raise CostCap(f"{count} roots exceed budget {budget}")
-    brackets = _sparse_roots(L, range(k_min, k_max + 1), tol)
+    d, los, his = _sparse_roots(L, range(k_min, k_max + 1), tol)
+    brackets: dict[int, RootBracket] = {}  # root i, refined as far as a check took it
 
-    increasing = True
-    for a, b in zip(brackets, brackets[1:]):
-        if compare_roots(a, b) != -1:
-            increasing = False
-            break
+    def bracket(i: int) -> RootBracket:
+        if i not in brackets:
+            poly = CharPoly(sparse_vector(L, k_min + i))
+            r = los[i] >> d
+            brackets[i] = (RootBracket(poly, r, 0, exact_root=r) if los[i] == his[i]
+                           else RootBracket(poly, los[i], d))
+        return brackets[i]
 
-    decreasing = True
-    work = list(brackets)
-    for i in range(len(work) - 2):
-        shrunk = _certify_gap_shrink(*work[i : i + 3])
+    def shrinks(i: int) -> bool:
+        if 2 * los[i + 1] > his[i] + his[i + 2]:
+            return True
+        shrunk = _certify_gap_shrink(bracket(i), bracket(i + 1), bracket(i + 2))
         if shrunk is None:
-            decreasing = False
-            break
-        work[i : i + 3] = shrunk
+            return False
+        brackets.update(zip(range(i, i + 3), shrunk))
+        return True
+
+    n = len(los)
+    increasing = all(his[i] <= los[i + 1] or compare_roots(bracket(i), bracket(i + 1)) == -1
+                     for i in range(n - 1))
+    decreasing = all(map(shrinks, range(n - 2)))
 
     # Certified shrinking gaps put the largest first; otherwise the float
     # midpoints pick the one displayed, and every gap meets epsilon exactly.
-    gaps = [b.approx - a.approx for a, b in zip(brackets, brackets[1:])]
+    approx = [(lo + hi) / (2 << d) for lo, hi in zip(los, his)]
+    gaps = [b - a for a, b in zip(approx, approx[1:])]
     at = 0 if decreasing or not gaps else gaps.index(max(gaps))
     return DensenessReport(
         L=L,
         k_min=k_min,
         k_max=k_max,
-        roots=tuple((k_min + i, b.approx) for i, b in enumerate(brackets)),
+        roots=tuple(zip(range(k_min, k_max + 1), approx)),
         max_gap=gaps[at] if gaps else None,
         max_gap_at=k_min + at if gaps else None,
-        covered=(brackets[0].approx, brackets[-1].approx) if brackets else None,
+        covered=(approx[0], approx[-1]) if approx else None,
         increasing_certified=increasing,
         gaps_decreasing_certified=decreasing,
-        terminal_root_exact_two=bool(brackets) and brackets[-1].exact_root == 2,
+        terminal_root_exact_two=n > 0 and los[-1] == his[-1] == 2 << d,
         epsilon=epsilon,
         epsilon_met=None if epsilon is None else all(
-            _gap_below(a, b, epsilon)
-            for a, b in zip(brackets, brackets[1:2] if decreasing else brackets[1:])
+            _gap_below(bracket(i), bracket(i + 1), epsilon)
+            for i in range(min(1, n - 1) if decreasing else n - 1)
         ),
     )
 

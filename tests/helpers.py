@@ -11,8 +11,8 @@ import itertools
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-from plrs import brown, oracle
-from plrs.analytic import CharPoly
+from plrs import analytic, brown, oracle
+from plrs.analytic import CharPoly, compare_roots, principal_root
 from plrs.core import Coefficients, validate
 
 getcontext().prec = 60
@@ -176,6 +176,45 @@ def reference_root(c: Coefficients, tol: Fraction):
     if poly.eval(hi) == 0:
         return Fraction(hi), Fraction(hi)
     return reference_bisect(poly, Fraction(lo), Fraction(hi), tol)
+
+
+def reference_denseness_scan(L: int, epsilon, tol) -> analytic.DensenessReport:
+    """``denseness_scan`` from one ``principal_root`` bracket per k.
+
+    Roots increase by ``compare_roots`` on each pair; gaps shrink by
+    ``_certify_gap_shrink`` on each triple, whose refined brackets carry on
+    to the next; epsilon is decided by ``_gap_below`` on the first gap, or
+    on every gap without the shrink certificate.
+    """
+    k_min, k_max = (L * (L + 1) + 3) // 4 + 1, 2 ** (L - 1)
+    brackets = [principal_root(analytic.sparse_vector(L, k), tol) for k in range(k_min, k_max + 1)]
+    increasing = all(compare_roots(a, b) == -1 for a, b in zip(brackets, brackets[1:]))
+    decreasing, work = True, list(brackets)
+    for i in range(len(work) - 2):
+        shrunk = analytic._certify_gap_shrink(*work[i : i + 3])
+        if shrunk is None:
+            decreasing = False
+            break
+        work[i : i + 3] = shrunk
+    gaps = [b.approx - a.approx for a, b in zip(brackets, brackets[1:])]
+    at = 0 if decreasing or not gaps else gaps.index(max(gaps))
+    checked = zip(brackets, brackets[1:2] if decreasing else brackets[1:])
+    return analytic.DensenessReport(
+        L=L,
+        k_min=k_min,
+        k_max=k_max,
+        roots=tuple((k_min + i, b.approx) for i, b in enumerate(brackets)),
+        max_gap=gaps[at] if gaps else None,
+        max_gap_at=k_min + at if gaps else None,
+        covered=(brackets[0].approx, brackets[-1].approx) if brackets else None,
+        increasing_certified=increasing,
+        gaps_decreasing_certified=decreasing,
+        terminal_root_exact_two=bool(brackets) and brackets[-1].exact_root == 2,
+        epsilon=epsilon,
+        epsilon_met=None if epsilon is None else all(
+            analytic._gap_below(a, b, epsilon) for a, b in checked
+        ),
+    )
 
 
 # Reference copies of the eager term growth, gap engine and oracle scan that

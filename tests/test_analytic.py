@@ -1,3 +1,4 @@
+import math
 import timeit
 from fractions import Fraction
 
@@ -26,7 +27,13 @@ from plrs import (
 )
 from plrs.analytic import least_root
 from plrs.core import generate_terms, vectors_with_sum
-from helpers import quadratic_root, reference_bisect, reference_root, reference_sign
+from helpers import (
+    quadratic_root,
+    reference_bisect,
+    reference_denseness_scan,
+    reference_root,
+    reference_sign,
+)
 
 vectors = st.one_of(
     st.tuples(st.integers(1, 50)),
@@ -129,6 +136,25 @@ class TestTapKernel:
         tol = Fraction(1, 10**15)
         b = principal_root(c, tol)
         assert (b.lo, b.hi) == reference_root(c, tol)
+
+    @pytest.mark.parametrize("N", [2**512 + 2049, 2**1000 + 7], ids=["2^512+2049", "2^1000+7"])
+    def test_one_dominant_tap_seeds_in_a_few_steps(self, monkeypatch, N):
+        # Newton starts at N^(1/L), below the root; from the lower end of
+        # the unit cell it gained a factor of about 1 + 1/L per step, ran
+        # out of steps, and left all 40 levels to bisection (44 signs).
+        c = validate([1] + [0] * 1022 + [N])
+        calls = []
+        sign_at = CharPoly.sign_at
+
+        def counted(self, *args):
+            calls.append(args)
+            return sign_at(self, *args)
+
+        monkeypatch.setattr(CharPoly, "sign_at", counted)
+        b = principal_root(c)
+        assert len(calls) <= 6
+        monkeypatch.undo()
+        assert (b.lo, b.hi) == reference_root(c, analytic.DEFAULT_TOL)
 
     @pytest.mark.parametrize("N", [300, 262401])
     def test_long_triage_costs_less_than_two_dense_evaluations(self, monkeypatch, N):
@@ -463,13 +489,120 @@ class TestDensenessScan:
     @pytest.mark.parametrize("tol", [Fraction(1, 10), Fraction(1, 10**12)])
     @pytest.mark.parametrize("L", range(2, 12))
     def test_roots_are_principal_roots(self, L, tol):
-        # Each root starts next to the previous one and still ends in the
-        # cell principal_root isolates; k = 1 starts below the scanned range.
+        # Each root is proposed next to the previous one and still ends in
+        # the cell principal_root isolates, at the same depth, and the exact
+        # root 2 is a point; k = 1 starts below the scanned range.
         ks = range(1, 2 ** (L - 1) + 1)
         expected = [principal_root(analytic.sparse_vector(L, k), tol) for k in ks]
-        assert analytic._sparse_roots(L, ks, tol) == expected
+        d, los, his = analytic._sparse_roots(L, ks, tol)
+        assert len(los) == len(his) == len(ks)
+        for b, lo, hi in zip(expected, los, his):
+            if b.exact_root is None:
+                assert (lo, hi, d) == (b.num, b.num + 1, b.bits)
+            else:
+                assert (lo, hi, b.bits) == (b.exact_root << d, b.exact_root << d, 0)
+        assert expected[-1].exact_root == 2
         r = denseness_scan(L, tol=tol)
         assert r.roots == tuple((k, expected[k - 1].approx) for k in range(r.k_min, r.k_max + 1))
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        st.integers(2, 12),
+        st.none() | st.floats(1e-6, 0.1),
+        st.one_of(
+            st.integers(1, 8).map(Fraction),  # one unit cell holds every root below 2
+            st.just(Fraction(1, 10)),
+            st.integers(1, 80).map(lambda e: Fraction(1, 2**e)),
+            st.integers(1, 25).map(lambda e: Fraction(1, 10**e)),
+        ),
+    )
+    @example(11, 0.01, Fraction(1, 10))
+    @example(9, None, Fraction(4))
+    def test_matches_reference_sweep(self, L, epsilon, tol):
+        # At a coarse tol the grid separates few roots, and the pairs and
+        # triples it leaves open go through compare_roots and
+        # _certify_gap_shrink as in the reference.
+        assert denseness_scan(L, epsilon, tol) == reference_denseness_scan(L, epsilon, tol)
+
+    @pytest.mark.parametrize("L", [9, 12])
+    @pytest.mark.parametrize(
+        "wrong",
+        [lambda x, den: x + 3 / den, lambda x, den: math.nan, lambda x, den: -x],
+        ids=["plus3cells", "nan", "negative"],
+    )
+    def test_wrong_proposals_fall_back_to_exact_search(self, monkeypatch, L, wrong):
+        expected = denseness_scan(L)
+        den = 1 << analytic._depth(analytic.DEFAULT_TOL)
+        newton, proposals = analytic._sparse_newton, []
+
+        def proposal(*args):
+            proposals.append(wrong(newton(*args), den))
+            return proposals[-1]
+
+        monkeypatch.setattr(analytic, "_sparse_newton", proposal)
+        assert denseness_scan(L) == expected
+        assert len(proposals) == expected.k_max - expected.k_min
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10), Fraction(1, 2**14), analytic.DEFAULT_TOL])
+    def test_brackets_only_where_the_cells_do_not_separate(self, monkeypatch, tol):
+        # The grid decides every pair and triple that principal_root's cells
+        # separate; exactly the others go to compare_roots and
+        # _certify_gap_shrink (at tol 1/10, 103 of 109 pairs and 108 of 108
+        # triples; at 2^-14, no pair and 94 triples; at 1e-12, none).
+        L = 8
+        k_min = lambda_threshold(L).max_complete_n + 1
+        cells = [principal_root(analytic.sparse_vector(L, k), tol)
+                 for k in range(k_min, 2 ** (L - 1) + 1)]
+        expected = {
+            "compare_roots": sum(a.hi > b.lo for a, b in zip(cells, cells[1:])),
+            "_certify_gap_shrink": sum(2 * r.lo <= q.hi + s.hi
+                                       for q, r, s in zip(cells, cells[1:], cells[2:])),
+        }
+        calls = dict.fromkeys(expected, 0)
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(analytic, name)):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(analytic, name, counted)
+        r = denseness_scan(L, tol=tol)
+        assert r.increasing_certified and r.gaps_decreasing_certified
+        assert calls == expected
+
+    @settings(deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 300), st.integers(0, 300),
+           st.integers(1, 64), st.booleans())
+    def test_grid_cell_matches_a_linear_scan(self, L, d, m, guess, step, exact):
+        # Any guess at or above lo, any first gallop step, and targets that
+        # the closed form hits exactly at a grid point or misses.
+        den = 1 << d
+
+        def g(j):
+            return j ** (L - 1) * (j - den)
+
+        target = g(den + 1 + m) - (not exact)
+        c = den  # g(den) = 0 < target
+        while g(c + 1) < target:
+            c += 1
+        assert analytic._grid_cell(g, target, den, den + guess, step) == (c, g(c + 1) == target)
+
+    def test_sign_evaluations_only_for_the_first_root(self, monkeypatch):
+        # Past the first root, every cell is accepted by the closed form on
+        # the grid, and every pair and triple separates there at the default tol.
+        first = analytic.sparse_vector(12, lambda_threshold(12).max_complete_n + 1)
+        seen = []
+        sign_at = CharPoly.sign_at
+
+        def counted(self, *args):
+            seen.append(self.coefficients)
+            return sign_at(self, *args)
+
+        monkeypatch.setattr(CharPoly, "sign_at", counted)
+        principal_root(first)
+        alone = len(seen)
+        seen.clear()
+        denseness_scan(12)
+        assert seen == [first] * alone
 
 
 class TestRootMonotonicity:
