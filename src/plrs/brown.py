@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .core import Coefficients, TermSequence, generate_terms, validate
+from .core import Coefficients, TermSequence, _next_terms, generate_terms, validate
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
@@ -169,17 +169,12 @@ def first_failure_index(c: Coefficients, horizon: int) -> Optional[int]:
     """Smallest n <= horizon with B_n < 0, or None if there is no failure."""
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    t = generate_terms(c, min(2 * c.L + 1, horizon))
-    running = n = 0
-    while True:
-        for h in t.terms[n:]:
-            n += 1
-            if 1 + running - h < 0:
-                return n
-            running += h
-        if n == horizon:
-            return None
-        t = t.extended(min(2 * n, horizon))  # read on: double the prefix
+    running = 0
+    for n, h in zip(range(1, horizon + 1), _next_terms(c.values, [])):
+        if h > 1 + running:
+            return n
+        running += h
+    return None
 
 
 def window_survivors(ranges: Sequence[range], window: int) -> Iterator[Coefficients]:
@@ -228,12 +223,9 @@ def window_survivors(ranges: Sequence[range], window: int) -> Iterator[Coefficie
 def _passes_through(values: list[int], terms: list[int], running: int, window: int) -> bool:
     # Extends `terms` (H_1..H_n, with n >= L and `running` their sum) term by
     # term, and is False at the first B_m < 0 with m <= window.
-    taps = [(ci, -i) for i, ci in enumerate(values, start=1) if ci]
-    for _ in range(len(terms), window):
-        h = sum(ci * terms[j] for ci, j in taps)
+    for _, h in zip(range(len(terms), window), _next_terms(values, terms)):
         if h > 1 + running:
             return False
-        terms.append(h)
         running += h
     return True
 
@@ -244,14 +236,38 @@ def last_coefficient_window(prefix: Sequence[int]) -> tuple[tuple[int, int], ...
     Returns the pairs (a_n, s_n), n = 1..2L, with B_n = a_n + s_n*N for
     every N >= 1.  N = c_L first enters at H_{L+1} = ... + N*H_1, and a term
     H_{n+1} with n < 2L multiplies N only by H_{n+1-L}, which is free of N;
-    so H_1..H_{2L} are affine in N, and N^2 first appears in H_{2L+1}.  Two
-    term prefixes, at N = 1 and N = 2, fix every line.  s_n = 0 for n <= L,
-    s_{L+1} = -1, and later slopes may have either sign.
+    so H_1..H_{2L} are affine in N, and N^2 first appears in H_{2L+1}.  One
+    pass builds H_n = p_n + q_n*N.  For n < L, q_{n+1} = 0 and p_{n+1} =
+    1 + c_1*p_n + ... + c_n*p_1; past it p_{n+1} = sum c_i*p_{n+1-i} and
+    q_{n+1} = sum c_i*q_{n+1-i} + p_{n+1-L}, over i < L.  Two running sums
+    give a_n and s_n.  s_n = 0 for n <= L, s_{L+1} = -1, and later slopes
+    may have either sign.
     """
-    L = len(prefix) + 1
-    at_1 = gap_trace(generate_terms(validate([*prefix, 1]), 2 * L)).gaps
-    at_2 = gap_trace(generate_terms(validate([*prefix, 2]), 2 * L)).gaps
-    return tuple((2 * b1 - b2, b2 - b1) for b1, b2 in zip(at_1, at_2))
+    values = validate([*prefix, 1]).values[:-1]  # raises as the vector would
+    L = len(values) + 1
+    taps = [(ci, i) for i, ci in enumerate(values, start=1) if ci]
+    p: list[int] = []
+    q = [0] * L
+    lines = []
+    sum_p = sum_q = 0  # of p_1..p_n and q_1..q_n
+    for n in range(2 * L):  # H_{n+1}
+        if n < L:
+            p_n, q_n = 1, 0
+            for ci, i in taps:
+                if i > n:
+                    break
+                p_n += ci * p[n - i]
+        else:
+            p_n, q_n = 0, p[n - L]
+            for ci, i in taps:
+                p_n += ci * p[n - i]
+                q_n += ci * q[n - i]
+            q.append(q_n)
+        p.append(p_n)
+        lines.append((1 + sum_p - p_n, sum_q - q_n))
+        sum_p += p_n
+        sum_q += q_n
+    return tuple(lines)
 
 
 def engine_horizon(L: int, horizon: Optional[int] = None) -> int:
@@ -284,48 +300,40 @@ def check_completeness(
        conjectural (the 2L-1 shortcut is an open conjecture).
     5. otherwise unknown; the horizon is reported.
 
-    The gaps are read in one pass, and the prefix is built only as far as
-    it is read, so an early verdict costs only the terms before it.  The
-    horizon is ``engine_horizon(L, horizon)``.
+    Each term is grown as the gap scan reaches it, in the same pass: H_n
+    only once B_{n-1} has been read, so an early verdict costs only the
+    terms before it, and H_{h+1} is never built.  The horizon h is
+    ``engine_horizon(L, horizon)``.
     """
     L = c.L
     h = engine_horizon(L, horizon)
-
-    t = generate_terms(c, min(2 * L + 1, h + 1))
-    terms = t.terms  # H_n is terms[n - 1]
     running = 0  # sum of H_1..H_{n-1}
     strict_ok = True  # B_n > 0 for L <= n <= 2L-1, so far
-    nonneg_margin_run = 0  # consecutive D_j >= 0 ending at the latest margin
+    nonneg_margin_run = 0  # consecutive D_j >= 0 ending at D_{n-1}
     ok_through_2l1 = False
+    h_prev = 0  # H_{n-1}; 0 before H_1 makes "D_0" negative, an empty run
 
-    for n in range(1, h + 1):
-        if n >= len(terms):  # D_n needs H_{n+1}: double the prefix, up to h+1
-            t = t.extended(min(2 * n, h + 1))
-            terms = t.terms
-        h_n = terms[n - 1]
+    for n, h_n in zip(range(1, h + 1), _next_terms(c.values, [])):
         gap = 1 + running - h_n
-        running += h_n
+        # Margin D_{n-1} = 2*H_{n-1} - H_n.  A window [n-L, n-1] of L
+        # non-negative margins with n-L >= L+1, plus B_n >= 0, is a
+        # doubling window at n.
+        if h_n <= 2 * h_prev:
+            nonneg_margin_run += 1
+            if nonneg_margin_run >= L and n >= 2 * L + 1 and gap >= 0:
+                return Verdict(c, COMPLETE, doubling_window(n), False, n)
+        else:
+            nonneg_margin_run = 0
         if gap < 0:
             return Verdict(c, INCOMPLETE, failure(n, witness=gap), False, n)
+        running += h_n
+        h_prev = h_n
         if L <= n <= 2 * L - 1 and gap == 0:
             strict_ok = False
         if n == 2 * L - 1:
             ok_through_2l1 = True  # no failure so far
             if strict_ok and L >= 2:  # the strict-window theorem needs L >= 2
                 return Verdict(c, COMPLETE, strict_window(n), False, n)
-        # Margin D_n = B_{n+1} - B_n, available from the extra term.
-        margin = 2 * h_n - terms[n]
-        if margin >= 0:
-            nonneg_margin_run += 1
-        else:
-            nonneg_margin_run = 0
-        # Window [m-L, m-1] with m = n+1 needs L margins and m-L >= L+1,
-        # plus B_m >= 0, checked at the top of the next iteration.
-        m = n + 1
-        if nonneg_margin_run >= L and m - L >= L + 1 and m <= h:
-            b_m = 1 + running - terms[m - 1]
-            if b_m >= 0:
-                return Verdict(c, COMPLETE, doubling_window(m), False, m)
 
     if assume_2l1 and ok_through_2l1:
         return Verdict(c, COMPLETE, family_rule(RULE_2L1), True, h)

@@ -59,12 +59,12 @@ EXIT_COUNTEREXAMPLE = 4
 
 def _parse_coefficients(text: str) -> Coefficients:
     parts = [p.strip() for p in text.split(",")]
+    if "" in parts:
+        raise ValueError(f"empty field in coefficients {text!r}")
     try:
-        values = [int(p) for p in parts if p != ""]
+        values = [int(p) for p in parts]
     except ValueError:
         raise ValueError(f"coefficients must be comma-separated integers, got {text!r}")
-    if not values:
-        raise ValueError("empty coefficient vector")
     return validate(values)
 
 

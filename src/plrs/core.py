@@ -124,23 +124,31 @@ def _at_most(budget: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _grow(values: tuple[int, ...], terms: list[int], upto: int) -> list[int]:
-    # Extends `terms` in place to `upto` entries following the recurrence.
+def _next_terms(values: Sequence[int], terms: list[int]) -> Iterator[int]:
+    # Appends H_{n+1} to `terms` (H_1..H_n, maybe none) and yields it, without end.
     # Only nonzero coefficients are visited: tap (c_i, -i) reads H_{n+1-i} as terms[-i].
     L = len(values)
     taps = [(ci, -i) for i, ci in enumerate(values, start=1) if ci]
-    for n in range(len(terms), min(upto, L)):  # H_{n+1} = 1 + sum over i <= n
+    for n in range(len(terms), L):  # H_{n+1} = 1 + sum over i <= n
         h = 1
         for ci, j in taps:
             if -j > n:
                 break
             h += ci * terms[j]
         terms.append(h)
-    for _ in range(len(terms), upto):
+        yield h
+    while True:
         h = 0
         for ci, j in taps:
             h += ci * terms[j]
         terms.append(h)
+        yield h
+
+
+def _grow(values: tuple[int, ...], terms: list[int], upto: int) -> list[int]:
+    # Extends `terms` in place to `upto` entries following the recurrence.
+    for _ in zip(range(len(terms), upto), _next_terms(values, terms)):
+        pass
     return terms
 
 

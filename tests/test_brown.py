@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plrs import (
@@ -30,6 +30,12 @@ short_vectors = st.one_of(
     ),
     st.tuples(st.integers(1, 4)),
     st.builds(lambda k, n: (1, *[0] * k, n), st.integers(0, 30), st.integers(1, 300)),
+)
+
+long_sparse_vectors = st.integers(64, 1100).flatmap(
+    lambda L: st.builds(
+        lambda n: (1, *[0] * (L - 2), n), st.integers(2 ** (L // 2 - 1), 2 ** (L - 1) - 1)
+    )
 )
 
 
@@ -181,11 +187,33 @@ class TestLazyPrefixProperties:
         assert first_failure_index(validate(values), horizon) == expected
 
     # The few short vectors whose verdict comes past index 2L+1, where the
-    # prefix must be extended.
+    # whole-prefix engine had to extend its prefix, and horizons 2L-1..2L+1
+    # on both sides of a doubling window at 2L+2.
     @example((1, 0, 3, 0, 3), 20, False)
     @example((1, 1, 0, 3, 0, 2, 3), 30, False)
+    @example((1, 0, 3, 0, 3, 1), 10, False)
+    @example((1, 0, 3, 0, 2, 3), 10, True)
+    @example((1, 1, 0, 3, 0, 3), 10, False)
+    @example((1, 0, 2, 2, 2, 3, 1, 2), 40, True)  # root exactly 2: unknown
+    @example((1, 0, 3, 0, 3), 0, True)
+    @example((1, 0, 3, 0, 3), 1, False)
+    @example((1, 0, 3, 0, 3), 2, False)
+    @example((1, 0, 3, 0, 3), 3, False)
     @given(short_vectors, st.integers(0, 40), st.booleans())
     def test_engine_matches_eager_engine_at_explicit_horizons(self, values, extra, assume):
+        c = validate(values)
+        h = 2 * c.L - 1 + extra
+        got = check_completeness(c, horizon=h, assume_2l1=assume)
+        assert got == reference_check_completeness(c, horizon=h, assume_2l1=assume)
+
+    # Long sparse vectors [1, 0^(L-2), N] with N of L/2 to L-1 bits, as in
+    # the benchmark's queries, at horizons just above 2L-1; small N passes
+    # the strict window instead of failing at B_{L+1}.
+    @example((1, *[0] * 600, 5), 0, False)
+    @example((1, *[0] * 62, 1000), 2, True)
+    @settings(max_examples=15, deadline=None)
+    @given(long_sparse_vectors, st.integers(0, 3), st.booleans())
+    def test_engine_matches_eager_engine_on_long_sparse_vectors(self, values, extra, assume):
         c = validate(values)
         h = 2 * c.L - 1 + extra
         got = check_completeness(c, horizon=h, assume_2l1=assume)
@@ -202,19 +230,33 @@ class TestLazyPrefixProperties:
         assert got == reference_check_completeness(c, horizon=h, assume_2l1=assume)
 
     def test_prefix_grows_only_as_far_as_it_is_read(self, monkeypatch):
-        # [1, 3] fails at index 3: the engine builds 2L + 1 = 5 terms,
-        # not the 1024 + 1 of its default horizon.
-        built = []
-        real = brown.generate_terms
+        # H_n is grown only once B_{n-1} is read, so a verdict at index n
+        # costs exactly H_1..H_n: no 2L+1 prefix up front, no doubling, and
+        # nothing of the horizon past the verdict.
+        grown = []
+        real = brown._next_terms
 
-        def counting(c, n):
-            built.append(n)
-            return real(c, n)
+        def counting(values, terms):
+            for h in real(values, terms):
+                grown.append(h)
+                yield h
 
-        monkeypatch.setattr(brown, "generate_terms", counting)
-        assert check_completeness(validate([1, 3])).kind == INCOMPLETE
-        assert first_failure_index(validate([1, 3]), 500) == 3
-        assert built == [5, 5]
+        monkeypatch.setattr(brown, "_next_terms", counting)
+        for values, horizon, index in [
+            ((1, 3), None, 3),  # fails at B_3
+            ((1, *[0] * 600, 10**6), None, 603),  # fails at B_{L+1}
+            ((1, *[0] * 600, 5), None, 1203),  # strict window at 2L-1
+            ((1, 0, 3, 0, 3), None, 12),  # doubling window past 2L+1
+            ((1, 0, 2, 2, 2, 3, 1, 2), 40, 40),  # unknown: no H_{h+1}
+        ]:
+            grown.clear()
+            v = check_completeness(validate(values), horizon=horizon)
+            assert v.horizon_used == v.certificate.index == index
+            assert grown == list(reference_terms(values, index))
+            grown.clear()
+            expected = index if v.kind == INCOMPLETE else None
+            assert first_failure_index(validate(values), index) == expected
+            assert grown == list(reference_terms(values, index))
 
 
 class TestCheckCompleteness:

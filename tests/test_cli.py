@@ -61,6 +61,15 @@ class TestGen:
         assert payload["config"]["command"] == "gen"
 
 
+@pytest.mark.parametrize("command", [["check"], ["oracle-check"], ["gen", "--n", "3"]])
+@pytest.mark.parametrize("text", ["1,,1", ",1", "1,1,", ","])
+def test_empty_coefficient_field_is_input_error(capsys, command, text):
+    # An empty field is an error, not dropped: "1,,1" is not [1, 1].
+    code, out, err = run(capsys, command[0], text, *command[1:])
+    assert (code, out) == (2, "")
+    assert f"error: empty field in coefficients {text!r}" in err
+
+
 class TestCheck:
     def test_json_contract_fields(self, capsys):
         code, payload, _ = run_json(capsys, "check", "1,3")
@@ -452,16 +461,18 @@ class TestMinRoot:
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
-with open(os.path.join(GOLDEN_DIR, "roots_jobs.txt")) as fh:
+with open(os.path.join(GOLDEN_DIR, "golden_jobs.txt")) as fh:
     GOLDEN_JOBS = {name: argv for name, *argv in map(str.split, fh)}
 
 
 @pytest.mark.parametrize("name", GOLDEN_JOBS)
 def test_root_reports_match_goldens(capsys, name):
     # Byte for byte: the reports of the benchmark's root jobs, as written by
-    # the implementation that refined every candidate root to tol, and of
+    # the implementation that refined every candidate root to tol; of
     # check with and without --triage-first on long sparse vectors, as
-    # written by the dense sign evaluation over all L coefficients.
+    # written by the dense sign evaluation over all L coefficients; and of
+    # the benchmark's sweep jobs and oracle-check, as written by the engine
+    # that built its whole 2L+1-term prefix before reading a gap.
     code, out, _ = run(capsys, *GOLDEN_JOBS[name])
     with open(os.path.join(GOLDEN_DIR, f"{name}.stdout")) as fh:
         assert out == fh.read()
