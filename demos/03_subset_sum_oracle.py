@@ -7,26 +7,18 @@ integer below the next term is missing, it stays missing forever -- a
 self-contained incompleteness witness anyone can re-check by hand.
 """
 
-from plrs import (
-    generate_terms,
-    oracle_verdict,
-    prefix_report,
-    reachable_sums,
-    smallest_unrepresentable,
-    validate,
-)
+from plrs import generate_terms, oracle_verdict, reachable_sums, validate
 
 t = generate_terms(validate([1, 3]), 3)
 mask = reachable_sums(t)
 print("Subset sums of (1, 2, 5):", sorted(s for s in range(9) if mask >> s & 1))
 print("4 is missing, and the next term is 11 -- so 4 is lost for good.\n")
 
-report = prefix_report(validate([1, 3]), 3)
-print("prefix report:", report, "\n")
-
+t = generate_terms(validate([2]), 6)
+mask = reachable_sums(t)
 print("The doubling sequence covers every integer up to its running sum:")
-print("  smallest unrepresentable for [2], 6 terms:",
-      smallest_unrepresentable(validate([2]), 6))
+print(f"  subset sums of {t.terms} reach all of [0, {sum(t.terms)}]:",
+      mask == (1 << sum(t.terms) + 1) - 1)
 
 print("\nOracle verdicts come from one gap-engine run.  Before the first failing")
 print("gap every sum up to the prefix total is reachable, so an incomplete one")

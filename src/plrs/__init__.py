@@ -34,7 +34,6 @@ from .brown import (
     HorizonTooSmall,
     Verdict,
     check_completeness,
-    doubling_holds,
     first_failure_index,
     gap_trace,
     recheck,
@@ -66,11 +65,8 @@ from .families import (
 )
 from .oracle import (
     BudgetExceeded,
-    RepresentabilityReport,
     oracle_verdict,
-    prefix_report,
     reachable_sums,
-    smallest_unrepresentable,
 )
 from .transforms import (
     NonPositiveAppend,

@@ -154,17 +154,6 @@ def gap_trace(t: TermSequence) -> GapTrace:
     return GapTrace(tuple(gaps), tuple(margins))
 
 
-def doubling_holds(t: TermSequence) -> bool:
-    """True iff H_n <= 2*H_{n-1} across the prefix.
-
-    Diagnostic only: on a finite prefix this is neither necessary nor, by
-    itself, sufficient evidence of completeness.
-    """
-    if len(t) < 2:
-        raise ValueError("need at least two terms")
-    return all(b <= 2 * a for a, b in zip(t.terms, t.terms[1:]))
-
-
 def first_failure_index(c: Coefficients, horizon: int) -> Optional[int]:
     """Smallest n <= horizon with B_n < 0, or None if there is no failure."""
     if horizon < 1:
@@ -177,9 +166,18 @@ def first_failure_index(c: Coefficients, horizon: int) -> Optional[int]:
     return None
 
 
-def window_survivors(ranges: Sequence[range], window: int) -> Iterator[Coefficients]:
+def window_survivors(
+    ranges: Sequence[range], window: int
+) -> Iterator[tuple[Coefficients, bool]]:
     """The vectors c of the box ``core.vectors(ranges)`` with
-    ``first_failure_index(c, window) is None``, in the same lexicographic order.
+    ``first_failure_index(c, window) is None``, in the same lexicographic
+    order, each with a flag ``proven``.
+
+    ``proven`` is True when the gaps the walk has read already prove c
+    complete by the strict window: L >= 2, ``window`` reaches 2L-1, and
+    B_n > 0 for L <= n <= 2L-1.  That is exactly when ``check_completeness``
+    returns ``strict_window`` at 2L-1, so such a survivor needs no engine
+    run.  Below a window of 2L-1 no survivor is proven.
 
     The box is walked depth-first by prefix.  For k < L, H_{k+1} depends on
     c_1..c_k alone, so the terms and their running sum are shared by every
@@ -197,10 +195,11 @@ def window_survivors(ranges: Sequence[range], window: int) -> Iterator[Coefficie
     if any(r.step < 0 for r in ranges):
         raise ValueError("ranges must be ascending")
     L = len(ranges)
+    strict_window_read = L >= 2 and window >= 2 * L - 1
     prefix: list[int] = []  # c_1..c_{k-1}
     terms = [1]  # H_1..H_k, the terms the prefix fixes
 
-    def walk(k: int, running: int) -> Iterator[Coefficients]:
+    def walk(k: int, running: int) -> Iterator[tuple[Coefficients, bool]]:
         # Chooses c_k; `running` is H_1 + ... + H_k.
         # H_{k+1} = base + c_k*H_1, with the +1 correction while k < L.
         base = (k < L) + sum(ci * terms[k - i] for i, ci in enumerate(prefix, start=1))
@@ -212,22 +211,33 @@ def window_survivors(ranges: Sequence[range], window: int) -> Iterator[Coefficie
             terms.append(h)
             if k < L:
                 yield from walk(k + 1, running + h)
-            elif _passes_through(prefix, terms, running + h, window):
-                yield Coefficients(tuple(prefix))
+            else:
+                # B_L = 1 + running - 2*H_L and B_{L+1} = 1 + running - h.
+                strict = strict_window_read and 2 * terms[L - 1] <= running and h <= running
+                proven = _passes_through(prefix, terms, running + h, window, strict)
+                if proven is not None:
+                    yield Coefficients(tuple(prefix)), proven
             prefix.pop()
             del terms[k:]  # a leaf may have read on past H_{k+1}
 
     yield from walk(1, 1)
 
 
-def _passes_through(values: list[int], terms: list[int], running: int, window: int) -> bool:
-    # Extends `terms` (H_1..H_n, with n >= L and `running` their sum) term by
-    # term, and is False at the first B_m < 0 with m <= window.
-    for _, h in zip(range(len(terms), window), _next_terms(values, terms)):
-        if h > 1 + running:
-            return False
+def _passes_through(
+    values: list[int], terms: list[int], running: int, window: int, strict: bool
+) -> Optional[bool]:
+    # Extends `terms` (H_1..H_{L+1}, with `running` their sum) term by term,
+    # and is None at the first B_m < 0 with m <= window.  Otherwise it is
+    # `strict` (B_L, B_{L+1} > 0) and B_m > 0 for every m <= 2L-1 it read.
+    last = 2 * len(values) - 1
+    for m, h in zip(range(len(terms) + 1, window + 1), _next_terms(values, terms)):
+        if h > running:  # B_m <= 0
+            if h > 1 + running:
+                return None
+            if m <= last:
+                strict = False
         running += h
-    return True
+    return strict
 
 
 def last_coefficient_window(prefix: Sequence[int]) -> tuple[tuple[int, int], ...]:

@@ -12,6 +12,10 @@ Commands:
                     lambda threshold
 * ``dense``         root sweep of the sparse family toward 2 (CSV)
 
+Every command runs in one process.  ``scan-2l1`` and ``min-root`` accept
+--jobs, reject it below 1 and echo it in the config, but run serially at
+any value.
+
 Exit codes: 0 a report was written (of any kind, ``unknown`` included),
 1 a certificate failed re-validation under --verify (the report is still
 written), 2 input error, including an --out file that cannot be written,
@@ -44,7 +48,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -266,30 +269,12 @@ def _cmd_family_table(args) -> tuple[dict, str, int]:
 # scan-2l1
 
 
-def _scan_2l1_one(c: Coefficients, horizon: Optional[int]):
-    # c already passes the window (brown.window_survivors).
-    verdict = brown.check_completeness(c, horizon=horizon)
-    if verdict.kind == brown.UNKNOWN:
-        verdict = brown.check_completeness(c, horizon=max(4 * c.L, 32) + 1)
-    if verdict.kind == brown.INCOMPLETE:
-        return {"coefficients": list(c.values), "status": "counterexample",
-                "first_failure": verdict.certificate.index}
-    if verdict.kind == brown.UNKNOWN:
-        return {"coefficients": list(c.values), "status": "undecided"}
-    return None
-
-
 def _check_jobs(jobs: int) -> int:
+    # --jobs is validated and echoed, but both searches run serially: a
+    # worker pool lost to one process at every size measured.
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     return jobs
-
-
-def _run_parallel(worker, tasks, jobs: int):
-    if _check_jobs(jobs) == 1 or len(tasks) < 64:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (jobs * 8))))
 
 
 def _cmd_scan_2l1(args) -> tuple[dict, dict | str, int]:
@@ -300,16 +285,26 @@ def _cmd_scan_2l1(args) -> tuple[dict, dict | str, int]:
         raise ValueError(f"--window must be >= 1, got {args.window}")
     window = 2 * L - 1 if args.window is None else args.window
     config = {"command": "scan-2l1", "L": L, "coeff_cap": args.coeff_cap,
-              "window": window, "horizon": args.horizon, "jobs": args.jobs,
+              "window": window, "horizon": args.horizon, "jobs": _check_jobs(args.jobs),
               "format": args.format}
+    # One run at the longer of the --horizon run and the scan's floor
+    # max(4L, 32) + 1 gives what a run at the first and a retry at the
+    # second of an unknown gave: a verdict is found at the same index by
+    # any horizon that reaches it.
+    horizon = max(brown.engine_horizon(L, args.horizon), max(4 * L, 32) + 1)
     edge, inner = range(1, args.coeff_cap + 1), range(args.coeff_cap + 1)
     ranges = [edge] if L == 1 else [edge, *[inner] * (L - 2), edge]
     candidates = math.prod(len(r) for r in ranges)
-    tasks = list(brown.window_survivors(ranges, window))
-    worker = functools.partial(_scan_2l1_one, horizon=args.horizon)
-    results = [r for r in _run_parallel(worker, tasks, args.jobs) if r]  # in task order
-    counterexamples = [r for r in results if r["status"] == "counterexample"]
-    undecided = [r for r in results if r["status"] == "undecided"]
+    counterexamples, undecided = [], []
+    for c, proven in brown.window_survivors(ranges, window):
+        if proven:
+            continue  # complete by the strict window at 2L-1
+        verdict = brown.check_completeness(c, horizon=horizon)
+        if verdict.kind == brown.INCOMPLETE:
+            counterexamples.append({"coefficients": list(c.values), "status": "counterexample",
+                                    "first_failure": verdict.certificate.index})
+        elif verdict.kind == brown.UNKNOWN:
+            undecided.append({"coefficients": list(c.values), "status": "undecided"})
     report = {
         "candidates": candidates,
         "window": window,
@@ -341,8 +336,6 @@ def _cmd_min_root(args) -> tuple[dict, dict | str, int]:
     if L < 2 or cap < 2:
         raise ValueError("need --L >= 2 and --sum-cap >= 2")
     tol = _tolerance(args.tol)
-    # --jobs is validated and echoed, but the engine runs serially: a
-    # worker pool lost to one process at every size measured.
     config = {"command": "min-root", "L": L, "sum_cap": cap, "jobs": _check_jobs(args.jobs),
               "tol": float(tol), "format": args.format}
     tasks = [c for total in range(2, cap + 1) for c in core.vectors_with_sum(L, total)]

@@ -16,9 +16,6 @@ permanently missing value appears at prefix n - 1, and it is S_{n-1} + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from . import brown
 from .core import Coefficients, TermSequence, generate_terms
 
@@ -46,58 +43,6 @@ def reachable_sums(t: TermSequence, budget_bits: int = DEFAULT_BUDGET_BITS) -> i
     for h in t.terms:
         mask |= mask << h
     return mask
-
-
-def _least_missing(mask: int) -> int:
-    # Least s whose bit is unset (s >= 1, as bit 0 is always set): the
-    # lowest zero bit of mask is the highest set bit of mask ^ (mask + 1).
-    return (mask ^ (mask + 1)).bit_length() - 1
-
-
-@dataclass(frozen=True)
-class RepresentabilityReport:
-    """What subset sums of one prefix say about the whole sequence.
-
-    ``smallest_missing`` is the least positive integer not reachable from
-    the prefix (None if [1, reachable_bound] is covered).  When that value
-    is below the next term it can never be reached later either, and it is
-    recorded as ``permanently_missing``: a witness that the full infinite
-    sequence is incomplete.
-    """
-
-    prefix_length: int
-    reachable_bound: int
-    smallest_missing: Optional[int]
-    permanently_missing: Optional[int]
-
-
-def prefix_report(
-    c: Coefficients, prefix_length: int, budget_bits: int = DEFAULT_BUDGET_BITS
-) -> RepresentabilityReport:
-    """Representability report for the first ``prefix_length`` terms."""
-    if prefix_length < 1:
-        raise ValueError("prefix_length must be >= 1")
-    t = generate_terms(c, prefix_length + 1)
-    prefix = TermSequence(c, t.terms[:prefix_length])
-    total = sum(prefix.terms)
-    mask = reachable_sums(prefix, budget_bits)
-    # All of [1, total] reachable still leaves total+1 missing; it is
-    # permanent whenever it is below the next term.
-    effective = _least_missing(mask)
-    missing = effective if effective <= total else None
-    permanent = effective if effective < t.term(prefix_length + 1) else None
-    return RepresentabilityReport(prefix_length, total, missing, permanent)
-
-
-def smallest_unrepresentable(
-    c: Coefficients, prefix_length: int, budget_bits: int = DEFAULT_BUDGET_BITS
-) -> Optional[int]:
-    """Least positive integer that is not a subset sum of the prefix.
-
-    Returns None when every integer in [1, sum of prefix] is reachable.
-    """
-    report = prefix_report(c, prefix_length, budget_bits)
-    return report.smallest_missing
 
 
 def oracle_verdict(c: Coefficients, max_prefix: int) -> brown.Verdict:

@@ -11,7 +11,6 @@ from plrs import (
     HorizonTooSmall,
     brown,
     check_completeness,
-    doubling_holds,
     first_failure_index,
     gap_trace,
     generate_terms,
@@ -73,17 +72,18 @@ class TestGapTrace:
 
 
 class TestDoublingHolds:
+    # The doubling condition H_{n+1} <= 2*H_n is D_n >= 0 for every margin.
     def test_boundary_sequence(self):
-        assert doubling_holds(generate_terms(validate([2]), 4))
+        assert gap_trace(generate_terms(validate([2]), 4)).margins == (0, 0, 0)
 
     def test_violated_yet_complete(self):
         # (1,2,3,5,11): 11 > 2*5 but the sequence is complete anyway.
         t = generate_terms(validate([1, 0, 1, 4]), 5)
-        assert not doubling_holds(t)
+        assert min(gap_trace(t).margins) < 0
         assert check_completeness(validate([1, 0, 1, 4])).kind == COMPLETE
 
     def test_violated_simple(self):
-        assert not doubling_holds(generate_terms(validate([1, 3]), 3))
+        assert min(gap_trace(generate_terms(validate([1, 3]), 3)).margins) < 0
 
 
 class TestFirstFailureIndex:
@@ -114,7 +114,7 @@ class TestWindowSurvivors:
             edge, inner = range(1, cap + 1), range(cap + 1)
             ranges = [edge] if L == 1 else [edge, *[inner] * (L - 2), edge]
             for window in range(1, 2 * L + 6):
-                got = [c.values for c in brown.window_survivors(ranges, window)]
+                got = [c.values for c, _ in brown.window_survivors(ranges, window)]
                 assert got == _passing(ranges, window), (cap, window)
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(1, 3)),
@@ -123,7 +123,7 @@ class TestWindowSurvivors:
     def test_matches_the_filter_on_any_ascending_box(self, specs, window):
         ranges = [range(lo + (i in (0, len(specs) - 1) and not lo), lo + size, step)
                   for i, (lo, size, step) in enumerate(specs)]
-        got = [c.values for c in brown.window_survivors(ranges, window)]
+        got = [c.values for c, _ in brown.window_survivors(ranges, window)]
         assert got == _passing(ranges, window)
 
     def test_only_survivors_are_built_and_no_prefix_regrows(self, monkeypatch):
@@ -142,7 +142,19 @@ class TestWindowSurvivors:
         ranges = [range(1, 5), *[range(5)] * 4, range(1, 5)]
         survivors = list(brown.window_survivors(ranges, 11))
         assert len(survivors) == 297  # of 10,000 vectors; c_1 >= 2 fails at B_2
-        assert built == [c.values for c in survivors]
+        assert built == [c.values for c, _ in survivors]
+
+    @pytest.mark.parametrize("L", range(1, 8))
+    def test_proven_is_the_engines_strict_window(self, L):
+        # Below a window of 2L-1 nothing is proven; from 2L-1 on, a survivor
+        # is proven exactly when the engine certifies it by the strict window.
+        for cap in range(1, 5):
+            edge, inner = range(1, cap + 1), range(cap + 1)
+            ranges = [edge] if L == 1 else [edge, *[inner] * (L - 2), edge]
+            for window in (2 * L - 2, 2 * L - 1, 2 * L + 2):
+                for c, proven in brown.window_survivors(ranges, max(window, 1)):
+                    strict = check_completeness(c).certificate.kind == "strict_window"
+                    assert proven == (window >= 2 * L - 1 and strict), (c, window)
 
     def test_rejects_a_descending_range_and_a_window_below_one(self):
         with pytest.raises(ValueError, match="ascending"):

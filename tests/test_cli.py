@@ -373,12 +373,14 @@ class TestScan2L1:
         assert [1, 3] in [r["coefficients"] for r in payload["counterexamples"]]
         assert "counterexample" in err
 
-    def test_parallel_output_matches_serial(self, capsys):
-        # Of the 2000 candidates at L=5, cap 4, 66 pass the window: enough
-        # to engage the worker pool, which runs the survivors only.
-        box = [range(1, 5), *[range(5)] * 3, range(1, 5)]
-        assert len(list(brown.window_survivors(box, 9))) >= 64
+    def test_parallel_output_matches_serial(self, capsys, monkeypatch):
+        # --jobs is echoed, but scan-2l1 never starts a worker pool.
         _, serial, _ = run(capsys, "scan-2l1", "--L", "5", "--coeff-cap", "4", "--jobs", "1")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("scan-2l1 started a process pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         _, parallel, _ = run(capsys, "scan-2l1", "--L", "5", "--coeff-cap", "4", "--jobs", "2")
         serial = json.loads(serial)
         parallel = json.loads(parallel)
@@ -403,6 +405,21 @@ class TestScan2L1:
         assert code == 0
         assert payload["window"] == payload["config"]["window"] == 5
 
+    def test_engine_runs_only_on_unproven_survivors(self, capsys, monkeypatch):
+        # Of the 6,898 survivors at L=8, cap 4, the walk proves 6,775 complete
+        # by the strict window; the other 123 get one engine run each.
+        runs = []
+        real = brown.check_completeness
+        monkeypatch.setattr(brown, "check_completeness",
+                            lambda *args, **kwargs: runs.append(args) or real(*args, **kwargs))
+        code, payload, _ = run_json(capsys, "scan-2l1", "--L", "8", "--coeff-cap", "4",
+                                    "--jobs", "1")
+        assert code == 0
+        assert payload["undecided"] == [{"coefficients": [1, 0, 2, 2, 2, 3, 1, 2],
+                                         "status": "undecided"}]
+        assert len(runs) == 123
+        assert len({c.values for c, *_ in runs}) == 123
+
     @pytest.mark.parametrize("window", ["0", "-1"])
     def test_window_below_one_is_input_error(self, capsys, window):
         code, out, err = run(capsys, "scan-2l1", "--L", "3", "--coeff-cap", "2",
@@ -412,8 +429,7 @@ class TestScan2L1:
         assert "--window" in err
 
 
-# Fewer than 64 tasks run serially, more go to the worker pool; a scan's
-# tasks are the vectors that pass its window (2 at L=2, cap 2; 66 at L=5, cap 4).
+# --jobs is checked before any work, on a small box and on a larger one.
 @pytest.mark.parametrize("command", [
     ["scan-2l1", "--L", "2", "--coeff-cap", "2"],
     ["scan-2l1", "--L", "5", "--coeff-cap", "4"],
@@ -452,7 +468,7 @@ class TestMinRoot:
         def no_pool(*args, **kwargs):
             raise AssertionError("min-root started a process pool")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         code, parallel, _ = run_json(capsys, "min-root", "--L", "4", "--sum-cap", "8",
                                      "--jobs", "2")
         assert code == 0
@@ -472,7 +488,8 @@ def test_root_reports_match_goldens(capsys, name):
     # check with and without --triage-first on long sparse vectors, as
     # written by the dense sign evaluation over all L coefficients; and of
     # the benchmark's sweep jobs and oracle-check, as written by the engine
-    # that built its whole 2L+1-term prefix before reading a gap.
+    # that built its whole 2L+1-term prefix before reading a gap; and of
+    # scan-2l1 boxes, as written when every survivor went to the engine.
     code, out, _ = run(capsys, *GOLDEN_JOBS[name])
     with open(os.path.join(GOLDEN_DIR, f"{name}.stdout")) as fh:
         assert out == fh.read()
@@ -678,13 +695,15 @@ class TestParserReuse:
         assert cli._build_parser() is cli._build_parser()
 
     def test_import_builds_no_parser(self):
+        # Nor does it load the process-pool machinery, which no command uses.
         src = os.path.dirname(os.path.dirname(plrs.__file__))
         probe = (f"import sys; sys.path.insert(0, {src!r}); import plrs.cli; "
-                 "print(plrs.cli._build_parser.cache_info().currsize)")
+                 "print(plrs.cli._build_parser.cache_info().currsize, "
+                 "'concurrent.futures' in sys.modules)")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "0\n"
+        assert done.stdout == "0 False\n"
 
     def test_option_does_not_carry_over(self, capsys):
         _, first, _ = run_json(capsys, "check", "1,3", "--horizon", "5")

