@@ -34,7 +34,6 @@ print("\nExactness demo: term 500 of [4,4,4,4] has", end=" ")
 big = generate_terms(validate([4, 4, 4, 4]), 500).term(500)
 print(f"{len(str(big))} digits, computed without rounding.")
 
-print("\nPrefixes extend incrementally; the old terms are reused:")
-t = generate_terms(validate([2, 1]), 5)
-print("  5 terms: ", t.terms)
-print("  extended:", t.extended(9).terms)
+print("\nA longer prefix starts with every shorter one:")
+print("  5 terms:", generate_terms(validate([2, 1]), 5).terms)
+print("  9 terms:", generate_terms(validate([2, 1]), 9).terms)

@@ -16,13 +16,13 @@ Anything else within the horizon is an honest "unknown".
 
 import json
 
-from plrs import check_completeness, gap_trace, generate_terms, recheck, validate
+from plrs import check_completeness, generate_terms, recheck, validate
 
-print("Gap trace of [1,3]: the third gap dips negative, so 4 = B_3's")
+print("Gaps of [1,3]: the third gap dips negative, so 4 = B_3's")
 print("witness value can never be represented:")
-trace = gap_trace(generate_terms(validate([1, 3]), 5))
-print("  gaps   :", trace.gaps)
-print("  margins:", trace.margins)
+terms = generate_terms(validate([1, 3]), 5).terms
+print("  gaps   :", [1 + sum(terms[:i]) - h for i, h in enumerate(terms)])
+print("  margins:", [2 * a - b for a, b in zip(terms, terms[1:])])
 
 print("\nVerdicts carry machine-checkable certificates:")
 for coeffs in ([1, 3], [1, 1], [2], [1, 0, 1, 4], [1, 1, 2]):

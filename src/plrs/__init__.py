@@ -30,12 +30,9 @@ from .brown import (
     INCOMPLETE,
     UNKNOWN,
     Certificate,
-    GapTrace,
     HorizonTooSmall,
     Verdict,
     check_completeness,
-    first_failure_index,
-    gap_trace,
     recheck,
 )
 from .core import (

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
-from . import brown
+from . import brown, families
 from .core import Coefficients, validate, vectors, vectors_with_sum
 
 Rational = Union[int, Fraction]
@@ -432,7 +432,7 @@ def lambda_threshold(L: int, tol=DEFAULT_TOL) -> LambdaThreshold:
     tol = _as_fraction(tol)
     key = (L, tol)
     if key not in _lambda_cache:
-        n_l = ((L * (L + 1)) + 3) // 4  # ceil(L(L+1)/4), exact
+        n_l = families.bound_one_zeros(L - 2).max_n  # ceil(L(L+1)/4)
         root = principal_root(sparse_vector(L, n_l + 1), tol)
         _lambda_cache[key] = LambdaThreshold(L, n_l, root)
     return _lambda_cache[key]
@@ -738,8 +738,7 @@ def denseness_scan(
     if epsilon is not None and not epsilon > 0:  # nan too
         raise ValueError("epsilon must be positive")
     tol = _as_fraction(tol)
-    n_l = ((L * (L + 1)) + 3) // 4
-    k_min, k_max = n_l + 1, 2 ** (L - 1)
+    k_min, k_max = families.bound_one_zeros(L - 2).max_n + 1, 2 ** (L - 1)
     count = k_max - k_min + 1
     if count > budget:
         raise CostCap(f"{count} roots exceed budget {budget}")

@@ -1,4 +1,4 @@
-"""Brown's-criterion gap traces and completeness verdicts.
+"""Brown's-criterion gaps and completeness verdicts.
 
 A nondecreasing positive sequence with first term 1 is complete (every
 positive integer is a sum of distinct terms) iff H_{n+1} <= 1 + sum of the
@@ -124,54 +124,12 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
-class GapTrace:
-    """Brown's gaps B_1..B_m and doubling margins D_1..D_{m-1} of a prefix.
-
-    The exact identity B_{n+1} - B_n = D_n holds for every n.
-    """
-
-    gaps: tuple[int, ...]
-    margins: tuple[int, ...]
-
-    def gap(self, n: int) -> int:
-        return self.gaps[n - 1]
-
-    def margin(self, n: int) -> int:
-        return self.margins[n - 1]
-
-
-def gap_trace(t: TermSequence) -> GapTrace:
-    """Exact gap and margin trace of a term prefix."""
-    if len(t) < 1:
-        raise ValueError("need at least one term")
-    gaps = []
-    running = 0  # sum of H_1..H_{n-1}
-    for h in t.terms:
-        gaps.append(1 + running - h)
-        running += h
-    margins = [2 * a - b for a, b in zip(t.terms, t.terms[1:])]
-    return GapTrace(tuple(gaps), tuple(margins))
-
-
-def first_failure_index(c: Coefficients, horizon: int) -> Optional[int]:
-    """Smallest n <= horizon with B_n < 0, or None if there is no failure."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    running = 0
-    for n, h in zip(range(1, horizon + 1), _next_terms(c.values, [])):
-        if h > 1 + running:
-            return n
-        running += h
-    return None
-
-
 def window_survivors(
     ranges: Sequence[range], window: int
 ) -> Iterator[tuple[Coefficients, bool]]:
-    """The vectors c of the box ``core.vectors(ranges)`` with
-    ``first_failure_index(c, window) is None``, in the same lexicographic
-    order, each with a flag ``proven``.
+    """The vectors c of the box ``core.vectors(ranges)`` whose gaps B_n are
+    non-negative for every n <= ``window``, in the same lexicographic order,
+    each with a flag ``proven``.
 
     ``proven`` is True when the gaps the walk has read already prove c
     complete by the strict window: L >= 2, ``window`` reaches 2L-1, and
@@ -350,69 +308,86 @@ def check_completeness(
     return Verdict(c, UNKNOWN, horizon_exhausted(h), False, h)
 
 
+#: The verdict kind and ``conjectural`` flag each certificate tag implies;
+#: a family rule's own bound decides them in ``_recheck_family``.
+_IMPLIED = {
+    "failure": (INCOMPLETE, False),
+    "strict_window": (COMPLETE, False),
+    "doubling_window": (COMPLETE, False),
+    f"family:{RULE_2L1}": (COMPLETE, True),
+    "horizon": (UNKNOWN, False),
+    "root:p2_negative": (INCOMPLETE, False),
+    "root:below_lambda": (COMPLETE, True),
+    "root:indeterminate": (UNKNOWN, False),
+}
+
+
 def recheck(verdict: Verdict) -> bool:
     """Re-validate a certificate from scratch.
 
-    Recomputes terms and gaps independently of the engine run that produced
-    the verdict and confirms the certificate's claim.  Root certificates are
-    re-checked by exact rational evaluation of the characteristic
-    polynomials (``CharPoly.eval``), not by the integer sign test that
-    produced them.  Family certificates must name a rule whose shape the
-    coefficients have, agree with that rule's re-derived bound, and not be
-    contradicted by a definite gap-engine verdict.  An unrecognised
-    certificate kind fails.
+    The verdict's kind and ``conjectural`` flag must be the ones its
+    certificate implies.  Gap certificates are re-read from terms grown by
+    ``core.generate_terms``, the reference term loop, which shares no code
+    with the engine's kernel.  Root certificates are re-checked by exact
+    rational evaluation of the characteristic polynomials
+    (``CharPoly.eval``), not by the integer sign test that produced them.
+    Family certificates must name a rule whose shape the coefficients have,
+    agree with that rule's re-derived bound, and not be contradicted by a
+    definite gap-engine verdict.  An unrecognised certificate kind fails.
     """
     c = verdict.coefficients
     cert = verdict.certificate
-    L = c.L
-    if cert.kind == "failure":
-        if cert.witness is not None and cert.witness > 0:
-            # Subset-sum witness: a positive integer missing from the
-            # prefix of `index` terms and below the next term.  No subset
-            # reaches past the prefix sum S_n, so only a witness w <= S_n,
-            # which only a hand-made certificate carries, needs the bitset.
-            from .oracle import reachable_sums  # local: oracle imports brown
-
-            t = generate_terms(c, cert.index + 1)
-            prefix = TermSequence(c, t.terms[: cert.index])
-            if cert.witness >= t.term(cert.index + 1):
-                return False
-            if cert.witness > sum(prefix.terms):
-                return True
-            return not (reachable_sums(prefix) >> cert.witness) & 1
-        n = cert.index
-        trace = gap_trace(generate_terms(c, n))
-        if trace.gap(n) >= 0:
-            return False
-        if any(g < 0 for g in trace.gaps[: n - 1]):
-            return False  # not the first failure
-        return cert.witness is None or trace.gap(n) == cert.witness
-    if cert.kind == "strict_window":
-        m = cert.index
-        if m != 2 * L - 1:
-            return False
-        trace = gap_trace(generate_terms(c, m))
-        head = all(trace.gap(i) >= 0 for i in range(1, L))
-        window = all(trace.gap(i) > 0 for i in range(L, m + 1))
-        return head and window
-    if cert.kind == "doubling_window":
-        m = cert.index
-        if m - L < L + 1:
-            return False
-        trace = gap_trace(generate_terms(c, m + 1))
-        gaps_ok = all(trace.gap(i) >= 0 for i in range(1, m + 1))
-        margins_ok = all(trace.margin(j) >= 0 for j in range(m - L, m))
-        return gaps_ok and margins_ok
-    if cert.kind == "family" and cert.rule == RULE_2L1:
-        trace = gap_trace(generate_terms(c, 2 * L - 1))
-        return all(g >= 0 for g in trace.gaps)
-    if cert.kind == "family":
-        return _recheck_family(verdict)
+    L, m = c.L, cert.index
+    implied = _IMPLIED.get(cert.tag())
+    if implied is not None and implied != (verdict.kind, verdict.conjectural):
+        return False
+    if cert.kind == "horizon":
+        return True
     if cert.kind == "root":
         return _recheck_root(verdict)
-    if cert.kind == "horizon":
-        return verdict.kind == UNKNOWN
+    if cert.kind == "family" and cert.rule == RULE_2L1:
+        return min(_gaps(generate_terms(c, 2 * L - 1).terms)) >= 0
+    if cert.kind == "family":
+        return _recheck_family(verdict)
+    if cert.kind == "strict_window":
+        gaps = _gaps(generate_terms(c, 2 * L - 1).terms)
+        return m == 2 * L - 1 and min(gaps[: L - 1], default=0) >= 0 and min(gaps[L - 1 :]) > 0
+    if m is None or m < 1:
+        return False
+    if cert.kind == "failure" and cert.witness is not None and cert.witness > 0:
+        # Subset-sum witness: a positive integer missing from the prefix of
+        # m terms and below H_{m+1}, so missing for good.  No subset reaches
+        # past S_m, and while B_1..B_m >= 0 the prefix reaches all of
+        # [0, S_m]; only a hand-made witness past a failure needs the bitset.
+        w, terms = cert.witness, generate_terms(c, m + 1).terms
+        prefix = terms[:m]
+        if w >= terms[m]:
+            return False
+        if w > sum(prefix):
+            return True
+        if min(_gaps(prefix)) >= 0:
+            return False
+        from .oracle import reachable_sums  # local: oracle imports brown
+
+        return not (reachable_sums(TermSequence(c, prefix)) >> w) & 1
+    if cert.kind == "failure":  # the first negative gap, and its value
+        gaps = _gaps(generate_terms(c, m).terms)
+        return min(gaps[:-1], default=0) >= 0 > gaps[-1] and cert.witness in (None, gaps[-1])
+    if cert.kind == "doubling_window" and m - L >= L + 1:
+        # Margins D_j = B_{j+1} - B_j >= 0 for m-L <= j < m, and B_1..B_m >= 0.
+        gaps = _gaps(generate_terms(c, m).terms)
+        window = gaps[m - L - 1 :]
+        return min(gaps) >= 0 and all(a <= b for a, b in zip(window, window[1:]))
     return False
+
+
+def _gaps(terms: Sequence[int]) -> list[int]:
+    # Brown's gaps B_n = 1 + H_1 + ... + H_{n-1} - H_n of a term prefix.
+    gaps, running = [], 0
+    for h in terms:
+        gaps.append(1 + running - h)
+        running += h
+    return gaps
 
 
 def _recheck_family(verdict: Verdict) -> bool:
@@ -450,7 +425,7 @@ def _recheck_root(verdict: Verdict) -> bool:
     rule = verdict.certificate.rule
     if rule == analytic.TRIAGE_FAST:
         # p(2) < 0: the principal root exceeds 2.
-        return verdict.kind == INCOMPLETE and p.eval(Fraction(2)) < 0
+        return p.eval(Fraction(2)) < 0
     if rule == analytic.TRIAGE_SLOW:
         if c.L < 2:
             return False
@@ -458,8 +433,5 @@ def _recheck_root(verdict: Verdict) -> bool:
         # p_lambda(lo) <= 0 puts lo at or below lambda_L (equal only when
         # lambda_L is an integer, as at L = 3); p(lo) > 0 puts the root
         # below lo.
-        below = lam.poly.eval(lam.lo) <= 0 < p.eval(lam.lo)
-        return verdict.kind == COMPLETE and verdict.conjectural and below
-    if rule == analytic.TRIAGE_INDETERMINATE:
-        return verdict.kind == UNKNOWN
-    return False
+        return lam.poly.eval(lam.lo) <= 0 < p.eval(lam.lo)
+    return rule == analytic.TRIAGE_INDETERMINATE

@@ -13,8 +13,8 @@ Commands:
 * ``dense``         root sweep of the sparse family toward 2 (CSV)
 
 Every command runs in one process.  ``scan-2l1`` and ``min-root`` accept
---jobs, reject it below 1 and echo it in the config, but run serially at
-any value.
+--jobs (default 1), reject it below 1 and echo it in the config, but run
+serially at any value.
 
 Exit codes: 0 a report was written (of any kind, ``unknown`` included),
 1 a certificate failed re-validation under --verify (the report is still
@@ -461,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=None,
                    help="override the pass-window length (default 2L-1)")
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     common(p, formats=("json", "plain"))
     p.set_defaults(func=_cmd_scan_2l1)
 
@@ -469,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--sum-cap", type=int, required=True)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     common(p, formats=("json", "plain"))
     p.set_defaults(func=_cmd_min_root)
 

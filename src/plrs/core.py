@@ -145,21 +145,9 @@ def _next_terms(values: Sequence[int], terms: list[int]) -> Iterator[int]:
         yield h
 
 
-def _grow(values: tuple[int, ...], terms: list[int], upto: int) -> list[int]:
-    # Extends `terms` in place to `upto` entries following the recurrence.
-    for _ in zip(range(len(terms), upto), _next_terms(values, terms)):
-        pass
-    return terms
-
-
 @dataclass(frozen=True)
 class TermSequence:
-    """An exact prefix ``(H_1, ..., H_n)`` of a PLRS.
-
-    Immutable; `extended` returns a longer prefix sharing the same
-    coefficients, so callers can grow a sequence incrementally without
-    recomputing what they already have.
-    """
+    """An exact, immutable prefix ``(H_1, ..., H_n)`` of a PLRS."""
 
     coefficients: Coefficients
     terms: tuple[int, ...]
@@ -173,13 +161,6 @@ class TermSequence:
             raise IndexError(f"term index {n} out of range 1..{len(self.terms)}")
         return self.terms[n - 1]
 
-    def extended(self, n: int) -> "TermSequence":
-        """A prefix of length max(n, len(self)) extending this one."""
-        if n <= len(self.terms):
-            return self
-        grown = _grow(self.coefficients.values, list(self.terms), n)
-        return TermSequence(self.coefficients, tuple(grown))
-
     def __str__(self) -> str:
         from decimal import Decimal  # str() of a Decimal ignores the int digit limit
 
@@ -187,7 +168,22 @@ class TermSequence:
 
 
 def generate_terms(c: Coefficients, n: int) -> TermSequence:
-    """Generate the exact first ``n`` terms of the PLRS defined by ``c``."""
+    """Generate the exact first ``n`` terms of the PLRS defined by ``c``.
+
+    The library's reference term loop: the definition above, over the
+    nonzero coefficients only.  It shares no code with the engine's kernel
+    ``_next_terms``, so ``brown.recheck`` can re-check the engine with it.
+    """
     if n < 1:
         raise ValueError(f"need at least one term, got n={n}")
-    return TermSequence(c, tuple(_grow(c.values, [], n)))
+    L = c.L
+    nonzero = [(i, ci) for i, ci in enumerate(c.values, start=1) if ci]
+    terms = [1]
+    for m in range(1, n):  # H_{m+1}: c_i*H_{m+1-i} over i <= min(m, L), +1 while m < L
+        h = 1 if m < L else 0
+        for i, ci in nonzero:
+            if i > m:
+                break
+            h += ci * terms[m - i]
+        terms.append(h)
+    return TermSequence(c, tuple(terms))

@@ -57,9 +57,10 @@ def all_vectors(max_len: int, cap: int):
 def reference_scan_2l1(L: int, cap: int, window: int, horizon=None):
     """``scan-2l1``'s (candidates, counterexamples, undecided) by brute force.
 
-    Every vector of the box is built and filtered by ``first_failure_index``;
-    each one that passes gets the engine at ``horizon``, then at the scan's
-    fallback horizon max(4L, 32) + 1 if that is undecided.
+    Every vector of the box is built and filtered by its gaps through
+    ``window``, from ``reference_terms``; each one that passes gets the
+    engine at ``horizon``, then at the scan's fallback horizon
+    max(4L, 32) + 1 if that is undecided.
     """
     edge, inner = range(1, cap + 1), range(cap + 1)
     box = list(itertools.product(edge, *[inner] * (L - 2), edge)) if L > 1 else \
@@ -67,7 +68,7 @@ def reference_scan_2l1(L: int, cap: int, window: int, horizon=None):
     counterexamples, undecided = [], []
     for values in box:
         c = validate(values)
-        if brown.first_failure_index(c, window) is not None:
+        if min(brute_gaps(reference_terms(values, window))) < 0:
             continue
         verdict = brown.check_completeness(c, horizon=horizon)
         if verdict.kind == brown.UNKNOWN:
@@ -217,8 +218,8 @@ def reference_denseness_scan(L: int, epsilon, tol) -> analytic.DensenessReport:
     )
 
 
-# Reference copies of the eager term growth, gap engine and oracle scan that
-# `core._grow`, `brown.check_completeness` and `oracle.oracle_verdict`
+# Reference copies of the term growth, gap engine and oracle scan that
+# `core._next_terms`, `brown.check_completeness` and `oracle.oracle_verdict`
 # replaced: every coefficient visited, every prefix built in full up front,
 # and the smallest missing sum found from a complement of the whole mask.
 

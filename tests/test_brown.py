@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -9,12 +10,16 @@ from plrs import (
     INCOMPLETE,
     UNKNOWN,
     HorizonTooSmall,
+    OneZerosN,
     brown,
     check_completeness,
-    first_failure_index,
-    gap_trace,
+    classify_family,
+    cli,
+    core,
     generate_terms,
+    oracle_verdict,
     recheck,
+    triage,
     validate,
 )
 from helpers import all_vectors, brute_gaps, reference_check_completeness, reference_terms
@@ -39,72 +44,82 @@ long_sparse_vectors = st.integers(64, 1100).flatmap(
 
 
 class TestGapTrace:
+    # The gaps recheck reads, from a reference prefix.
     @pytest.mark.parametrize(
         "coeffs,n,expected",
         [
-            ([1, 3], 3, (0, 0, -1)),
-            ([2], 4, (0, 0, 0, 0)),
-            ([1, 0, 3], 5, (0, 0, 1, 1, 1)),
+            ([1, 3], 3, [0, 0, -1]),
+            ([2], 4, [0, 0, 0, 0]),
+            ([1, 0, 3], 5, [0, 0, 1, 1, 1]),
         ],
     )
     def test_known_traces(self, coeffs, n, expected):
         t = generate_terms(validate(coeffs), n)
-        trace = gap_trace(t)
-        assert trace.gaps == expected
-        assert trace.gaps == tuple(brute_gaps(t.terms))
+        assert brown._gaps(t.terms) == expected
+        assert brown._gaps(t.terms) == brute_gaps(t.terms)
 
     def test_first_gap_is_zero(self):
         for coeffs in all_vectors(3, 3):
-            t = generate_terms(validate(coeffs), 1)
-            assert gap_trace(t).gap(1) == 0
+            assert brown._gaps(generate_terms(validate(coeffs), 1).terms) == [0]
 
     def test_gap_margin_identity(self):
-        # B_{n+1} - B_n = D_n, exactly, across a small exhaustive space.
+        # B_{n+1} - B_n = D_n = 2*H_n - H_{n+1}, exactly, across a small exhaustive space.
         for coeffs in all_vectors(4, 3):
-            t = generate_terms(validate(coeffs), 12)
-            trace = gap_trace(t)
+            h = generate_terms(validate(coeffs), 12).terms
+            gaps = brown._gaps(h)
             for n in range(1, 12):
-                assert trace.gap(n + 1) - trace.gap(n) == trace.margin(n)
+                assert gaps[n] - gaps[n - 1] == 2 * h[n - 1] - h[n]
 
     def test_gaps_match_recomputation(self):
         t = generate_terms(validate([3, 0, 0, 2]), 25)
-        assert list(gap_trace(t).gaps) == brute_gaps(t.terms)
+        assert brown._gaps(t.terms) == brute_gaps(t.terms)
+
+
+def margins(values, n):
+    # D_1..D_{n-1}, as the differences of the gaps B_1..B_n.
+    gaps = brown._gaps(generate_terms(validate(values), n).terms)
+    return [b - a for a, b in zip(gaps, gaps[1:])]
 
 
 class TestDoublingHolds:
     # The doubling condition H_{n+1} <= 2*H_n is D_n >= 0 for every margin.
     def test_boundary_sequence(self):
-        assert gap_trace(generate_terms(validate([2]), 4)).margins == (0, 0, 0)
+        assert margins([2], 4) == [0, 0, 0]
 
     def test_violated_yet_complete(self):
         # (1,2,3,5,11): 11 > 2*5 but the sequence is complete anyway.
-        t = generate_terms(validate([1, 0, 1, 4]), 5)
-        assert min(gap_trace(t).margins) < 0
+        assert min(margins([1, 0, 1, 4], 5)) < 0
         assert check_completeness(validate([1, 0, 1, 4])).kind == COMPLETE
 
     def test_violated_simple(self):
-        assert min(gap_trace(generate_terms(validate([1, 3]), 3)).margins) < 0
+        assert min(margins([1, 3], 3)) < 0
 
 
 class TestFirstFailureIndex:
+    # The engine's first failing gap.
+    def failure_index(self, values):
+        v = check_completeness(validate(values))
+        assert v.kind == INCOMPLETE and v.certificate.kind == "failure"
+        return v.certificate.index
+
     def test_one_zero_four(self):
-        assert first_failure_index(validate([1, 0, 4]), 20) == 5
+        assert self.failure_index([1, 0, 4]) == 5
 
     def test_three_ones_zero_four(self):
-        assert first_failure_index(validate([1, 1, 1, 0, 4]), 20) == 9
+        assert self.failure_index([1, 1, 1, 0, 4]) == 9
 
     def test_complete_has_none(self):
-        assert first_failure_index(validate([1, 1]), 50) is None
+        assert check_completeness(validate([1, 1]), horizon=50).kind == COMPLETE
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_failure_lands_at_2k_plus_3(self, k):
-        assert first_failure_index(validate([1] * k + [0, 4]), 64) == 2 * k + 3
+        assert self.failure_index([1] * k + [0, 4]) == 2 * k + 3
 
 
 def _passing(ranges, window):
     # The filter window_survivors replaces: every tuple of the box, then the gaps.
     return [values for values in itertools.product(*ranges)
-            if first_failure_index(validate(values), window) is None]
+            if min(brute_gaps(reference_terms(values, window))) >= 0]
 
 
 class TestWindowSurvivors:
@@ -193,10 +208,15 @@ class TestLastCoefficientWindow:
 class TestLazyPrefixProperties:
     @given(short_vectors, st.integers(1, 120))
     def test_first_failure_is_first_negative_gap(self, values, horizon):
-        trace = gap_trace(generate_terms(validate(values), horizon))
-        negative = [n for n, g in enumerate(trace.gaps, start=1) if g < 0]
-        expected = negative[0] if negative else None
-        assert first_failure_index(validate(values), horizon) == expected
+        # The engine against the gaps of the reference prefix.
+        c = validate(values)
+        h = max(horizon, 2 * c.L - 1)
+        negative = [n for n, g in enumerate(brute_gaps(generate_terms(c, h).terms), 1) if g < 0]
+        v = check_completeness(c, horizon=h)
+        if negative:
+            assert (v.kind, v.certificate.index) == (INCOMPLETE, negative[0])
+        else:
+            assert v.kind != INCOMPLETE
 
     # The few short vectors whose verdict comes past index 2L+1, where the
     # whole-prefix engine had to extend its prefix, and horizons 2L-1..2L+1
@@ -264,10 +284,6 @@ class TestLazyPrefixProperties:
             grown.clear()
             v = check_completeness(validate(values), horizon=horizon)
             assert v.horizon_used == v.certificate.index == index
-            assert grown == list(reference_terms(values, index))
-            grown.clear()
-            expected = index if v.kind == INCOMPLETE else None
-            assert first_failure_index(validate(values), index) == expected
             assert grown == list(reference_terms(values, index))
 
 
@@ -376,3 +392,136 @@ class TestRecheck:
         c = validate([1, 1])
         bad = brown.Verdict(c, COMPLETE, brown.strict_window(3), False, 3)
         assert not recheck(bad)
+
+
+KINDS = (COMPLETE, INCOMPLETE, UNKNOWN)
+
+
+def forgeries(v):
+    """Each variant of ``v`` with its kind or its conjectural flag flipped."""
+    for kind in KINDS:
+        if kind != v.kind:
+            yield dataclasses.replace(v, kind=kind)
+    yield dataclasses.replace(v, conjectural=not v.conjectural)
+
+
+def moved(v, **changes):
+    return dataclasses.replace(v, certificate=dataclasses.replace(v.certificate, **changes))
+
+
+# One verdict per certificate tag that fixes the verdict's kind and flag.
+TAGGED = {
+    "failure": lambda: check_completeness(validate([1, 0, 0, 0, 0, 0, 15])),
+    "subset-sum failure": lambda: oracle_verdict(validate([1, 3]), max_prefix=8),
+    "strict_window": lambda: check_completeness(validate([1, 1, 0, 0, 0, 0, 15])),
+    "doubling_window": lambda: check_completeness(validate([1, 0, 0, 3, 5])),
+    "family:2l-1": lambda: check_completeness(validate([1, 1]), horizon=3, assume_2l1=True),
+    "family:one-zeros": lambda: classify_family(OneZerosN(5), 14),
+    "horizon": lambda: check_completeness(validate([1, 1, 2]), horizon=5),
+    "root:p2_negative": lambda: triage(validate([1, 3])),
+    "root:below_lambda": lambda: triage(validate([1, 1])),
+    "root:indeterminate": lambda: triage(validate([1, 1, 2])),
+}
+
+
+def minus_ten_at_l_plus_2(real):
+    """A wrong term kernel: H_{L+2} comes out 10 too small."""
+
+    def kernel(values, terms):
+        for h in real(values, terms):
+            if len(terms) == len(values) + 2:
+                terms[-1] = h = h - 10
+            yield h
+
+    return kernel
+
+
+def raising_kernel(values, terms):
+    raise AssertionError("the engine's kernel ran")
+
+
+class TestRecheckTiesTheVerdictToItsCertificate:
+    @pytest.mark.parametrize("name", TAGGED)
+    def test_a_flipped_kind_or_flag_is_rejected(self, name):
+        v = TAGGED[name]()
+        assert recheck(v)
+        for forged in forgeries(v):
+            assert not recheck(forged), forged
+
+    def test_every_fixed_tag_is_tried(self):
+        assert set(brown._IMPLIED) <= {TAGGED[name]().certificate.tag() for name in TAGGED}
+
+
+class TestRecheckIsIndependentOfTheKernel:
+    @pytest.mark.parametrize("values", [(1, 0, 0, 0, 0, 0, 15), (1, 0, 0, 3, 5)])
+    def test_a_wrong_kernel_does_not_certify_itself(self, monkeypatch, values):
+        c = validate(values)
+        truth = (check_completeness(c), oracle_verdict(c, max_prefix=32))
+        bad = minus_ten_at_l_plus_2(core._next_terms)
+        monkeypatch.setattr(core, "_next_terms", bad)
+        monkeypatch.setattr(brown, "_next_terms", bad)
+        for wrong, right in zip((check_completeness(c), oracle_verdict(c, max_prefix=32)), truth):
+            assert wrong != right
+            assert not recheck(wrong), wrong
+
+    def test_check_verify_exits_one_under_a_wrong_kernel(self, monkeypatch, capsys):
+        bad = minus_ten_at_l_plus_2(core._next_terms)
+        monkeypatch.setattr(core, "_next_terms", bad)
+        monkeypatch.setattr(brown, "_next_terms", bad)
+        assert cli.main(["check", "1,0,0,0,0,0,15", "--verify"]) == 1
+        assert '"verified": false' in capsys.readouterr().out
+
+    def test_gap_certificates_recheck_without_the_kernel(self, monkeypatch):
+        # Every tagged verdict but the family rule's, whose recheck runs the engine.
+        verdicts = [TAGGED[name]() for name in TAGGED if name != "family:one-zeros"]
+        for vals in all_vectors(3, 3):
+            c = validate(vals)
+            verdicts += [check_completeness(c), oracle_verdict(c, max_prefix=4 * c.L)]
+        monkeypatch.setattr(core, "_next_terms", raising_kernel)
+        monkeypatch.setattr(brown, "_next_terms", raising_kernel)
+        assert all(recheck(v) for v in verdicts)
+
+
+# Vectors with L <= 8 and c_i <= 4, and long sparse vectors.
+recheck_vectors = st.one_of(
+    st.builds(
+        lambda c1, mid, cL: (c1, *mid, cL),
+        st.integers(1, 4),
+        st.lists(st.integers(0, 4), max_size=6),
+        st.integers(1, 4),
+    ),
+    st.tuples(st.integers(1, 4)),
+    long_sparse_vectors,
+)
+
+
+class TestRecheckProperties:
+    @example((1, 1), 0)  # the 2L-1 rule
+    @example((1, 0, 0, 3, 5), 40)  # doubling window
+    @example((1, 1, 0, 0, 0, 0, 15), 0)  # strict window
+    @example((1, 0, 0, 0, 0, 0, 15), 40)  # failure
+    @settings(max_examples=60, deadline=None)
+    @given(recheck_vectors, st.integers(0, 40))
+    def test_verdicts_pass_and_forgeries_fail(self, values, extra):
+        c = validate(values)
+        h = 2 * c.L - 1 + extra
+        verdicts = [check_completeness(c, horizon=horizon, assume_2l1=assume)
+                    for horizon in (None, h) for assume in (False, True)]
+        verdicts.append(oracle_verdict(c, max_prefix=h))
+        for v in verdicts:
+            assert recheck(v), v
+            for forged in forgeries(v):
+                assert not recheck(forged), forged
+            cert = v.certificate
+            if cert.kind in ("failure", "strict_window", "doubling_window"):
+                assert not recheck(moved(v, index=cert.index - 1)), v
+            if cert.witness is None:
+                continue
+            toward_zero = cert.witness + 1 if cert.witness < 0 else cert.witness - 1
+            assert not recheck(moved(v, witness=toward_zero)), v
+            if cert.witness > 0:
+                # S_n + 2 below H_{n+1} is missing for good, as S_n + 1 is.
+                next_term = reference_terms(values, cert.index + 1)[-1]
+                assert recheck(moved(v, witness=cert.witness + 1)) == (
+                    cert.witness + 1 < next_term
+                ), v

@@ -444,6 +444,17 @@ def test_jobs_below_one_is_input_error(capsys, command, jobs):
     assert "--jobs" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["scan-2l1", "--L", "3", "--coeff-cap", "2"],
+    ["min-root", "--L", "3", "--sum-cap", "4"],
+])
+def test_jobs_defaults_to_one(capsys, command):
+    # The same command writes the same bytes on every machine.
+    code, payload, _ = run_json(capsys, *command)
+    assert code == 0
+    assert payload["config"]["jobs"] == 1
+
+
 class TestMinRoot:
     def test_base_case_frontier(self, capsys):
         code, payload, _ = run_json(capsys, "min-root", "--L", "2", "--sum-cap", "4",
@@ -488,8 +499,10 @@ def test_root_reports_match_goldens(capsys, name):
     # check with and without --triage-first on long sparse vectors, as
     # written by the dense sign evaluation over all L coefficients; and of
     # the benchmark's sweep jobs and oracle-check, as written by the engine
-    # that built its whole 2L+1-term prefix before reading a gap; and of
-    # scan-2l1 boxes, as written when every survivor went to the engine.
+    # that built its whole 2L+1-term prefix before reading a gap; of
+    # scan-2l1 boxes, as written when every survivor went to the engine; and
+    # of check --verify on each gap certificate kind and gen on a long sparse
+    # vector, as written when recheck grew its terms with the engine's kernel.
     code, out, _ = run(capsys, *GOLDEN_JOBS[name])
     with open(os.path.join(GOLDEN_DIR, f"{name}.stdout")) as fh:
         assert out == fh.read()

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plrs import (
+    core,
     EmptyVector,
     LeadingZero,
     NegativeEntry,
@@ -109,13 +110,6 @@ class TestGenerateTerms:
         c = validate([2, 0, 3])
         assert generate_terms(c, 6).terms == generate_terms(c, 12).terms[:6]
 
-    def test_extension_matches_fresh_generation(self):
-        c = validate([1, 0, 2])
-        t = generate_terms(c, 4)
-        assert t.extended(10).terms == generate_terms(c, 10).terms
-        # extending to a shorter length is a no-op
-        assert t.extended(2) is t
-
     def test_terms_never_overflow(self):
         # 300 terms of a fast-growing sequence stay exact.
         t = generate_terms(validate([4, 4, 4, 4]), 300)
@@ -148,12 +142,19 @@ class TestGenerateTerms:
 class TestGrowthProperties:
     @given(sparse_vectors(), st.integers(1, 300))
     def test_matches_full_recurrence(self, values, n):
-        assert generate_terms(validate(values), n).terms == reference_terms(values, n)
+        # Both term loops: the reference generate_terms and the engine's kernel.
+        expected = reference_terms(values, n)
+        assert generate_terms(validate(values), n).terms == expected
+        assert tuple(itertools.islice(core._next_terms(values, []), n)) == expected
 
-    @given(sparse_vectors(max_len=12, max_coeff=50), st.integers(1, 150), st.integers(1, 150))
-    def test_extension_equals_fresh_generation(self, values, a, b):
-        c = validate(values)
-        assert generate_terms(c, a).extended(b) == generate_terms(c, max(a, b))
+    def test_reference_loop_shares_no_code_with_the_kernel(self, monkeypatch):
+        def broken(values, terms):
+            raise AssertionError("generate_terms ran the engine's kernel")
+
+        monkeypatch.setattr(core, "_next_terms", broken)
+        assert generate_terms(validate([1, 0, 0, 3, 5]), 8).terms == reference_terms(
+            (1, 0, 0, 3, 5), 8
+        )
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
     def test_str_prints_terms_past_the_int_digit_limit(self):
