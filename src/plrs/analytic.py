@@ -18,10 +18,12 @@ display helpers.  Tolerances control bracket width, not any verdict logic.
 
 Sign evaluations past length 8 and the float seed visit only the nonzero
 coefficients (``CharPoly.taps``) and jump across runs of zeros with powers,
-so a sparse vector [1, 0^(L-2), N] costs two steps, not L.  The denseness
-sweep over the family [1, 0^(L-2), k] needs no polynomial objects at all:
-every root is a cell of one grid 2^-d, accepted by the closed form
-2^(dL) p_k(j / 2^d) = j^(L-1) (j - 2^d) - k 2^(dL) in integers.
+so a sparse vector [1, 0^(L-2), N] costs two steps, not L.  The family
+[1, 0^(L-2), k] of ``dense`` and ``root_order_gap`` needs no polynomial
+objects at all: every root is a cell of a grid 2^-d, accepted by the closed
+form 2^(dL) p_k(j / 2^d) = j^(L-1) (j - 2^d) - k 2^(dL) in integers, and
+every check on the family compares cell ends, on a finer grid where a
+coarse one leaves it open.
 ``CharPoly.eval`` stays the dense ``Fraction`` Horner over every
 coefficient: it is the independent re-check of the roots found here.
 
@@ -38,12 +40,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, TypeVar, Union
 
 from . import brown, families
 from .core import Coefficients, validate, vectors, vectors_with_sum
 
 Rational = Union[int, Fraction]
+T = TypeVar("T")
 
 #: Default bracket width for reported roots; display precision only.
 DEFAULT_TOL = Fraction(1, 10**12)
@@ -479,19 +482,17 @@ def min_root_in_pls(
     """Minimizer of the principal root over vectors of length L, sum S+1.
 
     The minimum is attained by [1, 0^(L-2), S]; with ``verify`` the whole
-    class is enumerated and minimality is asserted by exact comparison with
-    each vector's integer unit cell, refined only until the roots separate.
+    class goes through ``least_root``, and since the claimed vector comes
+    first there and ties keep the earlier vector, it must be the winner.
     """
     if L < 1 or S < 1:
         raise ValueError(f"need L >= 1 and S >= 1, got L={L}, S={S}")
     claimed = sparse_vector(L, S if L > 1 else S + 1)
-    bracket = principal_root(claimed, tol)
-    if verify:
-        for v in vectors_with_sum(L, S + 1):
-            if v == claimed:
-                continue
-            if compare_roots(bracket, _integer_bracket(CharPoly(v))) > 0:
-                raise AssertionError(f"{v} has a smaller principal root than {claimed}")
+    if not verify:
+        return claimed, principal_root(claimed, tol)
+    winner, bracket = least_root(vectors_with_sum(L, S + 1), tol)
+    if winner != claimed:
+        raise AssertionError(f"{winner} has a smaller principal root than {claimed}")
     return claimed, bracket
 
 
@@ -564,32 +565,42 @@ def root_order_gap(L: int, k: int, tol=DEFAULT_TOL) -> tuple[float, float]:
     """Consecutive root gaps of x^L - x^(L-1) - t for t = k, k+1, k+2.
 
     Returns (r-q, s-r) as floats after certifying r-q > s-r exactly: the
-    map t -> root is increasing and concave, so the gaps shrink.
+    map t -> root is increasing and concave, so the gaps shrink.  The roots
+    are cells of the grid of ``tol``, deepened by ``_sparse_decide`` until
+    the cells certify it, and the gaps are those of their midpoints there.
     """
     if L <= 2 or k <= 0:
         raise ValueError(f"need L > 2 and k > 0, got L={L}, k={k}")
-    tol = _as_fraction(tol)
-    shrunk = _certify_gap_shrink(
-        *(principal_root(sparse_vector(L, t), tol) for t in (k, k + 1, k + 2))
-    )
-    if shrunk is None:
+
+    def gaps(los: list[int], his: list[int], depth: int) -> Optional[tuple[float, float]]:
+        q, r, s = ((lo + hi) / (2 << depth) for lo, hi in zip(los, his))
+        return (r - q, s - r) if _shrinks(los, his, depth) else None
+
+    found = _sparse_decide(L, k, 3, _depth(tol), gaps)
+    if found is None:
         raise RuntimeError("gap ordering certification failed to converge")
-    bq, br, bs = shrunk
-    return br.approx - bq.approx, bs.approx - br.approx
+    return found
 
 
-def _certify_gap_shrink(
-    bq: RootBracket, br: RootBracket, bs: RootBracket
-) -> Optional[tuple[RootBracket, RootBracket, RootBracket]]:
-    # Refines three consecutive roots q < r < s until r - q > s - r is
-    # certified, and returns the refined brackets; None after 200 rounds.
-    for _ in range(200):
-        bits = max(bq.bits, br.bits, bs.bits)
-        (_, q_hi), (r_lo, _), (_, s_hi) = (b._ends(bits) for b in (bq, br, bs))
-        # gap1 >= br.lo - bq.hi and gap2 <= bs.hi - br.lo
-        if 2 * r_lo > q_hi + s_hi:
-            return bq, br, bs
-        bq, br, bs = (b._split(2) for b in (bq, br, bs))
+def _shrinks(los: list[int], his: list[int], depth: int) -> Optional[bool]:
+    # r - q > s - r for the cells of roots q < r < s, since r - q >= r_lo - q_hi
+    # and s - r <= s_hi - r_lo; None while the cells leave it open.
+    return 2 * los[1] > his[0] + his[2] or None
+
+
+def _sparse_decide(
+    L: int, k: int, count: int, depth: int, test: Callable[[list[int], list[int], int], Optional[T]]
+) -> Optional[T]:
+    """The answer of ``test`` on the roots of [1, 0^(L-2), t] for t = k..k+count-1.
+
+    ``test(los, his, depth)`` reads the cells of those roots at ``depth``
+    (``_sparse_roots``) and returns None while they leave its question
+    open.  The roots are isolated again two levels deeper at a time, at
+    200 depths from ``depth`` on; None if none of them answers.
+    """
+    for d in range(depth, depth + 400, 2):
+        if (answer := test(*_sparse_roots(L, range(k, k + count), d), d)) is not None:
+            return answer
     return None
 
 
@@ -604,9 +615,8 @@ class DensenessReport:
     ``epsilon_met`` holds vacuously), and ``covered`` is None without a root.
     ``max_gap_at`` is k_min once the gaps are certified to shrink, and
     ``max_gap`` is the gap of the displayed midpoints there; ``epsilon_met``
-    compares exact cell ends with epsilon, never the floats.  All roots are
-    cells of one dyadic grid, each accepted by a closed-form integer check
-    (``_sparse_roots``), and the certificates compare their integer ends.
+    compares exact cell ends with epsilon, never the floats.  The
+    certificates compare the integer ends of cells at least 2^-40 fine.
     """
 
     L: int
@@ -623,49 +633,45 @@ class DensenessReport:
     epsilon_met: Optional[bool]
 
 
-def _sparse_roots(L: int, ks: range, tol: Fraction) -> tuple[int, list[int], list[int]]:
-    """Cells of the roots of [1, 0^(L-2), k] for k in ``ks`` (ascending), on one grid.
+def _sparse_roots(L: int, ks: range, d: int) -> tuple[list[int], list[int]]:
+    """Cells of the roots of [1, 0^(L-2), k] for k in ``ks`` (ascending), at depth d.
 
-    Returns (d, los, his) with d the depth of ``tol``: root i lies in
-    [los[i], his[i]] / 2^d, the cell of ``principal_root(sparse_vector(L, k),
-    tol)``.  Either his[i] = los[i] + 1 and p_k changes sign strictly inside,
-    or his[i] = los[i] and the root is that integer.
-
-    With den = 2^d, den^L p_k(j/den) = g(j) - k den^L for g(j) = j^(L-1) (j -
-    den), so cell j is the one with g(j) < k den^L <= g(j + 1), and equality
-    there is an exact root.  The first root comes from ``principal_root``.
-    Each later root is a float proposal of ``_sparse_newton``, started from
-    the previous root plus the previous gap, which two integer evaluations
-    accept (``_grid_cell``).  Since p_k = p_{k-1} - 1, the previous cell's
-    left end lies below the root and bounds the proposal and the exact
-    search that replaces a wrong one.  No polynomial or bracket object is
-    built past the first root.
+    Returns (los, his): root i lies in [los[i], his[i]] / 2^d, the cell of
+    ``principal_root(sparse_vector(L, k), 2^-d)``, with his[i] = los[i] + 1,
+    or his[i] = los[i] when the root is that integer.  With den = 2^d,
+    den^L p_k(j/den) = g(j) - k den^L for g(j) = j^(L-1) (j - den), so cell
+    j is the one with g(j) < k den^L <= g(j + 1), and equality there is an
+    exact root.  Each root is a float proposal of ``_sparse_newton``, which
+    two evaluations of g accept (``_grid_cell``): the first started above
+    its root, at 2 + k^(1/(L-1)), and each later one from the previous root
+    plus the previous gap.  Every root exceeds 1 (g(den) = 0), and p_k =
+    p_{k-1} - 1 puts each root past the previous cell's left end, which
+    bounds the proposal and the exact search that replaces a wrong one.
     """
-    d = _depth(tol)
-    if not ks:
-        return d, [], []
-    first = principal_root(sparse_vector(L, ks[0]), tol)
-    lo = first.num << (d - first.bits)
-    los, his = [lo], [lo if first.exact_root is not None else lo + 1]
-    den, x = 1 << d, first.approx
-    prev = x  # no gap is known before the second root
+    los: list[int] = []
+    his: list[int] = []
+    den = lo = 1 << d
     step = den >> _SEED_BITS or 1  # about the error of a float in cells
 
     def g(j: int) -> int:
         return j ** (L - 1) * (j - den)
 
-    for k in ks[1:]:
-        x, prev = _sparse_newton(L, k, 2 * x - prev), x  # one more gap lands past the root
+    for k in ks:
         try:
+            if los:
+                x, prev = _sparse_newton(L, k, 2 * x - prev), x  # one more gap lands past the root
+            else:
+                x = prev = _sparse_newton(L, k, 2 + k ** (1 / (L - 1)))  # no gap is known yet
             n, m = x.as_integer_ratio()
             j = max(lo, (n << d) // m)
         except (OverflowError, ValueError):  # inf or nan
+            x = prev = math.nan
             j = lo
         j, hit = _grid_cell(g, k << d * L, lo, j, step)
         lo = j + hit  # an exact root is the point j + 1
         los.append(lo)
         his.append(lo if hit else lo + 1)
-    return d, los, his
+    return los, his
 
 
 def _sparse_newton(L: int, k: int, x: float) -> float:
@@ -725,47 +731,41 @@ def denseness_scan(
 ) -> DensenessReport:
     """Sweep the sparse family's roots from the threshold up to exactly 2.
 
-    Every root is a cell of one grid of depth ``_depth(tol)`` (see
-    ``_sparse_roots``), and the certificates read the integer cell ends:
-    roots increase where one cell ends at or below the next one's start,
-    and gaps shrink where 2 r_lo > q_hi + s_hi.  Only a pair or triple
-    that the grid does not separate (at a coarse ``tol``), and the gaps
-    checked against ``epsilon``, become ``RootBracket``s for
-    ``compare_roots``, ``_certify_gap_shrink`` and ``_gap_below``.
+    Every root is a cell of one certification grid (``_sparse_roots``) of
+    depth D, the larger of the depths of ``tol`` and ``DEFAULT_TOL``, and
+    the certificates read the integer cell ends: roots increase where one
+    cell ends at or below the next one's start, and gaps shrink where
+    2 r_lo > q_hi + s_hi.  A pair or triple that the grid leaves open, and
+    each gap checked against ``epsilon``, go to ``_sparse_decide``, which
+    isolates those roots again on finer grids.  The roots are shown at the
+    depth d of ``tol``: the cell that holds the one at depth D, shifted
+    right by D - d, with an exact root kept a point.
     """
     if L < 2:
         raise ValueError(f"need L >= 2, got {L}")
     if epsilon is not None and not epsilon > 0:  # nan too
         raise ValueError("epsilon must be positive")
-    tol = _as_fraction(tol)
+    d = _depth(tol)
+    D = max(d, _depth(DEFAULT_TOL))
     k_min, k_max = families.bound_one_zeros(L - 2).max_n + 1, 2 ** (L - 1)
     count = k_max - k_min + 1
     if count > budget:
         raise CostCap(f"{count} roots exceed budget {budget}")
-    d, los, his = _sparse_roots(L, range(k_min, k_max + 1), tol)
-    brackets: dict[int, RootBracket] = {}  # root i, refined as far as a check took it
-
-    def bracket(i: int) -> RootBracket:
-        if i not in brackets:
-            poly = CharPoly(sparse_vector(L, k_min + i))
-            r = los[i] >> d
-            brackets[i] = (RootBracket(poly, r, 0, exact_root=r) if los[i] == his[i]
-                           else RootBracket(poly, los[i], d))
-        return brackets[i]
-
-    def shrinks(i: int) -> bool:
-        if 2 * los[i + 1] > his[i] + his[i + 2]:
-            return True
-        shrunk = _certify_gap_shrink(bracket(i), bracket(i + 1), bracket(i + 2))
-        if shrunk is None:
-            return False
-        brackets.update(zip(range(i, i + 3), shrunk))
-        return True
-
+    los, his = _sparse_roots(L, range(k_min, k_max + 1), D)
     n = len(los)
-    increasing = all(his[i] <= los[i + 1] or compare_roots(bracket(i), bracket(i + 1)) == -1
-                     for i in range(n - 1))
-    decreasing = all(map(shrinks, range(n - 2)))
+    increasing = all(his[i] <= los[i + 1] or _sparse_decide(
+        L, k_min + i, 2, D + 2, lambda lo, hi, _: hi[0] <= lo[1] or None) for i in range(n - 1))
+    decreasing = all(2 * los[i + 1] > his[i] + his[i + 2]
+                     or _sparse_decide(L, k_min + i, 3, D + 2, _shrinks) for i in range(n - 2))
+    met = [] if epsilon in (None, math.inf) else [
+        _sparse_decide(L, k_min + i, 2, D, functools.partial(_below, Fraction(epsilon)))
+        for i in range(min(1, n - 1) if decreasing else n - 1)]
+    if None in met:
+        raise RuntimeError("gap certification against epsilon failed to converge")
+    if D > d:
+        s = D - d
+        his = [lo >> s if lo == hi else (lo >> s) + 1 for lo, hi in zip(los, his)]
+        los = [lo >> s for lo in los]
 
     # Certified shrinking gaps put the largest first; otherwise the float
     # midpoints pick the one displayed, and every gap meets epsilon exactly.
@@ -784,29 +784,14 @@ def denseness_scan(
         gaps_decreasing_certified=decreasing,
         terminal_root_exact_two=n > 0 and los[-1] == his[-1] == 2 << d,
         epsilon=epsilon,
-        epsilon_met=None if epsilon is None else all(
-            _gap_below(bracket(i), bracket(i + 1), epsilon)
-            for i in range(min(1, n - 1) if decreasing else n - 1)
-        ),
+        epsilon_met=None if epsilon is None else all(met),
     )
 
 
-def _gap_below(a: RootBracket, b: RootBracket, epsilon: float) -> bool:
-    """Whether the gap between the roots of ``a`` < ``b`` is below ``epsilon``.
-
-    Both cells are refined until the gap's bounds [b.lo - a.hi, b.hi - a.lo]
-    lie on one side of epsilon; exact integer comparisons decide.
-    """
-    if epsilon == math.inf:
+def _below(epsilon: Fraction, los: list[int], his: list[int], depth: int) -> Optional[bool]:
+    # r - q < epsilon for the cells of roots q < r, once [r_lo - q_hi, r_hi - q_lo]
+    # lies on one side of epsilon; None while it does not.
+    scaled = epsilon.numerator << depth  # epsilon * 2^depth * q
+    if (his[1] - los[0]) * epsilon.denominator < scaled:
         return True
-    epsilon = Fraction(epsilon)
-    for _ in range(200):
-        bits = max(a.bits, b.bits)
-        (a_lo, a_hi), (b_lo, b_hi) = a._ends(bits), b._ends(bits)
-        scaled = epsilon.numerator << bits  # epsilon * 2^bits * q
-        if (b_hi - a_lo) * epsilon.denominator < scaled:
-            return True
-        if (b_lo - a_hi) * epsilon.denominator >= scaled:
-            return False
-        a, b = a._split(2), b._split(2)
-    raise RuntimeError("gap certification against epsilon failed to converge")
+    return False if (los[1] - his[0]) * epsilon.denominator >= scaled else None

@@ -333,7 +333,9 @@ def recheck(verdict: Verdict) -> bool:
     (``CharPoly.eval``), not by the integer sign test that produced them.
     Family certificates must name a rule whose shape the coefficients have,
     agree with that rule's re-derived bound, and not be contradicted by a
-    definite gap-engine verdict.  An unrecognised certificate kind fails.
+    definite gap-engine verdict.  An unrecognised certificate kind fails,
+    and so does a subset-sum witness whose bitset would exceed the oracle's
+    bit budget: a certificate that cannot be re-checked is not verified.
     """
     c = verdict.coefficients
     cert = verdict.certificate
@@ -367,9 +369,12 @@ def recheck(verdict: Verdict) -> bool:
             return True
         if min(_gaps(prefix)) >= 0:
             return False
-        from .oracle import reachable_sums  # local: oracle imports brown
+        from .oracle import BudgetExceeded, reachable_sums  # local: oracle imports brown
 
-        return not (reachable_sums(TermSequence(c, prefix)) >> w) & 1
+        try:
+            return not (reachable_sums(TermSequence(c, prefix)) >> w) & 1
+        except BudgetExceeded:
+            return False
     if cert.kind == "failure":  # the first negative gap, and its value
         gaps = _gaps(generate_terms(c, m).terms)
         return min(gaps[:-1], default=0) >= 0 > gaps[-1] and cert.witness in (None, gaps[-1])

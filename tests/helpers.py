@@ -183,16 +183,16 @@ def reference_denseness_scan(L: int, epsilon, tol) -> analytic.DensenessReport:
     """``denseness_scan`` from one ``principal_root`` bracket per k.
 
     Roots increase by ``compare_roots`` on each pair; gaps shrink by
-    ``_certify_gap_shrink`` on each triple, whose refined brackets carry on
-    to the next; epsilon is decided by ``_gap_below`` on the first gap, or
-    on every gap without the shrink certificate.
+    ``reference_gap_shrink`` on each triple, whose refined brackets carry on
+    to the next; epsilon is decided by ``reference_gap_below`` on the first
+    gap, or on every gap without the shrink certificate.
     """
     k_min, k_max = (L * (L + 1) + 3) // 4 + 1, 2 ** (L - 1)
     brackets = [principal_root(analytic.sparse_vector(L, k), tol) for k in range(k_min, k_max + 1)]
     increasing = all(compare_roots(a, b) == -1 for a, b in zip(brackets, brackets[1:]))
     decreasing, work = True, list(brackets)
     for i in range(len(work) - 2):
-        shrunk = analytic._certify_gap_shrink(*work[i : i + 3])
+        shrunk = reference_gap_shrink(*work[i : i + 3])
         if shrunk is None:
             decreasing = False
             break
@@ -213,9 +213,40 @@ def reference_denseness_scan(L: int, epsilon, tol) -> analytic.DensenessReport:
         terminal_root_exact_two=bool(brackets) and brackets[-1].exact_root == 2,
         epsilon=epsilon,
         epsilon_met=None if epsilon is None else all(
-            analytic._gap_below(a, b, epsilon) for a, b in checked
+            reference_gap_below(a, b, epsilon) for a, b in checked
         ),
     )
+
+
+def reference_gap_shrink(bq, br, bs):
+    """Brackets of q < r < s refined until r - q > s - r is certified, or None.
+
+    Each of 200 rounds bisects each bracket twice (an exact root stays a
+    point) and compares Fraction ends: r - q >= r.lo - q.hi and s - r <= s.hi - r.lo.
+    """
+    for _ in range(200):
+        if 2 * br.lo > bq.hi + bs.hi:
+            return bq, br, bs
+        bq, br, bs = (b.refined(b.width / 4) if b.width else b for b in (bq, br, bs))
+    return None
+
+
+def reference_gap_below(a, b, epsilon) -> bool:
+    """Whether the gap between the roots of brackets ``a`` < ``b`` is below ``epsilon``.
+
+    Both are refined until [b.lo - a.hi, b.hi - a.lo] lies on one side of
+    epsilon, comparing Fraction ends.
+    """
+    if epsilon == float("inf"):
+        return True
+    epsilon = Fraction(epsilon)
+    for _ in range(200):
+        if b.hi - a.lo < epsilon:
+            return True
+        if b.lo - a.hi >= epsilon:
+            return False
+        a, b = (r.refined(r.width / 4) if r.width else r for r in (a, b))
+    raise RuntimeError("gap certification against epsilon failed to converge")
 
 
 # Reference copies of the term growth, gap engine and oracle scan that

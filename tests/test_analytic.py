@@ -31,6 +31,7 @@ from helpers import (
     quadratic_root,
     reference_bisect,
     reference_denseness_scan,
+    reference_gap_shrink,
     reference_root,
     reference_sign,
 )
@@ -436,11 +437,32 @@ class TestRootOrderGap:
         gap1, gap2 = root_order_gap(L, k)
         assert gap1 > gap2 > 0
 
-    def test_equal_gaps_are_not_certified_as_shrinking(self):
-        # The exact roots 1, 2, 3 have equal gaps; refining exact roots
-        # changes nothing, so the check gives up.
-        roots = [principal_root(validate([k])) for k in (1, 2, 3)]
-        assert analytic._certify_gap_shrink(*roots) is None
+    def test_equal_gaps_are_not_certified_as_shrinking(self, monkeypatch):
+        # The exact roots 1, 2, 3 have equal gaps; deeper grids change
+        # nothing, so _sparse_decide gives up after 200 depths.
+        depths = []
+
+        def exact_roots(L, ks, d):
+            depths.append(d)
+            return [1 << d, 2 << d, 3 << d], [1 << d, 2 << d, 3 << d]
+
+        monkeypatch.setattr(analytic, "_sparse_roots", exact_roots)
+        assert analytic._sparse_decide(5, 1, 3, 7, analytic._shrinks) is None
+        assert depths == list(range(7, 407, 2))
+        with pytest.raises(RuntimeError):
+            root_order_gap(5, 1)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(3, 13), st.integers(1, 10**6),
+           st.sampled_from([Fraction(1, 10), Fraction(1, 10**12), Fraction(1, 2**60), Fraction(4)]))
+    @example(3, 1, Fraction(4))
+    @example(13, 10**6, Fraction(1, 2**60))
+    def test_matches_refined_principal_root_brackets(self, L, k, tol):
+        # Three principal_root brackets, refined two levels at a time until
+        # their ends certify the shrinking gap, give the same midpoints.
+        brackets = [principal_root(analytic.sparse_vector(L, t), tol) for t in (k, k + 1, k + 2)]
+        q, r, s = reference_gap_shrink(*brackets)
+        assert root_order_gap(L, k, tol) == (r.approx - q.approx, s.approx - r.approx)
 
     def test_rejects_small_parameters(self):
         with pytest.raises(ValueError):
@@ -494,7 +516,8 @@ class TestDensenessScan:
         # root 2 is a point; k = 1 starts below the scanned range.
         ks = range(1, 2 ** (L - 1) + 1)
         expected = [principal_root(analytic.sparse_vector(L, k), tol) for k in ks]
-        d, los, his = analytic._sparse_roots(L, ks, tol)
+        d = analytic._depth(tol)
+        los, his = analytic._sparse_roots(L, ks, d)
         assert len(los) == len(his) == len(ks)
         for b, lo, hi in zip(expected, los, his):
             if b.exact_root is None:
@@ -518,11 +541,44 @@ class TestDensenessScan:
     )
     @example(11, 0.01, Fraction(1, 10))
     @example(9, None, Fraction(4))
+    @example(9, 0.5, Fraction(4))
     def test_matches_reference_sweep(self, L, epsilon, tol):
-        # At a coarse tol the grid separates few roots, and the pairs and
-        # triples it leaves open go through compare_roots and
-        # _certify_gap_shrink as in the reference.
+        # The reference refines principal_root brackets: compare_roots on
+        # each pair, and its own shrink and epsilon loops; the sweep reads
+        # cells of a grid at least 2^-40 fine and shows them at tol.
         assert denseness_scan(L, epsilon, tol) == reference_denseness_scan(L, epsilon, tol)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(2, 9), st.integers(0, 12), st.integers(0, 40), st.integers(1, 300))
+    def test_deeper_cells_shifted_back_are_the_cells(self, L, d, s, k):
+        # A cell at depth d + s lies inside one cell at depth d, the one
+        # that holds the root there; an exact root stays a point.
+        ks = range(k, k + 3)
+        fine, coarse = analytic._sparse_roots(L, ks, d + s), analytic._sparse_roots(L, ks, d)
+        shifted = ([lo >> s for lo in fine[0]],
+                   [(lo >> s) + (lo != hi) for lo, hi in zip(*fine)])
+        assert shifted == coarse
+
+    @pytest.mark.parametrize("L", [8, 12])
+    def test_open_pairs_and_triples_are_decided_deeper(self, monkeypatch, L):
+        # With the certification grid as coarse as tol 1/10, the grid
+        # leaves pairs and triples open, and _sparse_decide certifies them.
+        tol = Fraction(1, 10)
+        expected = denseness_scan(L, 0.01, tol)
+        calls = []
+        decide = analytic._sparse_decide
+
+        def counted(L, k, count, depth, test):
+            calls.append((count, depth))
+            return decide(L, k, count, depth, test)
+
+        monkeypatch.setattr(analytic, "DEFAULT_TOL", tol)
+        monkeypatch.setattr(analytic, "_sparse_decide", counted)
+        r = denseness_scan(L, 0.01, tol)
+        assert r == expected
+        assert r.increasing_certified and r.gaps_decreasing_certified
+        d = analytic._depth(tol)
+        assert (2, d + 2) in calls and (3, d + 2) in calls
 
     @pytest.mark.parametrize("L", [9, 12])
     @pytest.mark.parametrize(
@@ -541,33 +597,26 @@ class TestDensenessScan:
 
         monkeypatch.setattr(analytic, "_sparse_newton", proposal)
         assert denseness_scan(L) == expected
-        assert len(proposals) == expected.k_max - expected.k_min
+        assert len(proposals) == expected.k_max - expected.k_min + 1  # the first root too
 
-    @pytest.mark.parametrize("tol", [Fraction(1, 10), Fraction(1, 2**14), analytic.DEFAULT_TOL])
-    def test_brackets_only_where_the_cells_do_not_separate(self, monkeypatch, tol):
-        # The grid decides every pair and triple that principal_root's cells
-        # separate; exactly the others go to compare_roots and
-        # _certify_gap_shrink (at tol 1/10, 103 of 109 pairs and 108 of 108
-        # triples; at 2^-14, no pair and 94 triples; at 1e-12, none).
-        L = 8
-        k_min = lambda_threshold(L).max_complete_n + 1
-        cells = [principal_root(analytic.sparse_vector(L, k), tol)
-                 for k in range(k_min, 2 ** (L - 1) + 1)]
-        expected = {
-            "compare_roots": sum(a.hi > b.lo for a, b in zip(cells, cells[1:])),
-            "_certify_gap_shrink": sum(2 * r.lo <= q.hi + s.hi
-                                       for q, r, s in zip(cells, cells[1:], cells[2:])),
-        }
-        calls = dict.fromkeys(expected, 0)
-        for name in calls:
+    @pytest.mark.parametrize("epsilon", [None, 0.01])
+    @pytest.mark.parametrize("tol", [Fraction(4), Fraction(1, 10), Fraction(1, 2**14),
+                                     analytic.DEFAULT_TOL, Fraction(1, 10**20)])
+    def test_no_brackets_at_any_tol(self, monkeypatch, tol, epsilon):
+        # Every root is a grid cell at every tol, and the grid of depth 40
+        # separates every pair and triple at L = 8: no sign evaluation,
+        # root comparison, principal root or deeper grid.
+        calls = []
+        for name in ("compare_roots", "principal_root", "_sparse_decide"):
             def counted(*args, name=name, fn=getattr(analytic, name)):
-                calls[name] += 1
+                calls.append(name)
                 return fn(*args)
 
             monkeypatch.setattr(analytic, name, counted)
-        r = denseness_scan(L, tol=tol)
+        monkeypatch.setattr(CharPoly, "sign_at", lambda *args: calls.append("sign_at"))
+        r = denseness_scan(8, epsilon, tol)
         assert r.increasing_certified and r.gaps_decreasing_certified
-        assert calls == expected
+        assert calls == ["_sparse_decide"] * (epsilon is not None)  # the epsilon pair
 
     @settings(deadline=None)
     @given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 300), st.integers(0, 300),
@@ -586,23 +635,26 @@ class TestDensenessScan:
             c += 1
         assert analytic._grid_cell(g, target, den, den + guess, step) == (c, g(c + 1) == target)
 
-    def test_sign_evaluations_only_for_the_first_root(self, monkeypatch):
-        # Past the first root, every cell is accepted by the closed form on
-        # the grid, and every pair and triple separates there at the default tol.
-        first = analytic.sparse_vector(12, lambda_threshold(12).max_complete_n + 1)
-        seen = []
-        sign_at = CharPoly.sign_at
+    def test_closed_form_evaluations_do_not_grow_at_a_coarse_tol(self, monkeypatch):
+        # At tol 1/10 the sweep certifies on the default tol's grid, so it
+        # evaluates the closed form as often as there, plus the cells of its
+        # one epsilon pair.
+        evaluations = []
+        grid_cell = analytic._grid_cell
 
-        def counted(self, *args):
-            seen.append(self.coefficients)
-            return sign_at(self, *args)
+        def counted(g, *args):
+            return grid_cell(lambda j: evaluations.append(j) or g(j), *args)
 
-        monkeypatch.setattr(CharPoly, "sign_at", counted)
-        principal_root(first)
-        alone = len(seen)
-        seen.clear()
-        denseness_scan(12)
-        assert seen == [first] * alone
+        def cost(run):
+            evaluations.clear()
+            run()
+            return len(evaluations)
+
+        monkeypatch.setattr(analytic, "_grid_cell", counted)
+        k_min = lambda_threshold(12).max_complete_n + 1
+        coarse = cost(lambda: denseness_scan(12, 0.01, Fraction(1, 10)))
+        pair = cost(lambda: analytic._sparse_roots(12, range(k_min, k_min + 2), 40))
+        assert coarse == cost(lambda: denseness_scan(12)) + pair
 
 
 class TestRootMonotonicity:

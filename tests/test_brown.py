@@ -393,6 +393,22 @@ class TestRecheck:
         bad = brown.Verdict(c, COMPLETE, brown.strict_window(3), False, 3)
         assert not recheck(bad)
 
+    def test_hand_made_witness_past_a_failure_is_read_from_the_bitset(self):
+        # [1, 3] has terms 1, 2, 5, 11, 26 and B_3 = -1: the first three
+        # terms reach every sum up to 8 but 4, and the first four miss 9
+        # and 10 as well, all below the next term.
+        c = validate([1, 3])
+        for m, w, missing in ((3, 4, True), (3, 5, False), (4, 9, True), (4, 10, True),
+                              (4, 12, False)):
+            v = brown.Verdict(c, INCOMPLETE, brown.failure(m, witness=w), False, m)
+            assert recheck(v) is missing, (m, w)
+
+    def test_witness_past_the_bit_budget_is_not_verified(self):
+        # The prefix of 40 terms sums to about 1.5e9, past the 2^28-bit budget.
+        c = validate([1, 1] + [0] * 33 + [25583530])
+        v = brown.Verdict(c, INCOMPLETE, brown.failure(40, witness=5), False, 40)
+        assert recheck(v) is False
+
 
 KINDS = (COMPLETE, INCOMPLETE, UNKNOWN)
 

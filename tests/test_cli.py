@@ -502,7 +502,9 @@ def test_root_reports_match_goldens(capsys, name):
     # that built its whole 2L+1-term prefix before reading a gap; of
     # scan-2l1 boxes, as written when every survivor went to the engine; and
     # of check --verify on each gap certificate kind and gen on a long sparse
-    # vector, as written when recheck grew its terms with the engine's kernel.
+    # vector, as written when recheck grew its terms with the engine's kernel;
+    # and of dense at tol 1/10 with epsilon and at tol 4, as written when
+    # roots the grid of tol left unseparated were refined as brackets.
     code, out, _ = run(capsys, *GOLDEN_JOBS[name])
     with open(os.path.join(GOLDEN_DIR, f"{name}.stdout")) as fh:
         assert out == fh.read()
