@@ -50,11 +50,12 @@ print("sparse one [1,0,...,0,S] grows slowest (verified exhaustively):")
 c, b = min_root_in_pls(3, 4, verify=True)
 print(f"  L=3, sum 5: minimizer {c}, root ~ {b.approx:.6f}")
 
-print("\nExhaustive audit at L=4: the slowest incomplete vector with root")
-print("below 2 is exactly the one defining lambda_4:")
-r = exact_threshold_search(4)
+print("\nExhaustive audit at L=8: the slowest incomplete vector with root")
+print("below 2 is exactly the one defining lambda_8:")
+r = exact_threshold_search(8)
 print(f"  frontier {r.frontier_coefficients}, root ~ {r.frontier.approx:.9f},"
-      f" agrees with lambda: {r.agrees_with_lambda}")
+      f" agrees with lambda: {r.agrees_with_lambda},"
+      f" {r.candidates} prefixes searched")
 
 print("\nIncomplete growth rates fill (1, 2) ever more densely: sweeping")
 print("[1,0^(L-2),k] at L=12 over k = 40..2048:")

@@ -31,6 +31,8 @@ The triage test classifies fast: p(2) < 0 proves incompleteness (the root
 exceeds 2, too fast to be complete), while a root certified below the
 lambda threshold of the same length is conjecturally complete.  Roots in
 between land in an indeterminate band where gap arithmetic must decide.
+``exact_threshold_search`` audits the conjectured lower end of that band
+by a pruned walk over coefficient prefixes, one ``max_last`` per prefix.
 """
 
 from __future__ import annotations
@@ -40,19 +42,16 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from . import brown, families
-from .core import Coefficients, validate, vectors, vectors_with_sum
+from .core import Coefficients, validate, vectors_with_sum
 
 Rational = Union[int, Fraction]
 T = TypeVar("T")
 
 #: Default bracket width for reported roots; display precision only.
 DEFAULT_TOL = Fraction(1, 10**12)
-
-#: Enumeration ceiling for exact_threshold_search.
-THRESHOLD_SEARCH_MAX_L = 5
 
 TRIAGE_FAST = "p2_negative"
 TRIAGE_SLOW = "below_lambda"
@@ -506,8 +505,9 @@ class ThresholdSearchReport:
 
     ``frontier`` is the smallest certified principal root among vectors the
     gap engine judges incomplete whose root lies strictly below 2, or None
-    when no such vector exists.  Any vector the engine cannot decide is
-    listed in ``undecided`` rather than silently dropped.
+    when no such vector exists.  ``candidates`` counts the full prefixes
+    c_1..c_(L-1) reached, one ``families.max_last`` each; a prefix whose
+    probes the engine leaves unknown is listed in ``undecided``.
     """
 
     L: int
@@ -516,44 +516,52 @@ class ThresholdSearchReport:
     frontier: Optional[RootBracket]
     lam: LambdaThreshold
     agrees_with_lambda: bool
-    undecided: tuple[Coefficients, ...]
+    undecided: tuple[tuple[int, ...], ...]
 
 
 def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
-    """Audit the lambda threshold by brute force at small length.
+    """Audit the lambda threshold exhaustively at length L >= 2.
 
-    Any incomplete vector with principal root below 2 must satisfy
-    c_i < 2^i (else p(2) <= 0), so enumerating c_i <= 2^i is exhaustive
-    for the sub-2 frontier.  Cost grows like prod 2^i; lengths above
-    THRESHOLD_SEARCH_MAX_L are refused.
+    Roots grow in every c_i, and lowering c_L keeps completeness, so the
+    least incomplete root with full prefix P is that of P + [max_last(P)+1].
+    Prefixes c_1..c_k are walked in lexicographic order.  A value is kept
+    while the least-root completion Q + 0^(L-1-k) + [1] has a root below 2
+    and, when lambda_L < 2, at most lambda_L (the sparse vector of lambda_L
+    is incomplete); the first value that fails ends its level.
     """
     if L < 2:
         raise ValueError(f"need L >= 2, got {L}")
-    if L > THRESHOLD_SEARCH_MAX_L:
-        raise CostCap(f"threshold search capped at L <= {THRESHOLD_SEARCH_MAX_L}")
     tol = _as_fraction(tol)
     lam = lambda_threshold(L, tol)
-    ranges = [range(1, 3)]  # c_1 <= 2
-    ranges += [range(0, 2**i + 1) for i in range(2, L)]
-    ranges += [range(1, 2**L + 1)]
-    incomplete, undecided = [], []
-    for c in vectors(ranges):
-        if CharPoly(c).sign_at(2) <= 0:
-            continue  # root >= 2
-        kind = brown.check_completeness(c).kind
-        if kind == brown.INCOMPLETE:
-            incomplete.append(c)
-        elif kind == brown.UNKNOWN:
-            undecided.append(c)
-    best_c, best = least_root(incomplete, tol) or (None, None)
+    lam_below_two = lam.root.poly.sign_at(2) > 0
+    full: list[tuple[int, ...]] = []
+    undecided: list[tuple[int, ...]] = []
+
+    def incomplete(prefix: tuple[int, ...]) -> Iterator[Coefficients]:
+        # The least-root incomplete vector below each full prefix, in order.
+        if len(prefix) == L - 1:
+            full.append(prefix)
+            m = families.max_last(prefix)
+            if m is None:
+                undecided.append(prefix)
+            elif CharPoly(c := validate([*prefix, m + 1])).sign_at(2) > 0:
+                yield c
+            return
+        for ci in itertools.count(0 if prefix else 1):
+            poly = CharPoly(validate([*prefix, ci, *[0] * (L - 2 - len(prefix)), 1]))
+            if poly.sign_at(2) <= 0 or (
+                    lam_below_two and _separate(_integer_bracket(poly), lam.root)[0] > 0):
+                return
+            yield from incomplete((*prefix, ci))
+
+    best_c, best = least_root(incomplete(()), tol) or (None, None)
     if best_c is None:
         # No sub-2 incomplete vector: consistent iff the threshold is >= 2.
-        agrees = lam.root.poly.sign_at(2) <= 0
+        agrees = not lam_below_two
     else:
         agrees = best_c == sparse_vector(L, lam.max_complete_n + 1)
-    candidates = math.prod(len(r) for r in ranges)
     return ThresholdSearchReport(
-        L, candidates, best_c, best, lam, agrees, tuple(undecided)
+        L, len(full), best_c, best, lam, agrees, tuple(undecided)
     )
 
 
@@ -561,19 +569,20 @@ def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
 # Root ordering and denseness
 
 
-def root_order_gap(L: int, k: int, tol=DEFAULT_TOL) -> tuple[float, float]:
+def root_order_gap(L: int, k: int, tol=DEFAULT_TOL) -> tuple[Fraction, Fraction]:
     """Consecutive root gaps of x^L - x^(L-1) - t for t = k, k+1, k+2.
 
-    Returns (r-q, s-r) as floats after certifying r-q > s-r exactly: the
-    map t -> root is increasing and concave, so the gaps shrink.  The roots
-    are cells of the grid of ``tol``, deepened by ``_sparse_decide`` until
-    the cells certify it, and the gaps are those of their midpoints there.
+    Returns (r-q, s-r) after certifying r-q > s-r exactly: the map
+    t -> root is increasing and concave, so the gaps shrink.  The roots are
+    cells of the grid of ``tol``, deepened by ``_sparse_decide`` until the
+    cells certify it, and the gaps are those of their midpoints there, as
+    exact ``Fraction``s: floats round gaps below the roots' ulp to 0.
     """
     if L <= 2 or k <= 0:
         raise ValueError(f"need L > 2 and k > 0, got L={L}, k={k}")
 
-    def gaps(los: list[int], his: list[int], depth: int) -> Optional[tuple[float, float]]:
-        q, r, s = ((lo + hi) / (2 << depth) for lo, hi in zip(los, his))
+    def gaps(los: list[int], his: list[int], depth: int) -> Optional[tuple[Fraction, Fraction]]:
+        q, r, s = (Fraction(lo + hi, 2 << depth) for lo, hi in zip(los, his))
         return (r - q, s - r) if _shrinks(los, his, depth) else None
 
     found = _sparse_decide(L, k, 3, _depth(tol), gaps)

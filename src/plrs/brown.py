@@ -127,9 +127,9 @@ class Verdict:
 def window_survivors(
     ranges: Sequence[range], window: int
 ) -> Iterator[tuple[Coefficients, bool]]:
-    """The vectors c of the box ``core.vectors(ranges)`` whose gaps B_n are
-    non-negative for every n <= ``window``, in the same lexicographic order,
-    each with a flag ``proven``.
+    """The vectors c with c_i in ``ranges[i-1]`` whose gaps B_n are
+    non-negative for every n <= ``window``, in lexicographic order, each
+    with a flag ``proven``.
 
     ``proven`` is True when the gaps the walk has read already prove c
     complete by the strict window: L >= 2, ``window`` reaches 2L-1, and
@@ -145,8 +145,8 @@ def window_survivors(
     first value whose gap is negative at an index <= ``window`` ends the
     level: its subtree and every later sibling fail too.  That needs every
     range ascending.  A leaf reads on to the window from the terms it holds,
-    and only a vector that is yielded becomes a ``Coefficients``; as in
-    ``core.vectors``, the first and last ranges must exclude 0.
+    and only a vector that is yielded becomes a ``Coefficients`` (validated
+    then, so the first and last ranges must exclude 0).
     """
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")

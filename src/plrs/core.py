@@ -14,7 +14,6 @@ the conventions above.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -88,16 +87,6 @@ def validate(values: Sequence[int]) -> Coefficients:
     the vector is not a legal shape.
     """
     return Coefficients(tuple(values))
-
-
-def vectors(ranges: Sequence[range]) -> Iterator[Coefficients]:
-    """Every vector with c_i in ``ranges[i-1]``, in lexicographic order.
-
-    The first and last ranges must exclude 0, so that every tuple of the
-    box is a valid vector; otherwise InvalidCoefficients is raised.
-    """
-    for values in itertools.product(*ranges):
-        yield Coefficients(values)
 
 
 def vectors_with_sum(L: int, total: int) -> Iterator[Coefficients]:

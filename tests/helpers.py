@@ -179,6 +179,39 @@ def reference_root(c: Coefficients, tol: Fraction):
     return reference_bisect(poly, Fraction(lo), Fraction(hi), tol)
 
 
+def reference_threshold_search(L: int, tol) -> analytic.ThresholdSearchReport:
+    """``exact_threshold_search`` by brute force over the box c_i <= 2^i.
+
+    An incomplete vector with root below 2 has c_i < 2^i (else p(2) <= 0),
+    so the box is exhaustive.  Every vector of it with p(2) > 0 gets the gap
+    engine, and ``least_root`` picks the first least root among the
+    incomplete ones.  ``candidates`` is the size of the box, and
+    ``undecided`` holds the prefix c_1..c_(L-1) of each vector the engine
+    leaves unknown.
+    """
+    lam = analytic.lambda_threshold(L, tol)
+    ranges = [range(1, 3), *(range(0, 2**i + 1) for i in range(2, L)), range(1, 2**L + 1)]
+    box = list(itertools.product(*ranges))
+    incomplete, undecided = [], []
+    for values in box:
+        c = validate(values)
+        if CharPoly(c).sign_at(2) <= 0:
+            continue  # root >= 2
+        kind = brown.check_completeness(c).kind
+        if kind == brown.INCOMPLETE:
+            incomplete.append(c)
+        elif kind == brown.UNKNOWN:
+            undecided.append(values[:-1])
+    best_c, best = analytic.least_root(incomplete, tol) or (None, None)
+    if best_c is None:
+        agrees = lam.root.poly.sign_at(2) <= 0
+    else:
+        agrees = best_c == analytic.sparse_vector(L, lam.max_complete_n + 1)
+    return analytic.ThresholdSearchReport(
+        L, len(box), best_c, best, lam, agrees, tuple(dict.fromkeys(undecided))
+    )
+
+
 def reference_denseness_scan(L: int, epsilon, tol) -> analytic.DensenessReport:
     """``denseness_scan`` from one ``principal_root`` bracket per k.
 

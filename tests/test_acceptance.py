@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end criteria, one test and one printed
+"""Acceptance gate: eleven end-to-end criteria, one test and one printed
 PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the gate lines
@@ -16,6 +16,7 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from typing import Optional
 
 import plrs
 from plrs import (
@@ -27,6 +28,7 @@ from plrs import (
     check_completeness,
     compare_roots,
     denseness_scan,
+    exact_threshold_search,
     generate_terms,
     lambda_threshold,
     oracle_verdict,
@@ -40,15 +42,18 @@ from plrs import (
 from helpers import all_vectors, quadratic_root
 
 
-def gate(name: str, ok: bool, started: float, budget_s: float, detail: str = ""):
+def gate(name: str, ok: bool, started: float, budget_s: Optional[float], detail: str = ""):
+    # A criterion whose budget is not time (budget_s None) states it in `ok`.
     elapsed = time.monotonic() - started
-    status = "PASS" if ok and elapsed < budget_s else "FAIL"
-    line = f"[{status}] {name} ({elapsed:.2f}s / {budget_s:.0f}s budget)"
+    in_time = budget_s is None or elapsed < budget_s
+    status = "PASS" if ok and in_time else "FAIL"
+    shown = "" if budget_s is None else f" / {budget_s:.0f}s budget"
+    line = f"[{status}] {name} ({elapsed:.2f}s{shown})"
     if detail:
         line += f" — {detail}"
     print(line)
     assert ok, f"{name}: {detail}"
-    assert elapsed < budget_s, f"{name}: exceeded {budget_s}s budget ({elapsed:.2f}s)"
+    assert in_time, f"{name}: exceeded {budget_s}s budget ({elapsed:.2f}s)"
 
 
 def subset_sums_agree(verdict) -> bool:
@@ -311,3 +316,18 @@ def test_criterion_10_denseness_sweep():
     gate("criterion 10: 2009 sparse-family roots strictly increase, gaps shrink, "
          "sweep ends exactly at 2", ok, started, 30,
          detail=f"max gap {report.max_gap:.6f} at k={report.max_gap_at}")
+
+
+def test_criterion_11_threshold_frontier_search():
+    # The budget is work, not time: full prefixes reached, one max_last each.
+    started = time.monotonic()
+    ok = True
+    for L in range(2, 11):
+        r = exact_threshold_search(L)
+        expected = validate([1] + [0] * (L - 2) + [(L * (L + 1) + 3) // 4 + 1]) if L > 3 else None
+        ok = ok and r.frontier_coefficients == expected and r.agrees_with_lambda
+        ok = ok and r.undecided == ()
+    ok = ok and r.candidates <= 1100
+    gate("criterion 11: the least incomplete root below 2 is lambda_L's sparse vector "
+         "for L = 2..10, nothing undecided", ok, started, None,
+         detail=f"{r.candidates} of at most 1100 full prefixes at L=10")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import timeit
 from fractions import Fraction
@@ -14,6 +15,8 @@ from plrs import (
     CostCap,
     analytic,
     char_poly_eval,
+    check_completeness,
+    families,
     compare_roots,
     denseness_scan,
     exact_threshold_search,
@@ -34,6 +37,7 @@ from helpers import (
     reference_gap_shrink,
     reference_root,
     reference_sign,
+    reference_threshold_search,
 )
 
 vectors = st.one_of(
@@ -359,9 +363,63 @@ class TestExactThresholdSearch:
     def test_gap_engine_decides_every_candidate(self, L):
         assert exact_threshold_search(L).undecided == ()
 
-    def test_cost_cap(self):
-        with pytest.raises(CostCap):
-            exact_threshold_search(6)
+    @pytest.mark.parametrize("L", range(2, 6))
+    @pytest.mark.parametrize("tol", [Fraction(1, 10**12), Fraction(1, 10), Fraction(1, 10**30)])
+    def test_matches_the_box_search(self, L, tol):
+        # Everything but `candidates`, which counts prefixes here and
+        # vectors of the box there.
+        r, expected = exact_threshold_search(L, tol), reference_threshold_search(L, tol)
+        assert r.candidates < expected.candidates
+        assert dataclasses.replace(r, candidates=expected.candidates) == expected
+
+    @pytest.mark.parametrize("L", [6, 7, 8])
+    def test_finds_the_conjectured_vector_past_the_box(self, L):
+        r = exact_threshold_search(L)
+        assert r.frontier_coefficients == analytic.sparse_vector(L, r.lam.max_complete_n + 1)
+        assert r.agrees_with_lambda
+        assert r.undecided == ()
+
+    def test_a_root_equal_to_lambda_is_not_pruned(self, monkeypatch):
+        # With lambda moved down to the root of [1, 0, 0, 1], the least of
+        # length 4, only the prefix (1, 0, 0) ties it, and it is searched.
+        tied = analytic.LambdaThreshold(4, 5, principal_root(validate([1, 0, 0, 1])))
+        monkeypatch.setattr(analytic, "lambda_threshold", lambda L, tol: tied)
+        r = exact_threshold_search(4)
+        assert r.candidates == 1
+        assert r.frontier_coefficients == validate([1, 0, 0, 6])
+
+    def test_a_prefix_the_engine_leaves_open_is_listed(self, monkeypatch):
+        max_last = families.max_last
+        monkeypatch.setattr(families, "max_last",
+                            lambda prefix: None if prefix == (1, 0, 0) else max_last(prefix))
+        r = exact_threshold_search(4)
+        assert r.undecided == ((1, 0, 0),)
+        assert r.frontier_coefficients != validate([1, 0, 0, 6])
+        assert not r.agrees_with_lambda
+
+    # Full prefixes P with L <= 5 and c_i <= 4, and tails of completions.
+    prefixes = st.builds(lambda first, rest: (first, *rest),
+                         st.integers(1, 4), st.lists(st.integers(0, 4), max_size=3))
+
+    @settings(deadline=None, max_examples=60)
+    @given(prefixes)
+    def test_least_incomplete_completion_is_max_last_plus_one(self, prefix):
+        m = families.max_last(prefix)
+        assume(m is not None)
+        least = principal_root(validate([*prefix, m + 1]))
+        kinds = {n: check_completeness(validate([*prefix, n])).kind for n in range(1, m + 7)}
+        assert kinds[m + 1] == INCOMPLETE
+        for n, kind in kinds.items():
+            if kind == INCOMPLETE:
+                assert n > m
+                assert compare_roots(least, principal_root(validate([*prefix, n]))) <= 0
+
+    @settings(deadline=None, max_examples=60)
+    @given(prefixes, st.lists(st.integers(0, 4), max_size=3), st.integers(1, 4))
+    def test_zeros_and_a_one_complete_with_the_least_root(self, prefix, middle, last):
+        sparse = validate([*prefix, *[0] * len(middle), 1])
+        drawn = validate([*prefix, *middle, last])
+        assert compare_roots(principal_root(sparse), principal_root(drawn)) <= 0
 
 
 class TestLeastRoot:
@@ -432,7 +490,7 @@ class TestLeastRoot:
 
 
 class TestRootOrderGap:
-    @pytest.mark.parametrize("L,k", [(3, 3), (4, 5), (10, 30)])
+    @pytest.mark.parametrize("L,k", [(3, 3), (4, 5), (10, 30), (3, 10**30)])
     def test_gaps_shrink(self, L, k):
         gap1, gap2 = root_order_gap(L, k)
         assert gap1 > gap2 > 0
@@ -461,8 +519,8 @@ class TestRootOrderGap:
         # Three principal_root brackets, refined two levels at a time until
         # their ends certify the shrinking gap, give the same midpoints.
         brackets = [principal_root(analytic.sparse_vector(L, t), tol) for t in (k, k + 1, k + 2)]
-        q, r, s = reference_gap_shrink(*brackets)
-        assert root_order_gap(L, k, tol) == (r.approx - q.approx, s.approx - r.approx)
+        q, r, s = ((b.lo + b.hi) / 2 for b in reference_gap_shrink(*brackets))
+        assert root_order_gap(L, k, tol) == (r - q, s - r)
 
     def test_rejects_small_parameters(self):
         with pytest.raises(ValueError):

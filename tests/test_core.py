@@ -14,7 +14,7 @@ from plrs import (
     generate_terms,
     validate,
 )
-from plrs.core import vectors, vectors_with_sum
+from plrs.core import vectors_with_sum
 from helpers import reference_terms
 
 
@@ -173,17 +173,6 @@ class TestGrowthProperties:
 
 
 class TestVectors:
-    @pytest.mark.parametrize("L,cap", [(2, 4), (3, 3), (4, 3), (5, 2)])
-    def test_box_count_and_lexicographic_order(self, L, cap):
-        edge = range(1, cap + 1)
-        out = [c.values for c in vectors([edge, *[range(cap + 1)] * (L - 2), edge])]
-        assert len(out) == cap * (cap + 1) ** (L - 2) * cap
-        assert all(a < b for a, b in zip(out, out[1:]))
-
-    def test_box_with_a_zero_edge_is_rejected(self):
-        with pytest.raises(LeadingZero):
-            list(vectors([range(0, 2), range(1, 2)]))
-
     def test_with_sum_matches_filtered_product(self):
         for L in range(1, 5):
             for total in range(0, 9):
