@@ -585,7 +585,19 @@ def root_order_gap(L: int, k: int, tol=DEFAULT_TOL) -> tuple[Fraction, Fraction]
         q, r, s = (Fraction(lo + hi, 2 << depth) for lo, hi in zip(los, his))
         return (r - q, s - r) if _shrinks(los, his, depth) else None
 
-    found = _sparse_decide(L, k, 3, _depth(tol), gaps)
+    # Cells at depth d certify only where 2^d (2r - q - s) >= 1, since
+    # 2 r_lo - q_hi - s_hi <= 2^d (2r - q - s).  With phi(t) the root of
+    # F(x) = x^L - x^(L-1) = t, 2r - q - s = -phi''(t) for some t in
+    # [k, k + 2], and -phi'' = F''/F'^3 = (L-1)(Lx-L+2) / (x^(2L-3) (Lx-L+1)^3)
+    # at x = phi(t) falls as x >= 1 grows; so its value at a = floor(q) bounds
+    # the difference, and the depths below where 2^d times it reaches 1 are
+    # skipped: they answer None.
+    a = _integer_bracket(CharPoly(sparse_vector(L, k))).num
+    num, den = (L - 1) * (L * a - L + 2), a ** (2 * L - 3) * (L * a - L + 1) ** 3
+    depth = _depth(tol)
+    while num << depth < den:
+        depth += 2
+    found = _sparse_decide(L, k, 3, depth, gaps)
     if found is None:
         raise RuntimeError("gap ordering certification failed to converge")
     return found
@@ -605,7 +617,8 @@ def _sparse_decide(
     ``test(los, his, depth)`` reads the cells of those roots at ``depth``
     (``_sparse_roots``) and returns None while they leave its question
     open.  The roots are isolated again two levels deeper at a time, at
-    200 depths from ``depth`` on; None if none of them answers.
+    the 200 depths depth, depth + 2, ..., depth + 398; None if none of them
+    answers.
     """
     for d in range(depth, depth + 400, 2):
         if (answer := test(*_sparse_roots(L, range(k, k + count), d), d)) is not None:

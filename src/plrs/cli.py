@@ -36,6 +36,13 @@ argument parser is built on the first call, not on import, and reused;
 each call parses into a fresh namespace, so no option carries over from
 one call to the next.  Every call sets the process-wide int-digit limit to
 0, since terms of many thousands of digits are printed in full.
+
+A call whose first argument is a command name is parsed once, by that
+command's own parser: the top-level parser would only hand it every later
+argument and copy its namespace back.  Any other call (no arguments, a
+leading option such as -h, an unknown command, or arguments the command
+leaves over) goes through the top-level parser, so every usage, help and
+error text and every exit code is the one it writes.
 """
 
 from __future__ import annotations
@@ -344,7 +351,10 @@ def _cmd_min_root(args) -> tuple[dict, dict | str, int]:
                         key=lambda c: c.values)
     undecided = [list(c.values) for c, kind in zip(tasks, kinds) if kind == brown.UNKNOWN]
     lam = analytic.lambda_threshold(L, tol)
-    best_c, best_bracket = analytic.least_root(incomplete, tol) or (None, None)
+    # Roots grow strictly in c_L, so the first incomplete vector of each
+    # prefix c_1..c_{L-1} has its least root; least_root needs no other.
+    firsts = [next(g) for _, g in itertools.groupby(incomplete, key=lambda c: c.values[:-1])]
+    best_c, best_bracket = analytic.least_root(firsts, tol) or (None, None)
     best = list(best_c.values) if best_c is not None else None
     violated = best_bracket is not None and analytic.compare_roots(best_bracket, lam.root) < 0
     report = {
@@ -410,6 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Completeness toolkit for positive linear recurrence sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> the command's own parser, for _parse
 
     def common(p, formats=("json", "csv", "plain"), default="json", definite=True):
         p.add_argument("--format", choices=formats, default=default)
@@ -483,10 +494,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # The namespace _build_parser().parse_args(argv) gives, or its exit: a
+    # command's parser alone decides a call it parses with nothing left over.
+    parser = _build_parser()
+    if argv and argv[0] in parser.commands:
+        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # terms grow geometrically; never truncate
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if args.out:
             _check_out(args.out)

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import os
 import timeit
 from fractions import Fraction
 
@@ -521,6 +523,33 @@ class TestRootOrderGap:
         brackets = [principal_root(analytic.sparse_vector(L, t), tol) for t in (k, k + 1, k + 2)]
         q, r, s = ((b.lo + b.hi) / 2 for b in reference_gap_shrink(*brackets))
         assert root_order_gap(L, k, tol) == (r - q, s - r)
+
+    @pytest.mark.parametrize("L,k", [(5, 10**400), (7, 2**1100)], ids=["5-10^400", "7-2^1100"])
+    def test_huge_k_starts_where_the_cells_can_certify(self, monkeypatch, L, k):
+        # The second difference of the roots is about 2^-2330 and 2^-2020
+        # here, far past 400 levels below the tol's depth; the search starts
+        # at the first depth whose cells could certify it.
+        depths = []
+        sparse_roots = analytic._sparse_roots
+
+        def counted(L, ks, d):
+            depths.append(d)
+            return sparse_roots(L, ks, d)
+
+        monkeypatch.setattr(analytic, "_sparse_roots", counted)
+        gap1, gap2 = root_order_gap(L, k)
+        assert gap1 > gap2 > 0
+        assert len(depths) <= 8
+
+    def test_matches_pinned_values(self):
+        # (L, k, tol, r - q, s - r) as returned when every search started at
+        # the tol's depth; a skipped depth can only have answered None.
+        with open(os.path.join(os.path.dirname(__file__), "data",
+                               "root_order_gap_pins.json")) as fh:
+            pins = json.load(fh)
+        assert len(pins) == 180
+        for L, k, tol, gap1, gap2 in pins:
+            assert root_order_gap(L, k, Fraction(tol)) == (Fraction(gap1), Fraction(gap2))
 
     def test_rejects_small_parameters(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plrs
-from plrs import brown, cli, families, oracle, validate
+from plrs import analytic, brown, cli, families, oracle, validate
+from plrs.core import vectors_with_sum
 from helpers import reference_max_last, reference_root, reference_scan_2l1
 
 CONTRACT_KEYS = {"coefficients", "kind", "certificate", "index", "conjectural", "horizon_used"}
@@ -472,6 +473,28 @@ class TestMinRoot:
         assert payload["frontier"] == [1, 0, 4]
         assert payload["frontier_root"] == 2.0
 
+    @pytest.mark.parametrize("L,cap", [(2, 4), (2, 9), (3, 6), (3, 14), (4, 8), (4, 10), (5, 7)])
+    def test_frontier_is_least_root_of_every_incomplete_vector(self, capsys, monkeypatch, L, cap):
+        # least_root gets only the first incomplete vector of each prefix.
+        least_root, given = analytic.least_root, []
+
+        def recorded(vectors, tol):
+            given.extend(vectors)
+            return least_root(given, tol)
+
+        monkeypatch.setattr(analytic, "least_root", recorded)
+        _, payload, _ = run_json(capsys, "min-root", "--L", str(L), "--sum-cap", str(cap),
+                                 "--jobs", "1")
+        every = [c for total in range(2, cap + 1) for c in vectors_with_sum(L, total)]
+        incomplete = sorted((c for c in every if brown.check_completeness(c).kind
+                             == brown.INCOMPLETE), key=lambda c: c.values)
+        best, bracket = least_root(incomplete)
+        assert (payload["frontier"], payload["frontier_root"]) == (list(best.values),
+                                                                   bracket.approx)
+        assert payload["incomplete"] == len(incomplete)
+        prefixes = [c.values[:-1] for c in given]
+        assert prefixes == sorted(set(prefixes)) == sorted({c.values[:-1] for c in incomplete})
+
     def test_runs_serially_at_any_jobs(self, capsys, monkeypatch):
         # --jobs is echoed, but min-root never starts a worker pool.
         _, serial, _ = run_json(capsys, "min-root", "--L", "4", "--sum-cap", "8", "--jobs", "1")
@@ -493,7 +516,7 @@ with open(os.path.join(GOLDEN_DIR, "golden_jobs.txt")) as fh:
 
 
 @pytest.mark.parametrize("name", GOLDEN_JOBS)
-def test_root_reports_match_goldens(capsys, name):
+def test_root_reports_match_goldens(capsys, monkeypatch, name):
     # Byte for byte: the reports of the benchmark's root jobs, as written by
     # the implementation that refined every candidate root to tol; of
     # check with and without --triage-first on long sparse vectors, as
@@ -504,12 +527,23 @@ def test_root_reports_match_goldens(capsys, name):
     # of check --verify on each gap certificate kind and gen on a long sparse
     # vector, as written when recheck grew its terms with the engine's kernel;
     # and of dense at tol 1/10 with epsilon and at tol 4, as written when
-    # roots the grid of tol left unseparated were refined as brackets.
-    code, out, _ = run(capsys, *GOLDEN_JOBS[name])
+    # roots the grid of tol left unseparated were refined as brackets.  The
+    # usage errors, stderr included, are as written when every call went
+    # through the top-level parser; argparse wraps usage to COLUMNS, which
+    # is 80 on a stdout that is not a terminal.
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code, out, err = run(capsys, *GOLDEN_JOBS[name])
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        code, out, err = exc.code, captured.out, captured.err
     with open(os.path.join(GOLDEN_DIR, f"{name}.stdout")) as fh:
         assert out == fh.read()
     with open(os.path.join(GOLDEN_DIR, f"{name}.exit")) as fh:
         assert code == int(fh.read())
+    if os.path.exists(stderr := os.path.join(GOLDEN_DIR, f"{name}.stderr")):
+        with open(stderr) as fh:
+            assert err == fh.read()
 
 
 @pytest.mark.parametrize("command", [["min-root", "--L", "3", "--sum-cap", "5", "--jobs", "1"],
@@ -739,6 +773,89 @@ class TestParserReuse:
         code, out, err = run(capsys, "check", "1,3", "--format", "json")
         assert (code, err) == (0, "")
         assert json.loads(out)["kind"] == "incomplete"
+
+
+# Every command, valid and not, with help, unknown commands, leftovers, "--",
+# --opt=value, abbreviated options and bad choices.
+PARSE_ARGVS = [
+    [], ["-h"], ["--help"], ["--he"], ["frobnicate"], ["frobnicate", "1,3"],
+    ["-x", "check", "1,3"], ["--", "check", "1,3"], ["-h", "check", "1,3"],
+    ["gen", "1,1", "--n", "5"], ["gen", "1,1"], ["gen", "1,1", "--n", "3", "--require-definite"],
+    ["gen", "--n=4", "1,2", "--format", "json"], ["gen", "-h"],
+    ["check"], ["check", "1,3"], ["check", "1,3", "extra"], ["check", "-1,3"],
+    ["check", "1,3", "--verify", "--horizon", "9", "--format=csv"], ["check", "1,3", "-h"],
+    ["check", "--", "1,3"], ["check", "1,3", "--"], ["check", "1,3", "--", "x"],
+    ["check", "1,3", "--hor", "5", "--tri", "--assume"], ["check", "1,3", "--horizon=x"],
+    ["check", "1,3", "--format", "xml"], ["check", "1,3", "--nope"], ["check", "1,3", "--f", "csv"],
+    ["check", "1,3", "dense", "--L", "3"],
+    ["oracle-check", "1,2,3,0,1", "--verify"], ["oracle-check", "1,3", "--ver", "--max-p=40"],
+    ["oracle-check", "1,3", "--max-prefix", "40", "--out", "x.json", "--require-definite"],
+    ["family-table", "--family", "one-zeros", "--k", "1..60"], ["family-table", "--family", "nope"],
+    ["family-table", "--family", "one-zeros", "--k", "3..1"],
+    ["family-table", "--family", "ones-zeros", "--g", "1..6", "--k", "x"],
+    ["family-table", "--family=one-zeros-ones", "--L", "3..10", "--m", "1..8", "--horizon", "50"],
+    ["scan-2l1", "--L", "6", "--coeff-cap", "4", "--jobs", "1"], ["scan-2l1", "--L", "6"],
+    ["scan-2l1", "--L", "6", "--coeff-cap", "4", "--window", "-1", "--format", "plain"],
+    ["min-root", "--L", "4", "--sum-cap", "10", "--jobs", "1", "--tol", "1e-9"],
+    ["min-root", "--L", "4", "--sum-cap", "10", "--tol=nan"], ["min-root", "--sum"],
+    ["dense", "--L", "12"], ["dense", "--L", "12", "--epsilon", "0.01", "--tol", "0.1"],
+    ["dense", "--L"], ["dense", "--L", "x"], ["dense", "-h"], ["dense", "--L", "3", "4"],
+]
+
+COMMANDS = ["gen", "check", "oracle-check", "family-table", "scan-2l1", "min-root", "dense"]
+PARSE_TOKENS = [
+    *COMMANDS, "-h", "--help", "--", "--n", "--horizon", "--assume-2l1", "--triage-first",
+    "--verify", "--format", "--out", "--require-definite", "--max-prefix", "--family", "--g",
+    "--k", "--L", "--m", "--coeff-cap", "--window", "--jobs", "--sum-cap", "--tol", "--epsilon",
+    "--hor", "--ver", "--fo", "--format=csv", "--L=3", "--tol=nan", "1,3", "1,0,3", "3", "1..4",
+    "4..1", "0", "-1", "json", "csv", "plain", "one-zeros", "1e-9", "", "-", "-x", "--nope",
+    "frobnicate", "a b",
+]
+TOKEN_LISTS = st.lists(st.sampled_from(PARSE_TOKENS), max_size=8)
+
+
+def _parse_outcome(parse, argv):
+    # (namespace or exit code, stdout, stderr); a namespace is compared by the
+    # repr of its sorted items, since a nan --tol is unequal to itself.
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = repr(sorted(vars(parse(list(argv))).items()))
+    except SystemExit as exc:
+        result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParse:
+    # cli._parse gives what the top-level parser gives, namespace or exit.
+
+    @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+    def test_matches_the_top_level_parser(self, argv):
+        parser = cli._build_parser()
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(parser.parse_args, argv)
+
+    @settings(deadline=None, max_examples=300)
+    @given(argv=TOKEN_LISTS | st.builds(lambda command, rest: [command, *rest],
+                                        st.sampled_from(COMMANDS), TOKEN_LISTS))
+    def test_matches_the_top_level_parser_on_any_tokens(self, argv):
+        parser = cli._build_parser()
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(parser.parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "1,1", "--n", "3"], ["check", "1,3", "--verify"],
+        ["oracle-check", "1,2,3,0,1", "--verify"],
+        ["family-table", "--family", "one-zeros", "--k", "1..3"],
+        ["scan-2l1", "--L", "2", "--coeff-cap", "2", "--jobs", "1"],
+        ["min-root", "--L", "2", "--sum-cap", "3", "--jobs", "1"], ["dense", "--L", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_valid_request_skips_the_top_level_parser(self, capsys, monkeypatch, argv):
+        def top_level(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a valid request")
+
+        parser = cli._build_parser()
+        monkeypatch.setattr(parser, "parse_args", top_level)
+        monkeypatch.setattr(parser, "parse_known_args", top_level)
+        assert run(capsys, *argv)[0] == 0
 
 
 def _call(*argv):
