@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from . import brown, families
-from .core import Coefficients, validate, vectors_with_sum
+from .core import Coefficients, _prefix_walk, validate
 
 Rational = Union[int, Fraction]
 T = TypeVar("T")
@@ -342,18 +342,20 @@ def _roots_equal(a: RootBracket, b: RootBracket) -> bool:
     return s1 == 0 or s2 == 0 or (s1 < 0) != (s2 < 0)
 
 
-def compare_roots(a: RootBracket, b: RootBracket, max_rounds: int = 1000) -> int:
+#: Refinement rounds ``_separate`` allows before it gives up.
+_MAX_ROUNDS = 1000
+
+
+def compare_roots(a: RootBracket, b: RootBracket) -> int:
     """Exact three-way comparison of two principal roots: -1, 0, or +1.
 
     Decides by refining the brackets until they separate; equal roots are
     recognized through the polynomial gcd instead of looping forever.
     """
-    return _separate(a, b, max_rounds)[0]
+    return _separate(a, b)[0]
 
 
-def _separate(
-    a: RootBracket, b: RootBracket, max_rounds: int = 1000
-) -> tuple[int, RootBracket, RootBracket]:
+def _separate(a: RootBracket, b: RootBracket) -> tuple[int, RootBracket, RootBracket]:
     # ``compare_roots`` with the cells it refined.  Each round splits the
     # coarser cell (both at equal depth) by two levels.
     if a.exact_root is not None and b.exact_root is not None:
@@ -362,7 +364,7 @@ def _separate(
         return b.poly.sign_at(a.exact_root), a, b  # p_b(r_a) > 0 iff r_a > r_b
     if b.exact_root is not None:
         return -a.poly.sign_at(b.exact_root), a, b
-    for round_no in range(max_rounds):
+    for round_no in range(_MAX_ROUNDS):
         bits = max(a.bits, b.bits)
         (a_lo, a_hi), (b_lo, b_hi) = a._ends(bits), b._ends(bits)
         if a_hi <= b_lo:
@@ -489,7 +491,9 @@ def min_root_in_pls(
     claimed = sparse_vector(L, S if L > 1 else S + 1)
     if not verify:
         return claimed, principal_root(claimed, tol)
-    winner, bracket = least_root(vectors_with_sum(L, S + 1), tol)
+    # Prefixes c_1..c_(L-1) of sum <= S, completed to sum S+1 by c_L.
+    walk = _prefix_walk([range(i == 0, S + 1) for i in range(L - 1)], lambda p, *_: sum(p) <= S)
+    winner, bracket = least_root((validate([*p, S + 1 - sum(p)]) for p, _, _ in walk), tol)
     if winner != claimed:
         raise AssertionError(f"{winner} has a smaller principal root than {claimed}")
     return claimed, bracket
@@ -524,10 +528,11 @@ def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
 
     Roots grow in every c_i, and lowering c_L keeps completeness, so the
     least incomplete root with full prefix P is that of P + [max_last(P)+1].
-    Prefixes c_1..c_k are walked in lexicographic order.  A value is kept
-    while the least-root completion Q + 0^(L-1-k) + [1] has a root below 2
-    and, when lambda_L < 2, at most lambda_L (the sparse vector of lambda_L
-    is incomplete); the first value that fails ends its level.
+    Prefixes c_1..c_(L-1) are walked by ``core._prefix_walk`` within the
+    box c_i < 2^i (p(2) > 0 needs it).  A value is kept while the least-root
+    completion c_1..c_k + 0^(L-1-k) + [1] has a root below 2 and, when
+    lambda_L < 2, at most lambda_L (the sparse vector of lambda_L is
+    incomplete); the first value that fails ends its level.
     """
     if L < 2:
         raise ValueError(f"need L >= 2, got {L}")
@@ -537,24 +542,23 @@ def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
     full: list[tuple[int, ...]] = []
     undecided: list[tuple[int, ...]] = []
 
-    def incomplete(prefix: tuple[int, ...]) -> Iterator[Coefficients]:
+    def below(prefix: list[int], h: int, running: int) -> bool:
+        poly = CharPoly(validate([*prefix, *[0] * (L - 1 - len(prefix)), 1]))
+        return poly.sign_at(2) > 0 and not (
+            lam_below_two and _separate(_integer_bracket(poly), lam.root)[0] > 0)
+
+    def incomplete() -> Iterator[Coefficients]:
         # The least-root incomplete vector below each full prefix, in order.
-        if len(prefix) == L - 1:
+        for prefix, _, _ in _prefix_walk([range(i == 1, 2**i) for i in range(1, L)], below):
+            prefix = tuple(prefix)
             full.append(prefix)
             m = families.max_last(prefix)
             if m is None:
                 undecided.append(prefix)
             elif CharPoly(c := validate([*prefix, m + 1])).sign_at(2) > 0:
                 yield c
-            return
-        for ci in itertools.count(0 if prefix else 1):
-            poly = CharPoly(validate([*prefix, ci, *[0] * (L - 2 - len(prefix)), 1]))
-            if poly.sign_at(2) <= 0 or (
-                    lam_below_two and _separate(_integer_bracket(poly), lam.root)[0] > 0):
-                return
-            yield from incomplete((*prefix, ci))
 
-    best_c, best = least_root(incomplete(()), tol) or (None, None)
+    best_c, best = least_root(incomplete(), tol) or (None, None)
     if best_c is None:
         # No sub-2 incomplete vector: consistent iff the threshold is >= 2.
         agrees = not lam_below_two

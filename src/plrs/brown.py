@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .core import Coefficients, TermSequence, _next_terms, generate_terms, validate
+from .core import Coefficients, TermSequence, _next_terms, _prefix_walk, generate_terms, validate
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
@@ -137,16 +137,15 @@ def window_survivors(
     returns ``strict_window`` at 2L-1, so such a survivor needs no engine
     run.  Below a window of 2L-1 no survivor is proven.
 
-    The box is walked depth-first by prefix.  For k < L, H_{k+1} depends on
-    c_1..c_k alone, so the terms and their running sum are shared by every
-    vector below a prefix.  The gap a coordinate fixes (B_{k+1} at depth k,
-    B_{L+1} at the leaf) falls strictly as that coordinate grows, since c_k
-    multiplies H_1 = 1 and nothing else in the gap depends on it.  So the
-    first value whose gap is negative at an index <= ``window`` ends the
-    level: its subtree and every later sibling fail too.  That needs every
-    range ascending.  A leaf reads on to the window from the terms it holds,
-    and only a vector that is yielded becomes a ``Coefficients`` (validated
-    then, so the first and last ranges must exclude 0).
+    The box is walked by ``core._prefix_walk``, which shares the terms of a
+    prefix with its subtree.  The gap a coordinate fixes (B_{k+1} at depth
+    k) falls strictly as that coordinate grows, since c_k multiplies H_1 = 1
+    and nothing else in the gap depends on it.  So the first value whose gap
+    is negative at an index <= ``window`` ends the level: its subtree and
+    every later sibling fail too.  That needs every range ascending.  A leaf
+    reads on to the window from the terms it holds, and only a vector that
+    is yielded becomes a ``Coefficients`` (validated then, so the first and
+    last ranges must exclude 0).
     """
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
@@ -154,31 +153,17 @@ def window_survivors(
         raise ValueError("ranges must be ascending")
     L = len(ranges)
     strict_window_read = L >= 2 and window >= 2 * L - 1
-    prefix: list[int] = []  # c_1..c_{k-1}
-    terms = [1]  # H_1..H_k, the terms the prefix fixes
 
-    def walk(k: int, running: int) -> Iterator[tuple[Coefficients, bool]]:
-        # Chooses c_k; `running` is H_1 + ... + H_k.
-        # H_{k+1} = base + c_k*H_1, with the +1 correction while k < L.
-        base = (k < L) + sum(ci * terms[k - i] for i, ci in enumerate(prefix, start=1))
-        for ck in ranges[k - 1]:
-            h = base + ck
-            if k + 1 <= window and h > 1 + running:  # B_{k+1} < 0
-                return
-            prefix.append(ck)
-            terms.append(h)
-            if k < L:
-                yield from walk(k + 1, running + h)
-            else:
-                # B_L = 1 + running - 2*H_L and B_{L+1} = 1 + running - h.
-                strict = strict_window_read and 2 * terms[L - 1] <= running and h <= running
-                proven = _passes_through(prefix, terms, running + h, window, strict)
-                if proven is not None:
-                    yield Coefficients(tuple(prefix)), proven
-            prefix.pop()
-            del terms[k:]  # a leaf may have read on past H_{k+1}
+    def keep(prefix: list[int], h: int, running: int) -> bool:
+        return len(prefix) >= window or h <= 1 + running  # B_{k+1} >= 0
 
-    yield from walk(1, 1)
+    for prefix, terms, running in _prefix_walk(ranges, keep):
+        # B_L = 1 + running - 2*H_L and B_{L+1} = 1 + running - H_{L+1}.
+        h = terms[L]
+        strict = strict_window_read and 2 * terms[L - 1] <= running and h <= running
+        proven = _passes_through(prefix, terms, running + h, window, strict)
+        if proven is not None:
+            yield Coefficients(tuple(prefix)), proven
 
 
 def _passes_through(

@@ -345,21 +345,35 @@ def _cmd_min_root(args) -> tuple[dict, dict | str, int]:
     tol = _tolerance(args.tol)
     config = {"command": "min-root", "L": L, "sum_cap": cap, "jobs": _check_jobs(args.jobs),
               "tol": float(tol), "format": args.format}
-    tasks = [c for total in range(2, cap + 1) for c in core.vectors_with_sum(L, total)]
-    kinds = [brown.check_completeness(c).kind for c in tasks]
-    incomplete = sorted((c for c, kind in zip(tasks, kinds) if kind == brown.INCOMPLETE),
-                        key=lambda c: c.values)
-    undecided = [list(c.values) for c, kind in zip(tasks, kinds) if kind == brown.UNKNOWN]
+    # The vectors of sum <= cap, walked while B_{k+1} >= 0 for k <= L: the
+    # engine fails every vector below a negative gap there, before either
+    # window fires.  Roots grow in every c_i, so least_root needs only the
+    # completion c_1..c_k, 0, ..., 0, 1 of each pruned node (the node itself
+    # at k = L) and the first incomplete vector of each prefix c_1..c_{L-1}.
+    pruned = []
+
+    def keep(prefix: list[int], h: int, running: int) -> bool:
+        fits = sum(prefix) + (len(prefix) < L) <= cap  # with room left for c_L >= 1
+        if fits and h > 1 + running:
+            pruned.append((*prefix, *[0] * (L - 1 - len(prefix)), 1)[:L])
+        return fits and h <= 1 + running
+
+    walk = core._prefix_walk([range(1, cap), *[range(cap - 1)] * (L - 2), range(1, cap)], keep)
+    survivors = [core.Coefficients(tuple(prefix)) for prefix, _, _ in walk]
+    kinds = [brown.check_completeness(c).kind for c in survivors]
+    incomplete = [c.values for c, kind in zip(survivors, kinds) if kind == brown.INCOMPLETE]
+    undecided = sorted((list(c.values) for c, k in zip(survivors, kinds) if k == brown.UNKNOWN),
+                       key=sum)
+    candidates = math.comb(cap - 2 + L, L)
+    firsts = [core.validate(next(g)) for _, g in
+              itertools.groupby(sorted(pruned + incomplete), key=lambda v: v[:-1])]
     lam = analytic.lambda_threshold(L, tol)
-    # Roots grow strictly in c_L, so the first incomplete vector of each
-    # prefix c_1..c_{L-1} has its least root; least_root needs no other.
-    firsts = [next(g) for _, g in itertools.groupby(incomplete, key=lambda c: c.values[:-1])]
     best_c, best_bracket = analytic.least_root(firsts, tol) or (None, None)
     best = list(best_c.values) if best_c is not None else None
     violated = best_bracket is not None and analytic.compare_roots(best_bracket, lam.root) < 0
     report = {
-        "candidates": len(tasks),
-        "incomplete": len(incomplete),
+        "candidates": candidates,
+        "incomplete": candidates - len(survivors) + len(incomplete),
         "undecided": undecided,
         "lambda": lam.root.approx,
         "frontier": best,
@@ -369,7 +383,7 @@ def _cmd_min_root(args) -> tuple[dict, dict | str, int]:
     }
     if args.format == "plain":
         report = (
-            f"L={L} cap={cap}: {len(incomplete)} incomplete of {len(tasks)}; "
+            f"L={L} cap={cap}: {report['incomplete']} incomplete of {candidates}; "
             f"frontier {best} root={report['frontier_root']} vs lambda={report['lambda']} "
             f"margin={report['margin']}"
         )

@@ -15,7 +15,7 @@ the conventions above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class InvalidCoefficients(ValueError):
@@ -89,28 +89,33 @@ def validate(values: Sequence[int]) -> Coefficients:
     return Coefficients(tuple(values))
 
 
-def vectors_with_sum(L: int, total: int) -> Iterator[Coefficients]:
-    """Every valid vector of length L with coefficient sum ``total``,
-    in lexicographic order."""
-    if L == 1:
-        if total >= 1:
-            yield Coefficients((total,))
-        return
-    for c1 in range(1, total):
-        # c_L >= 1 takes one unit; the middle shares the rest.
-        for middle in _at_most(total - c1 - 1, L - 2):
-            yield Coefficients((c1, *middle, total - c1 - sum(middle)))
+def _prefix_walk(ranges: Sequence[Iterable[int]], keep: Callable[..., bool]) -> Iterator[tuple]:
+    # The vectors c with c_i in ranges[i-1] that `keep` passes at every
+    # depth, depth-first in lexicographic order.  keep(c_1..c_k, H_{k+1},
+    # H_1 + ... + H_k) judges c_k at depth k, and the first value it rejects
+    # ends the level, so it must be monotone.  H_{k+1} depends on c_1..c_k
+    # alone (with the +1 of a length-L vector while k < L), so a subtree
+    # shares its prefix's terms.  Each leaf is the live (c_1..c_L,
+    # H_1..H_{L+1}, H_1 + ... + H_L); its consumer may extend the terms.
+    L, prefix, terms = len(ranges), [], [1]
 
+    def walk(k: int, running: int) -> Iterator[tuple]:
+        base = (k < L) + sum(ci * terms[k - i] for i, ci in enumerate(prefix, start=1))
+        for ck in ranges[k - 1]:
+            h = base + ck
+            prefix.append(ck)
+            if not keep(prefix, h, running):
+                prefix.pop()
+                return
+            terms.append(h)
+            if k < L:
+                yield from walk(k + 1, running + h)
+            else:
+                yield prefix, terms, running
+            prefix.pop()
+            del terms[k:]  # a leaf's consumer may have read on past H_{k+1}
 
-def _at_most(budget: int, slots: int) -> Iterator[tuple[int, ...]]:
-    # Tuples of `slots` non-negative integers with sum <= budget, in
-    # lexicographic order.
-    if slots == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _at_most(budget - first, slots - 1):
-            yield (first, *rest)
+    yield from walk(1, 1) if ranges else [(prefix, terms, 0)]
 
 
 def _next_terms(values: Sequence[int], terms: list[int]) -> Iterator[int]:

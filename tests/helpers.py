@@ -54,6 +54,38 @@ def all_vectors(max_len: int, cap: int):
                     yield (c1, *mid, cL)
 
 
+def vectors_by_sum(L: int, cap: int) -> list[Coefficients]:
+    """Every valid vector of length L >= 2 with coefficient sum 2..cap,
+    by sum and then lexicographically: the filtered product of c_i <= cap."""
+    box = [v for v in itertools.product(range(cap + 1), repeat=L) if v[0] and v[-1]]
+    return [validate(v) for v in sorted((v for v in box if sum(v) <= cap), key=sum)]
+
+
+def reference_min_root(L: int, cap: int, tol) -> dict:
+    """``min-root``'s JSON report but for ``config``, by brute force.
+
+    The engine runs on every vector of ``vectors_by_sum``, and
+    ``least_root`` picks the first least root among all the incomplete
+    ones, in lexicographic order.
+    """
+    vectors = vectors_by_sum(L, cap)
+    kinds = [brown.check_completeness(c).kind for c in vectors]
+    incomplete = sorted((c for c, k in zip(vectors, kinds) if k == brown.INCOMPLETE),
+                        key=lambda c: c.values)
+    lam = analytic.lambda_threshold(L, tol).root
+    best_c, best = analytic.least_root(incomplete, tol) or (None, None)
+    return {
+        "candidates": len(vectors),
+        "conjecture_violated": best is not None and compare_roots(best, lam) < 0,
+        "frontier": list(best_c.values) if best_c else None,
+        "frontier_root": best.approx if best else None,
+        "incomplete": len(incomplete),
+        "lambda": lam.approx,
+        "margin": best.approx - lam.approx if best else None,
+        "undecided": [list(c.values) for c, k in zip(vectors, kinds) if k == brown.UNKNOWN],
+    }
+
+
 def reference_scan_2l1(L: int, cap: int, window: int, horizon=None):
     """``scan-2l1``'s (candidates, counterexamples, undecided) by brute force.
 

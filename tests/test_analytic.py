@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from plrs import (
     validate,
 )
 from plrs.analytic import least_root
-from plrs.core import generate_terms, vectors_with_sum
+from plrs.core import generate_terms
 from helpers import (
     quadratic_root,
     reference_bisect,
@@ -40,6 +41,7 @@ from helpers import (
     reference_root,
     reference_sign,
     reference_threshold_search,
+    vectors_by_sum,
 )
 
 vectors = st.one_of(
@@ -340,6 +342,20 @@ class TestMinRootInPls:
         c, _ = min_root_in_pls(4, 5, verify=True)
         assert c == validate([1, 0, 0, 5])
 
+    @pytest.mark.parametrize("L,S", [(1, 4), (2, 5), (3, 6), (4, 5), (5, 3)])
+    def test_verify_offers_the_sum_class_in_order(self, monkeypatch, L, S):
+        offered = []
+
+        def recorded(vectors, tol):
+            offered.extend(vectors)
+            return least_root(offered, tol)
+
+        monkeypatch.setattr(analytic, "least_root", recorded)
+        min_root_in_pls(L, S, verify=True)
+        box = itertools.product(range(S + 2), repeat=L)
+        expected = [v for v in box if v[0] and v[-1] and sum(v) == S + 1]
+        assert [c.values for c in offered] == expected
+
 
 class TestExactThresholdSearch:
     def test_length_two_has_empty_frontier(self):
@@ -485,8 +501,7 @@ class TestLeastRoot:
             return seed_cell(*args)
 
         monkeypatch.setattr(analytic, "_seed_cell", recorded)
-        cs = [c for total in range(2, 11) for c in vectors_with_sum(4, total)]
-        c, bracket = least_root(cs)
+        c, bracket = least_root(vectors_by_sum(4, 10))
         assert len(seeds) <= 1
         assert (c, bracket) == (validate([1, 0, 0, 1]), principal_root(c))
 

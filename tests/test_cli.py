@@ -13,8 +13,13 @@ from hypothesis import strategies as st
 
 import plrs
 from plrs import analytic, brown, cli, families, oracle, validate
-from plrs.core import vectors_with_sum
-from helpers import reference_max_last, reference_root, reference_scan_2l1
+from helpers import (
+    reference_max_last,
+    reference_min_root,
+    reference_root,
+    reference_scan_2l1,
+    vectors_by_sum,
+)
 
 CONTRACT_KEYS = {"coefficients", "kind", "certificate", "index", "conjectural", "horizon_used"}
 
@@ -475,7 +480,8 @@ class TestMinRoot:
 
     @pytest.mark.parametrize("L,cap", [(2, 4), (2, 9), (3, 6), (3, 14), (4, 8), (4, 10), (5, 7)])
     def test_frontier_is_least_root_of_every_incomplete_vector(self, capsys, monkeypatch, L, cap):
-        # least_root gets only the first incomplete vector of each prefix.
+        # least_root is offered incomplete vectors only, in lexicographic
+        # order, and no prefix c_1..c_{L-1} twice.
         least_root, given = analytic.least_root, []
 
         def recorded(vectors, tol):
@@ -485,15 +491,33 @@ class TestMinRoot:
         monkeypatch.setattr(analytic, "least_root", recorded)
         _, payload, _ = run_json(capsys, "min-root", "--L", str(L), "--sum-cap", str(cap),
                                  "--jobs", "1")
-        every = [c for total in range(2, cap + 1) for c in vectors_with_sum(L, total)]
-        incomplete = sorted((c for c in every if brown.check_completeness(c).kind
-                             == brown.INCOMPLETE), key=lambda c: c.values)
+        incomplete = sorted((c for c in vectors_by_sum(L, cap)
+                             if brown.check_completeness(c).kind == brown.INCOMPLETE),
+                            key=lambda c: c.values)
         best, bracket = least_root(incomplete)
         assert (payload["frontier"], payload["frontier_root"]) == (list(best.values),
                                                                    bracket.approx)
         assert payload["incomplete"] == len(incomplete)
-        prefixes = [c.values[:-1] for c in given]
-        assert prefixes == sorted(set(prefixes)) == sorted({c.values[:-1] for c in incomplete})
+        assert set(given) <= set(incomplete)
+        assert [c.values for c in given] == sorted(c.values for c in given)
+        assert len({c.values[:-1] for c in given}) == len(given)
+
+    def test_undecided_are_listed_by_sum_then_lexicographically(self, capsys, monkeypatch):
+        # Small caps leave no vector unknown, so the complete verdicts of odd
+        # sums are made unknown; the report must still be the brute force's.
+        check = brown.check_completeness
+
+        def unsure(c, *args, **kwargs):
+            verdict = check(c, *args, **kwargs)
+            if verdict.kind == brown.COMPLETE and sum(c.values) % 2:
+                return brown.Verdict(c, brown.UNKNOWN, brown.horizon_exhausted(1), False, 1)
+            return verdict
+
+        monkeypatch.setattr(brown, "check_completeness", unsure)
+        _, payload, _ = run_json(capsys, "min-root", "--L", "4", "--sum-cap", "9")
+        del payload["config"]
+        assert payload == reference_min_root(4, 9, analytic.DEFAULT_TOL)
+        assert payload["undecided"] != sorted(payload["undecided"])
 
     def test_runs_serially_at_any_jobs(self, capsys, monkeypatch):
         # --jobs is echoed, but min-root never starts a worker pool.
@@ -920,3 +944,15 @@ def test_scan_matches_brute_force(data, L, cap):
     assert payload["counterexamples"] == counterexamples
     assert payload["undecided"] == undecided
     assert code == (4 if counterexamples else 3 if undecided else 0)
+
+
+@settings(deadline=None, max_examples=20)
+@given(L=st.integers(2, 5), cap=st.integers(2, 10), tol=st.sampled_from([None, 0.1]))
+def test_min_root_matches_brute_force(L, cap, tol):
+    argv = ["min-root", "--L", str(L), "--sum-cap", str(cap), "--require-definite"]
+    code, out, _ = _call(*argv, *([] if tol is None else ["--tol", str(tol)]))
+    payload = json.loads(out)
+    del payload["config"]
+    expected = reference_min_root(L, cap, analytic.DEFAULT_TOL if tol is None else Fraction(tol))
+    assert payload == expected
+    assert code == (4 if expected["conjecture_violated"] else 3 if expected["undecided"] else 0)

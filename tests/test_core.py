@@ -2,7 +2,7 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plrs import (
@@ -14,7 +14,6 @@ from plrs import (
     generate_terms,
     validate,
 )
-from plrs.core import vectors_with_sum
 from helpers import reference_terms
 
 
@@ -172,13 +171,32 @@ class TestGrowthProperties:
             sys.set_int_max_str_digits(limit)
 
 
-class TestVectors:
-    def test_with_sum_matches_filtered_product(self):
-        for L in range(1, 5):
-            for total in range(0, 9):
-                expected = [
-                    v
-                    for v in itertools.product(range(total + 1), repeat=L)
-                    if v[0] and v[-1] and sum(v) == total
-                ]
-                assert [c.values for c in vectors_with_sum(L, total)] == expected, (L, total)
+@st.composite
+def ascending_boxes(draw):
+    """Up to four ascending ranges of small non-negative integers, and a sum cap."""
+    starts = draw(st.lists(st.integers(0, 3), max_size=4))
+    return [range(a, a + draw(st.integers(0, 4))) for a in starts], draw(st.integers(0, 12))
+
+
+class TestPrefixWalk:
+    @settings(max_examples=200)
+    @given(ascending_boxes())
+    def test_sum_cap_matches_filtered_product(self, box):
+        # A sum cap is monotone on non-negative ranges, so the walk yields
+        # the filtered product in order; keep and each leaf see the terms
+        # H_1..H_{k+1} of the length-L vector and the sum H_1 + ... + H_k.
+        ranges, cap = box
+        L = len(ranges)
+
+        def keep(prefix, h, running):
+            k = len(prefix)
+            terms = reference_terms([*prefix, *[0] * (L - k)], k + 1)
+            assert (h, running) == (terms[k], sum(terms[:k]))
+            return sum(prefix) <= cap
+
+        got = []
+        for prefix, terms, running in core._prefix_walk(ranges, keep):
+            assert terms == list(reference_terms(prefix, L + 1))
+            assert running == sum(terms[:L])
+            got.append(tuple(prefix))
+        assert got == [v for v in itertools.product(*ranges) if sum(v) <= cap]

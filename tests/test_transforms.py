@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plrs import (
     COMPLETE,
     INCOMPLETE,
+    UNKNOWN,
     NonPositiveAppend,
     RangeViolation,
     TooShort,
     append_coeff,
+    check_completeness,
     decrease_last,
     generate_terms,
     merge_last_two,
@@ -144,3 +148,43 @@ class TestPreservationProperties:
         h = generate_terms(rec.output, 24).terms
         diffs = [b - a for a, b in zip(g, h)]
         assert any(diffs[i + 1] < 2 * diffs[i] for i in range(3, 23))
+
+
+# Random vectors, judged by the gap engine; unknown verdicts are skipped.
+# A complete vector of length >= 2 starts with c_1 = 1 and has small middle
+# coefficients, so complete inputs are drawn from that shape.
+engine_vectors = st.builds(
+    lambda first, middle, last: validate([first, *middle, last]),
+    st.integers(1, 3), st.lists(st.integers(0, 3), max_size=4), st.integers(1, 8),
+) | st.builds(lambda c1: validate([c1]), st.integers(1, 4))
+complete_shaped = st.builds(
+    lambda middle, last: validate([1, *middle, last]),
+    st.lists(st.integers(0, 1), max_size=5), st.integers(1, 12),
+) | st.builds(lambda c1: validate([c1]), st.integers(1, 2))
+
+
+def engine_kind(c):
+    kind = check_completeness(c).kind
+    assume(kind != UNKNOWN)
+    return kind
+
+
+class TestEngineProperties:
+    @settings(deadline=None, max_examples=200)
+    @given(engine_vectors, st.integers(1, 6))
+    def test_append_keeps_incomplete(self, c, extra):
+        assume(engine_kind(c) == INCOMPLETE)
+        assert engine_kind(append_coeff(c, extra).output) == INCOMPLETE
+
+    @settings(deadline=None, max_examples=200)
+    @given(engine_vectors)
+    def test_merge_keeps_incomplete(self, c):
+        assume(c.L >= 2 and engine_kind(c) == INCOMPLETE)
+        assert engine_kind(merge_last_two(c).output) == INCOMPLETE
+
+    @settings(deadline=None, max_examples=200)
+    @given(complete_shaped, st.data())
+    def test_decrease_last_keeps_complete(self, c, data):
+        assume(engine_kind(c) == COMPLETE)
+        k_last = data.draw(st.integers(1, c.values[-1]), label="k_last")
+        assert engine_kind(decrease_last(c, k_last).output) == COMPLETE
