@@ -349,15 +349,20 @@ _MAX_ROUNDS = 1000
 def compare_roots(a: RootBracket, b: RootBracket) -> int:
     """Exact three-way comparison of two principal roots: -1, 0, or +1.
 
-    Decides by refining the brackets until they separate; equal roots are
-    recognized through the polynomial gcd instead of looping forever.
+    Two brackets of one polynomial compare equal at once, at any depths,
+    since it has a single positive root.  Otherwise the brackets are
+    refined until they separate; equal roots are recognized through the
+    polynomial gcd instead of looping forever.
     """
     return _separate(a, b)[0]
 
 
 def _separate(a: RootBracket, b: RootBracket) -> tuple[int, RootBracket, RootBracket]:
-    # ``compare_roots`` with the cells it refined.  Each round splits the
-    # coarser cell (both at equal depth) by two levels.
+    # ``compare_roots`` with the cells it refined.  One polynomial has one
+    # positive root, so two brackets of it compare 0 as they stand.  Each
+    # round splits the coarser cell (both at equal depth) by two levels.
+    if a.poly == b.poly:
+        return 0, a, b
     if a.exact_root is not None and b.exact_root is not None:
         return (a.exact_root > b.exact_root) - (a.exact_root < b.exact_root), a, b
     if a.exact_root is not None:

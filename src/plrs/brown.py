@@ -135,7 +135,8 @@ def window_survivors(
     complete by the strict window: L >= 2, ``window`` reaches 2L-1, and
     B_n > 0 for L <= n <= 2L-1.  That is exactly when ``check_completeness``
     returns ``strict_window`` at 2L-1, so such a survivor needs no engine
-    run.  Below a window of 2L-1 no survivor is proven.
+    run.  Below a window of 2L-1 no survivor is proven.  Each leaf is read
+    by ``_read_leaf``, which ``min-root`` calls on its own walk's leaves.
 
     The box is walked by ``core._prefix_walk``, which shares the terms of a
     prefix with its subtree.  The gap a coordinate fixes (B_{k+1} at depth
@@ -151,29 +152,28 @@ def window_survivors(
         raise ValueError(f"window must be positive, got {window}")
     if any(r.step < 0 for r in ranges):
         raise ValueError("ranges must be ascending")
-    L = len(ranges)
-    strict_window_read = L >= 2 and window >= 2 * L - 1
 
     def keep(prefix: list[int], h: int, running: int) -> bool:
         return len(prefix) >= window or h <= 1 + running  # B_{k+1} >= 0
 
     for prefix, terms, running in _prefix_walk(ranges, keep):
-        # B_L = 1 + running - 2*H_L and B_{L+1} = 1 + running - H_{L+1}.
-        h = terms[L]
-        strict = strict_window_read and 2 * terms[L - 1] <= running and h <= running
-        proven = _passes_through(prefix, terms, running + h, window, strict)
+        proven = _read_leaf(prefix, terms, running, window)
         if proven is not None:
             yield Coefficients(tuple(prefix)), proven
 
 
-def _passes_through(
-    values: list[int], terms: list[int], running: int, window: int, strict: bool
-) -> Optional[bool]:
-    # Extends `terms` (H_1..H_{L+1}, with `running` their sum) term by term,
-    # and is None at the first B_m < 0 with m <= window.  Otherwise it is
-    # `strict` (B_L, B_{L+1} > 0) and B_m > 0 for every m <= 2L-1 it read.
-    last = 2 * len(values) - 1
-    for m, h in zip(range(len(terms) + 1, window + 1), _next_terms(values, terms)):
+def _read_leaf(values: list[int], terms: list[int], running: int, window: int) -> Optional[bool]:
+    # A leaf of ``core._prefix_walk`` (c_1..c_L, H_1..H_{L+1}, H_1 + ... +
+    # H_L) whose B_1..B_{L+1} are known to be >= 0, read on to B_window.
+    # None at the first B_m < 0 with m <= window, which ``terms`` then ends
+    # at (H_m).  Otherwise True when the read proves the strict window
+    # (L >= 2, window >= 2L-1 and B_m > 0 for L <= m <= 2L-1), else False.
+    L = len(values)
+    last = 2 * L - 1
+    h = terms[L]  # B_L = 1 + running - 2*H_L and B_{L+1} = 1 + running - H_{L+1}
+    strict = L >= 2 and window >= last and 2 * terms[L - 1] <= running and h <= running
+    running += h
+    for m, h in zip(range(L + 2, window + 1), _next_terms(values, terms)):
         if h > running:  # B_m <= 0
             if h > 1 + running:
                 return None

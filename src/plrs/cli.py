@@ -68,13 +68,19 @@ EXIT_COUNTEREXAMPLE = 4
 
 
 def _parse_coefficients(text: str) -> Coefficients:
-    parts = [p.strip() for p in text.split(",")]
-    if "" in parts:
-        raise ValueError(f"empty field in coefficients {text!r}")
+    # int() strips whitespace itself and rejects a blank field, but keeps the
+    # separators \x1c-\x1f that str.strip() removes: only a failed parse
+    # looks for a blank field and retries on stripped fields.
     try:
-        values = [int(p) for p in parts]
+        values = tuple(map(int, text.split(",")))
     except ValueError:
-        raise ValueError(f"coefficients must be comma-separated integers, got {text!r}")
+        parts = [p.strip() for p in text.split(",")]
+        if "" in parts:
+            raise ValueError(f"empty field in coefficients {text!r}")
+        try:
+            values = tuple(map(int, parts))
+        except ValueError:
+            raise ValueError(f"coefficients must be comma-separated integers, got {text!r}")
     return validate(values)
 
 
@@ -345,12 +351,15 @@ def _cmd_min_root(args) -> tuple[dict, dict | str, int]:
     tol = _tolerance(args.tol)
     config = {"command": "min-root", "L": L, "sum_cap": cap, "jobs": _check_jobs(args.jobs),
               "tol": float(tol), "format": args.format}
-    # The vectors of sum <= cap, walked while B_{k+1} >= 0 for k <= L: the
-    # engine fails every vector below a negative gap there, before either
-    # window fires.  Roots grow in every c_i, so least_root needs only the
-    # completion c_1..c_k, 0, ..., 0, 1 of each pruned node (the node itself
-    # at k = L) and the first incomplete vector of each prefix c_1..c_{L-1}.
-    pruned = []
+    # The vectors of sum <= cap, walked while B_{k+1} >= 0 for k <= L, each
+    # leaf read on to B_{2L-1} as scan-2l1 reads it.  No window fires before
+    # 2L-1, so a negative gap there is the engine's first failure, and a
+    # strict window read there is its certificate: only a leaf the window
+    # leaves open gets an engine run.  Roots grow in every c_i, so least_root
+    # needs only the completion c_1..c_k, 0, ..., 0, 1 of each pruned node
+    # (the node itself at k = L) and the first incomplete vector of each
+    # prefix c_1..c_{L-1}.
+    pruned, incomplete, undecided, leaves = [], [], [], 0
 
     def keep(prefix: list[int], h: int, running: int) -> bool:
         fits = sum(prefix) + (len(prefix) < L) <= cap  # with room left for c_L >= 1
@@ -359,11 +368,19 @@ def _cmd_min_root(args) -> tuple[dict, dict | str, int]:
         return fits and h <= 1 + running
 
     walk = core._prefix_walk([range(1, cap), *[range(cap - 1)] * (L - 2), range(1, cap)], keep)
-    survivors = [core.Coefficients(tuple(prefix)) for prefix, _, _ in walk]
-    kinds = [brown.check_completeness(c).kind for c in survivors]
-    incomplete = [c.values for c, kind in zip(survivors, kinds) if kind == brown.INCOMPLETE]
-    undecided = sorted((list(c.values) for c, k in zip(survivors, kinds) if k == brown.UNKNOWN),
-                       key=sum)
+    for prefix, terms, running in walk:
+        leaves += 1
+        proven = brown._read_leaf(prefix, terms, running, 2 * L - 1)
+        if proven is None:
+            incomplete.append(tuple(prefix))
+        elif not proven:
+            c = core.Coefficients(tuple(prefix))
+            kind = brown.check_completeness(c).kind
+            if kind == brown.INCOMPLETE:
+                incomplete.append(c.values)
+            elif kind == brown.UNKNOWN:
+                undecided.append(list(c.values))
+    undecided.sort(key=sum)
     candidates = math.comb(cap - 2 + L, L)
     firsts = [core.validate(next(g)) for _, g in
               itertools.groupby(sorted(pruned + incomplete), key=lambda v: v[:-1])]
@@ -373,7 +390,7 @@ def _cmd_min_root(args) -> tuple[dict, dict | str, int]:
     violated = best_bracket is not None and analytic.compare_roots(best_bracket, lam.root) < 0
     report = {
         "candidates": candidates,
-        "incomplete": candidates - len(survivors) + len(incomplete),
+        "incomplete": candidates - leaves + len(incomplete),
         "undecided": undecided,
         "lambda": lam.root.approx,
         "frontier": best,

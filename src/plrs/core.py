@@ -49,11 +49,11 @@ class Coefficients:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(map(int, self.values))
         object.__setattr__(self, "values", vals)
         if not vals:
             raise EmptyVector("coefficient vector is empty")
-        if any(v < 0 for v in vals):
+        if min(vals) < 0:
             raise NegativeEntry(f"negative coefficient in {list(vals)}")
         if vals[0] == 0:
             raise LeadingZero(f"c_1 must be positive, got {list(vals)}")

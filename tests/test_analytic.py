@@ -244,6 +244,28 @@ class TestCompareRoots:
         b = principal_root(validate([2, 2]), Fraction(1, 10**8))
         assert compare_roots(a, b) == 0
 
+    @settings(deadline=None)
+    @given(vectors, tolerances, st.integers(0, 6))
+    @example((1, 0, 4), Fraction(1, 10), 3)  # the exact root 2: every bracket is exact
+    def test_one_polynomial_compares_equal_without_evaluation(self, values, tol, extra):
+        # Brackets of one polynomial at different depths: its unit cell, the
+        # cell of tol and a finer one.  It has one positive root, so they are
+        # equal as they stand.
+        c = validate(values)
+        unit = analytic._integer_bracket(CharPoly(c))
+        cell = principal_root(c, tol)
+        finer = cell._split(extra)
+
+        def no_sign(*args):
+            raise AssertionError("sign_at called")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CharPoly, "sign_at", no_sign)
+            for a, b in itertools.permutations((unit, cell, finer), 2):
+                assert compare_roots(a, b) == 0
+                s, a_out, b_out = analytic._separate(a, b)
+                assert (s, a_out is a, b_out is b) == (0, True, True)
+
     def test_mixed_exact_and_bracket(self):
         two = principal_root(validate([2]))
         golden = principal_root(validate([1, 1]))

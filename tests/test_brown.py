@@ -178,6 +178,33 @@ class TestWindowSurvivors:
             list(brown.window_survivors([range(1, 3)], 0))
 
 
+class TestReadLeaf:
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), min_size=2, max_size=6))
+    @example([(1, 1), (0, 1), (3, 1), (0, 1), (1, 1), (4, 1)])  # B_8 = 0 only: not proven
+    def test_agrees_with_the_engine_on_every_leaf(self, specs):
+        # The leaves of a walk that keeps B_1..B_{L+1} >= 0, read through
+        # 2L-1: proven is the engine's strict window at 2L-1, None its
+        # failure at the index the read ended at, and False a verdict the
+        # engine reaches only past 2L-1.
+        L = len(specs)
+        ranges = [range(lo + (i in (0, L - 1) and not lo), lo + size)
+                  for i, (lo, size) in enumerate(specs)]
+        leaves = 0
+        for prefix, terms, running in core._prefix_walk(ranges, lambda _, h, s: h <= 1 + s):
+            leaves += 1
+            proven = brown._read_leaf(prefix, terms, running, 2 * L - 1)
+            assert tuple(terms) == reference_terms(prefix, len(terms))
+            cert = check_completeness(validate(prefix)).certificate
+            if proven is None:
+                assert (cert.kind, cert.index) == ("failure", len(terms))
+            elif proven:
+                assert (cert.kind, cert.index) == ("strict_window", 2 * L - 1)
+            else:
+                assert cert.index > 2 * L - 1
+        assert leaves == len(_passing(ranges, L + 1))
+
+
 # Prefixes c_1..c_{L-1} of a vector, L = 1..10; the last coefficient is N.
 prefixes = st.one_of(
     st.just([]),

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 import plrs
 from plrs import analytic, brown, cli, families, oracle, validate
 from helpers import (
+    brute_gaps,
     reference_max_last,
     reference_min_root,
     reference_root,
     reference_scan_2l1,
+    reference_terms,
     vectors_by_sum,
 )
 
@@ -74,6 +76,42 @@ def test_empty_coefficient_field_is_input_error(capsys, command, text):
     code, out, err = run(capsys, command[0], text, *command[1:])
     assert (code, out) == (2, "")
     assert f"error: empty field in coefficients {text!r}" in err
+
+
+def _split_then_parse(text):
+    # The coefficient parser that stripped every field and looked for a blank
+    # one before any int(): the reference for the one that parses first.
+    parts = [p.strip() for p in text.split(",")]
+    if "" in parts:
+        raise ValueError(f"empty field in coefficients {text!r}")
+    try:
+        values = [int(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"coefficients must be comma-separated integers, got {text!r}")
+    return validate(values)
+
+
+_blanks = st.sampled_from([" ", "\t", "\n", "\x0b", "\x1c", "\x1f", "\x85", "\u3000"])
+_fields = st.one_of(
+    st.builds(lambda pre, sign, digits, post: pre + sign + digits + post,
+              st.text(_blanks, max_size=2), st.sampled_from(["", "+", "-", "--"]),
+              st.from_regex(r"[0-9]{1,4}(_[0-9]{1,3})?", fullmatch=True),
+              st.text(_blanks, max_size=2)),
+    st.text(st.one_of(_blanks, st.sampled_from(list("0123456789+-_.xe\u0663"))), max_size=5),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_fields, min_size=1, max_size=5))
+def test_coefficient_parser_matches_split_then_parse(fields):
+    text = ",".join(fields)
+    outcomes = []
+    for parse in (cli._parse_coefficients, _split_then_parse):
+        try:
+            outcomes.append(parse(text))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestCheck:
@@ -503,21 +541,46 @@ class TestMinRoot:
         assert len({c.values[:-1] for c in given}) == len(given)
 
     def test_undecided_are_listed_by_sum_then_lexicographically(self, capsys, monkeypatch):
-        # Small caps leave no vector unknown, so the complete verdicts of odd
-        # sums are made unknown; the report must still be the brute force's.
+        # Small caps leave no vector unknown, so the verdicts of odd sums that
+        # the engine reaches past B_{2L-1} are made unknown: only the leaves
+        # the window leaves open get an engine run.  The report must still be
+        # the brute force's.
         check = brown.check_completeness
 
         def unsure(c, *args, **kwargs):
             verdict = check(c, *args, **kwargs)
-            if verdict.kind == brown.COMPLETE and sum(c.values) % 2:
+            if verdict.certificate.index > 2 * c.L - 1 and sum(c.values) % 2:
                 return brown.Verdict(c, brown.UNKNOWN, brown.horizon_exhausted(1), False, 1)
             return verdict
 
         monkeypatch.setattr(brown, "check_completeness", unsure)
-        _, payload, _ = run_json(capsys, "min-root", "--L", "4", "--sum-cap", "9")
+        _, payload, _ = run_json(capsys, "min-root", "--L", "5", "--sum-cap", "9")
         del payload["config"]
-        assert payload == reference_min_root(4, 9, analytic.DEFAULT_TOL)
+        assert payload == reference_min_root(5, 9, analytic.DEFAULT_TOL)
         assert payload["undecided"] != sorted(payload["undecided"])
+
+    @pytest.mark.parametrize("L,cap,runs", [(4, 10, 4), (8, 13, 135)])
+    def test_engine_runs_once_per_open_leaf(self, capsys, monkeypatch, L, cap, runs):
+        # An open leaf has B_1..B_{2L-1} >= 0 with a zero from B_L on: neither
+        # a failure nor the strict window.  Only those reach the engine, once
+        # each, in the walk's lexicographic order.
+        check, given = brown.check_completeness, []
+
+        def counted(c, *args, **kwargs):
+            given.append(c.values)
+            return check(c, *args, **kwargs)
+
+        def is_open(values):
+            gaps = brute_gaps(reference_terms(values, 2 * L - 1))
+            return min(gaps) >= 0 and min(gaps[L - 1:]) == 0
+
+        monkeypatch.setattr(brown, "check_completeness", counted)
+        run_json(capsys, "min-root", "--L", str(L), "--sum-cap", str(cap))
+        assert len(given) == runs
+        assert given == sorted(set(given))
+        assert all(sum(v) <= cap and is_open(v) for v in given)
+        if L == 4:  # every open vector of the sum class, by brute force
+            assert given == sorted(c.values for c in vectors_by_sum(L, cap) if is_open(c.values))
 
     def test_runs_serially_at_any_jobs(self, capsys, monkeypatch):
         # --jobs is echoed, but min-root never starts a worker pool.
