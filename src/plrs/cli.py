@@ -68,19 +68,13 @@ EXIT_COUNTEREXAMPLE = 4
 
 
 def _parse_coefficients(text: str) -> Coefficients:
-    # int() strips whitespace itself and rejects a blank field, but keeps the
-    # separators \x1c-\x1f that str.strip() removes: only a failed parse
-    # looks for a blank field and retries on stripped fields.
+    parts = [p.strip() for p in text.split(",")]
+    if "" in parts:
+        raise ValueError(f"empty field in coefficients {text!r}")
     try:
-        values = tuple(map(int, text.split(",")))
+        values = [int(p) for p in parts]
     except ValueError:
-        parts = [p.strip() for p in text.split(",")]
-        if "" in parts:
-            raise ValueError(f"empty field in coefficients {text!r}")
-        try:
-            values = tuple(map(int, parts))
-        except ValueError:
-            raise ValueError(f"coefficients must be comma-separated integers, got {text!r}")
+        raise ValueError(f"coefficients must be comma-separated integers, got {text!r}")
     return validate(values)
 
 

@@ -78,42 +78,6 @@ def test_empty_coefficient_field_is_input_error(capsys, command, text):
     assert f"error: empty field in coefficients {text!r}" in err
 
 
-def _split_then_parse(text):
-    # The coefficient parser that stripped every field and looked for a blank
-    # one before any int(): the reference for the one that parses first.
-    parts = [p.strip() for p in text.split(",")]
-    if "" in parts:
-        raise ValueError(f"empty field in coefficients {text!r}")
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"coefficients must be comma-separated integers, got {text!r}")
-    return validate(values)
-
-
-_blanks = st.sampled_from([" ", "\t", "\n", "\x0b", "\x1c", "\x1f", "\x85", "\u3000"])
-_fields = st.one_of(
-    st.builds(lambda pre, sign, digits, post: pre + sign + digits + post,
-              st.text(_blanks, max_size=2), st.sampled_from(["", "+", "-", "--"]),
-              st.from_regex(r"[0-9]{1,4}(_[0-9]{1,3})?", fullmatch=True),
-              st.text(_blanks, max_size=2)),
-    st.text(st.one_of(_blanks, st.sampled_from(list("0123456789+-_.xe\u0663"))), max_size=5),
-)
-
-
-@settings(deadline=None)
-@given(st.lists(_fields, min_size=1, max_size=5))
-def test_coefficient_parser_matches_split_then_parse(fields):
-    text = ",".join(fields)
-    outcomes = []
-    for parse in (cli._parse_coefficients, _split_then_parse):
-        try:
-            outcomes.append(parse(text))
-        except ValueError as exc:
-            outcomes.append((type(exc), str(exc)))
-    assert outcomes[0] == outcomes[1]
-
-
 class TestCheck:
     def test_json_contract_fields(self, capsys):
         code, payload, _ = run_json(capsys, "check", "1,3")
