@@ -20,10 +20,10 @@ Sign evaluations past length 8 and the float seed visit only the nonzero
 coefficients (``CharPoly.taps``) and jump across runs of zeros with powers,
 so a sparse vector [1, 0^(L-2), N] costs two steps, not L.  The family
 [1, 0^(L-2), k] of ``dense`` and ``root_order_gap`` needs no polynomial
-objects at all: every root is a cell of a grid 2^-d, accepted by the closed
-form 2^(dL) p_k(j / 2^d) = j^(L-1) (j - 2^d) - k 2^(dL) in integers, and
-every check on the family compares cell ends, on a finer grid where a
-coarse one leaves it open.
+objects and no float at all: every root is a cell of a grid 2^-d, found by
+an integer Newton iteration on the closed form
+2^(dL) p_k(j / 2^d) = j^(L-1) (j - 2^d) - k 2^(dL), and every check on the
+family compares cell ends, on a finer grid where a coarse one leaves it open.
 ``CharPoly.eval`` stays the dense ``Fraction`` Horner over every
 coefficient: it is the independent re-check of the roots found here.
 
@@ -451,12 +451,15 @@ def lambda_threshold(L: int, tol=DEFAULT_TOL) -> LambdaThreshold:
 # Triage
 
 
-def triage(c: Coefficients, tol=DEFAULT_TOL) -> brown.Verdict:
+def triage(c: Coefficients) -> brown.Verdict:
     """Classify by root position alone; no terms are generated.
 
     * p(2) < 0: the root exceeds 2, incomplete (sound).
     * root certified below the lambda threshold: complete, conjectural.
     * otherwise unknown: the root lies in the indeterminate band.
+
+    The threshold is bracketed at ``DEFAULT_TOL``, the bracket that
+    ``brown.recheck`` reads back.
     """
     if c.L < 2:
         raise ValueError("triage needs L >= 2")
@@ -464,7 +467,7 @@ def triage(c: Coefficients, tol=DEFAULT_TOL) -> brown.Verdict:
     s2 = poly.sign_at(2)
     if s2 < 0:
         return brown.Verdict(c, brown.INCOMPLETE, brown.root_triage(TRIAGE_FAST), False, 0)
-    lam = lambda_threshold(c.L, tol).root
+    lam = lambda_threshold(c.L).root
     # A positive sign at the bracket's lower end certifies root < lambda.
     if poly.sign_at(lam.num, 1 << lam.bits) > 0:
         return brown.Verdict(c, brown.COMPLETE, brown.root_triage(TRIAGE_SLOW), True, 0)
@@ -647,7 +650,8 @@ class DensenessReport:
     ``max_gap_at`` is k_min once the gaps are certified to shrink, and
     ``max_gap`` is the gap of the displayed midpoints there; ``epsilon_met``
     compares exact cell ends with epsilon, never the floats.  The
-    certificates compare the integer ends of cells at least 2^-40 fine.
+    certificates compare the integer ends of cells at least 2^-40 fine,
+    which integer Newton steps find; the floats are only displayed.
     """
 
     L: int
@@ -670,88 +674,37 @@ def _sparse_roots(L: int, ks: range, d: int) -> tuple[list[int], list[int]]:
     Returns (los, his): root i lies in [los[i], his[i]] / 2^d, the cell of
     ``principal_root(sparse_vector(L, k), 2^-d)``, with his[i] = los[i] + 1,
     or his[i] = los[i] when the root is that integer.  With den = 2^d,
-    den^L p_k(j/den) = g(j) - k den^L for g(j) = j^(L-1) (j - den), so cell
-    j is the one with g(j) < k den^L <= g(j + 1), and equality there is an
-    exact root.  Each root is a float proposal of ``_sparse_newton``, which
-    two evaluations of g accept (``_grid_cell``): the first started above
-    its root, at 2 + k^(1/(L-1)), and each later one from the previous root
-    plus the previous gap.  Every root exceeds 1 (g(den) = 0), and p_k =
-    p_{k-1} - 1 puts each root past the previous cell's left end, which
-    bounds the proposal and the exact search that replaces a wrong one.
+    F(j) = den^L p_k(j/den) = j^(L-1) (j - den) - k den^L, so cell j - 1 is
+    the one with F(j - 1) < 0 <= F(j), and F(j) = 0 is an exact root.  F is
+    increasing and convex past den, where every root lies, so the integer
+    Newton step j - floor(F(j) / F'(j)) from above the root stays above it
+    and descends until the floor is 0; then F(j) >= 0, and j steps down
+    while F(j - 1) >= 0 too.  The first two roots start above at
+    (1 + 2^ceil(bitlen(k) / L)) den, since (x - 1)^L <= k at the root x, and
+    each later one at 2 lo_(k-1) - lo_(k-2) + 2, since the roots are
+    concave in k.
     """
     los: list[int] = []
     his: list[int] = []
-    den = lo = 1 << d
-    step = den >> _SEED_BITS or 1  # about the error of a float in cells
-
-    def g(j: int) -> int:
-        return j ** (L - 1) * (j - den)
-
+    den = 1 << d
     for k in ks:
-        try:
-            if los:
-                x, prev = _sparse_newton(L, k, 2 * x - prev), x  # one more gap lands past the root
-            else:
-                x = prev = _sparse_newton(L, k, 2 + k ** (1 / (L - 1)))  # no gap is known yet
-            n, m = x.as_integer_ratio()
-            j = max(lo, (n << d) // m)
-        except (OverflowError, ValueError):  # inf or nan
-            x = prev = math.nan
-            j = lo
-        j, hit = _grid_cell(g, k << d * L, lo, j, step)
-        lo = j + hit  # an exact root is the point j + 1
-        los.append(lo)
-        his.append(lo if hit else lo + 1)
-    return los, his
-
-
-def _sparse_newton(L: int, k: int, x: float) -> float:
-    """Float root of x^(L-1) (x - 1) = k by Newton's method from x >= 1.
-
-    The function is increasing and convex past 1, so the steps descend to
-    the root from above it, and from below the first step lands above it.
-    The result is a proposal only; ``_grid_cell`` accepts or replaces it
-    exactly.
-    """
-    for _ in range(16):
-        y = x ** (L - 2)
-        step = (y * x * (x - 1) - k) / (y * (L * x - (L - 1)))
-        x -= step
-        if abs(step) < 1e-9 * x:  # the error left is about L * step^2
-            break
-    return x
-
-
-def _grid_cell(
-    g: Callable[[int], int], target: int, lo: int, j: int, step: int
-) -> tuple[int, bool]:
-    """The c >= lo with g(c) < target <= g(c + 1), and whether g(c + 1) == target.
-
-    Requires g(lo) < target and j >= lo, where g - target has the sign of
-    p at the grid points from lo on (one sign change).  Two evaluations
-    accept the guess j.  A wrong guess starts an exact gallop away from it,
-    by steps that begin at ``step`` and double, and bisection finishes
-    inside the last step.
-    """
-    if g(j) >= target:
-        hi = j
-        while hi - step > lo and g(hi - step) >= target:
-            hi, step = hi - step, 2 * step
-        lo = max(lo, hi - step)
-    elif (top := g(j + 1)) >= target:
-        return j, top == target
-    else:
-        lo = j + 1
-        while g(lo + step) < target:
-            lo, step = lo + step, 2 * step
-        hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if g(mid) < target:
-            lo = mid
+        target = k << d * L
+        if len(los) < 2:
+            j = (1 + (1 << -(-k.bit_length() // L))) << d
         else:
-            hi = mid
-    return lo, g(hi) == target
+            j = 2 * los[-1] - los[-2] + 2
+        while True:
+            p = j ** (L - 2)
+            f = p * j * (j - den) - target
+            step = f // (p * (L * j - (L - 1) * den))  # F'(j) = j^(L-2) (Lj - (L-1) den)
+            if not step:
+                break
+            j -= step
+        while f and (below := (j - 1) ** (L - 1) * (j - 1 - den) - target) >= 0:
+            j, f = j - 1, below
+        los.append(j if f == 0 else j - 1)
+        his.append(j)
+    return los, his
 
 
 def denseness_scan(
@@ -762,15 +715,16 @@ def denseness_scan(
 ) -> DensenessReport:
     """Sweep the sparse family's roots from the threshold up to exactly 2.
 
-    Every root is a cell of one certification grid (``_sparse_roots``) of
-    depth D, the larger of the depths of ``tol`` and ``DEFAULT_TOL``, and
-    the certificates read the integer cell ends: roots increase where one
-    cell ends at or below the next one's start, and gaps shrink where
-    2 r_lo > q_hi + s_hi.  A pair or triple that the grid leaves open, and
-    each gap checked against ``epsilon``, go to ``_sparse_decide``, which
-    isolates those roots again on finer grids.  The roots are shown at the
-    depth d of ``tol``: the cell that holds the one at depth D, shifted
-    right by D - d, with an exact root kept a point.
+    Every root is a cell of one certification grid of depth D, the larger
+    of the depths of ``tol`` and ``DEFAULT_TOL``, found by integer Newton
+    steps on the closed form (``_sparse_roots``), and the certificates
+    read the integer cell ends: roots increase where one cell ends at or
+    below the next one's start, and gaps shrink where 2 r_lo > q_hi + s_hi.
+    A pair or triple that the grid leaves open, and each gap checked
+    against ``epsilon``, go to ``_sparse_decide``, which isolates those
+    roots again on finer grids.  The roots are shown at the depth d of
+    ``tol``: the cell that holds the one at depth D, shifted right by
+    D - d, with an exact root kept a point.
     """
     if L < 2:
         raise ValueError(f"need L >= 2, got {L}")

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import math
 import os
 import timeit
 from fractions import Fraction
@@ -704,25 +703,6 @@ class TestDensenessScan:
         d = analytic._depth(tol)
         assert (2, d + 2) in calls and (3, d + 2) in calls
 
-    @pytest.mark.parametrize("L", [9, 12])
-    @pytest.mark.parametrize(
-        "wrong",
-        [lambda x, den: x + 3 / den, lambda x, den: math.nan, lambda x, den: -x],
-        ids=["plus3cells", "nan", "negative"],
-    )
-    def test_wrong_proposals_fall_back_to_exact_search(self, monkeypatch, L, wrong):
-        expected = denseness_scan(L)
-        den = 1 << analytic._depth(analytic.DEFAULT_TOL)
-        newton, proposals = analytic._sparse_newton, []
-
-        def proposal(*args):
-            proposals.append(wrong(newton(*args), den))
-            return proposals[-1]
-
-        monkeypatch.setattr(analytic, "_sparse_newton", proposal)
-        assert denseness_scan(L) == expected
-        assert len(proposals) == expected.k_max - expected.k_min + 1  # the first root too
-
     @pytest.mark.parametrize("epsilon", [None, 0.01])
     @pytest.mark.parametrize("tol", [Fraction(4), Fraction(1, 10), Fraction(1, 2**14),
                                      analytic.DEFAULT_TOL, Fraction(1, 10**20)])
@@ -742,43 +722,52 @@ class TestDensenessScan:
         assert r.increasing_certified and r.gaps_decreasing_certified
         assert calls == ["_sparse_decide"] * (epsilon is not None)  # the epsilon pair
 
-    @settings(deadline=None)
-    @given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 300), st.integers(0, 300),
-           st.integers(1, 64), st.booleans())
-    def test_grid_cell_matches_a_linear_scan(self, L, d, m, guess, step, exact):
-        # Any guess at or above lo, any first gallop step, and targets that
-        # the closed form hits exactly at a grid point or misses.
-        den = 1 << d
-
-        def g(j):
-            return j ** (L - 1) * (j - den)
-
-        target = g(den + 1 + m) - (not exact)
-        c = den  # g(den) = 0 < target
-        while g(c + 1) < target:
-            c += 1
-        assert analytic._grid_cell(g, target, den, den + guess, step) == (c, g(c + 1) == target)
-
     def test_closed_form_evaluations_do_not_grow_at_a_coarse_tol(self, monkeypatch):
         # At tol 1/10 the sweep certifies on the default tol's grid, so it
-        # evaluates the closed form as often as there, plus the cells of its
-        # one epsilon pair.
-        evaluations = []
-        grid_cell = analytic._grid_cell
+        # isolates the roots there as the default does, plus the two roots
+        # of its one epsilon pair.
+        calls = []
+        sparse_roots = analytic._sparse_roots
 
-        def counted(g, *args):
-            return grid_cell(lambda j: evaluations.append(j) or g(j), *args)
+        def counted(L, ks, d):
+            calls.append((ks, d))
+            return sparse_roots(L, ks, d)
 
         def cost(run):
-            evaluations.clear()
+            calls.clear()
             run()
-            return len(evaluations)
+            return calls[:]
 
-        monkeypatch.setattr(analytic, "_grid_cell", counted)
+        monkeypatch.setattr(analytic, "_sparse_roots", counted)
         k_min = lambda_threshold(12).max_complete_n + 1
+        default = cost(lambda: denseness_scan(12))
+        assert default == [(range(k_min, 2**11 + 1), 40)]
         coarse = cost(lambda: denseness_scan(12, 0.01, Fraction(1, 10)))
-        pair = cost(lambda: analytic._sparse_roots(12, range(k_min, k_min + 2), 40))
-        assert coarse == cost(lambda: denseness_scan(12)) + pair
+        assert coarse == default + [(range(k_min, k_min + 2), 40)]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 16),
+           st.integers(1, 1500).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)),
+           st.integers(0, 400), st.integers(1, 4))
+    @example(5, 10**400, 400, 3)
+    @example(7, 2**1100, 400, 3)
+    @example(12, 257, 0, 4)
+    @example(2, 1, 40, 4)
+    @example(2, 10**300, 400, 4)
+    @example(4, 5**3 * 4 - 1, 40, 4)  # the exact root 5 second
+    @example(3, 3**2 * 2 - 2, 0, 4)  # the exact root 3 third, on the unit grid
+    @example(16, 2**15 - 1, 7, 2)  # the exact root 2
+    def test_integer_newton_cells_are_principal_root_cells(self, L, k, d, n):
+        # Every cell, and each exact root k = m^(L-1) (m - 1) as a point,
+        # is the one principal_root isolates at the same depth, also for k
+        # far beyond the float range.
+        los, his = analytic._sparse_roots(L, range(k, k + n), d)
+        expected = []
+        for t in range(k, k + n):
+            b = principal_root(analytic.sparse_vector(L, t), Fraction(1, 1 << d))
+            r = b.exact_root
+            expected.append((b.num, b.num + 1, b.bits) if r is None else (r << d, r << d, d))
+        assert list(zip(los, his, [d] * n)) == expected
 
 
 class TestRootMonotonicity:

@@ -578,7 +578,9 @@ def test_root_reports_match_goldens(capsys, monkeypatch, name):
     # of check --verify on each gap certificate kind and gen on a long sparse
     # vector, as written when recheck grew its terms with the engine's kernel;
     # and of dense at tol 1/10 with epsilon and at tol 4, as written when
-    # roots the grid of tol left unseparated were refined as brackets.  The
+    # roots the grid of tol left unseparated were refined as brackets; and
+    # of dense at tol 1e-300, as written when float Newton steps proposed
+    # each root and an exact gallop and bisection replaced a wrong one.  The
     # usage errors, stderr included, are as written when every call went
     # through the top-level parser; argparse wraps usage to COLUMNS, which
     # is 80 on a stdout that is not a terminal.
