@@ -69,9 +69,10 @@ def _as_fraction(tol) -> Fraction:
     return tol
 
 
-#: Length up to which ``sign_at`` walks every coefficient: building and
-#: keeping the taps of a short polynomial costs more than the zeros they
-#: skip, and ``min-root`` builds thousands of polynomials of length 3 to 5.
+#: Length up to which ``sign_at`` walks every coefficient: a short vector
+#: has few zeros to skip, and the plain Horner step is cheaper than a tap
+#: step (walking taps at every length made ``min-root --L 4 --sum-cap 10``
+#: about 9% slower in process).
 _DENSE_L = 8
 
 
@@ -181,20 +182,18 @@ class RootBracket:
 
     def refined(self, tol) -> "RootBracket":
         """Bisect further until the width is at most ``tol``."""
-        return self._split(max(0, _depth(tol) - self.bits))
+        return self._at(max(self.bits, _depth(tol)))
 
     def _at(self, bits: int) -> "RootBracket":
-        # The cell at depth ``bits``.  A finer cell lies inside one cell of
-        # each coarser grid, and that cell keeps the sign pattern.
-        if self.exact_root is None and bits < self.bits:
-            return RootBracket(self.poly, self.num >> (self.bits - bits), bits)
-        return self._split(bits - self.bits)
-
-    def _split(self, n: int) -> "RootBracket":
-        # The cell that n halvings end in; an exact root is its own cell.
-        if self.exact_root is not None or n == 0:
+        # The cell at depth ``bits``; an exact root is its own cell.  A finer
+        # cell lies inside one cell of each coarser grid, and that cell keeps
+        # the sign pattern.
+        if self.exact_root is not None:
             return self
-        return RootBracket(self.poly, _bisect(self.poly, self.num, self.bits, n), self.bits + n)
+        if bits < self.bits:
+            return RootBracket(self.poly, self.num >> (self.bits - bits), bits)
+        lo, hi = self._ends(bits)
+        return RootBracket(self.poly, _grid(self.poly, lo, hi, 1 << bits), bits)
 
     def _ends(self, bits: int) -> tuple[int, int]:
         # (lo, hi) as numerators over 2^bits, for bits >= self.bits.
@@ -213,56 +212,51 @@ def _depth(tol) -> int:
     return d
 
 
-#: Bits below the root's leading bit at which ``_bisect`` seeds its cell: a
-#: float names the root to about 52, and the other 6 absorb rounding.
+#: Bits below the root's leading bit that a float estimate names: a float
+#: holds about 52, and the other 6 absorb rounding.
 _SEED_BITS = 46
 
 
-def _bisect(poly: CharPoly, a: int, bits: int, n: int) -> int:
-    """Numerator over 2^(bits+n) of the cell n halvings of [a, a+1]/2^bits end in.
+def _grid(poly: CharPoly, lo: int, hi: int, den: int) -> int:
+    """The cell j in [lo, hi) with p(j/den) < 0 <= p((j+1)/den).
 
-    Requires p(a/2^bits) < 0 <= p((a+1)/2^bits).  Cell j of the finer grid
-    is [a*2^n + j, a*2^n + j + 1] / 2^(bits+n); bisection keeps the sign
-    pattern, so it ends in the one cell with p(left) < 0 <= p(right).  That
-    cell is unique because p changes sign once on the positive axis.  A
-    float Newton estimate proposes the cell m <= n levels down whose width
-    is about _SEED_BITS bits below the root's leading bit (finer cells are
-    narrower than a float ulp), two exact sign evaluations accept it, and
-    integer bisection finds the remaining n - m levels inside it; a
-    rejected proposal leaves all n levels to integer bisection.
+    Requires p(lo/den) < 0 <= p(hi/den).  The cell is unique because p
+    changes sign once on the positive axis, and bisection keeps the sign
+    pattern, so it ends there.  A float estimate first proposes a sub-span
+    w = 2^max(0, bitlen(hi) - _SEED_BITS - 1) cells wide, about as narrow
+    as a float names the root (``_seed_cell``); two exact sign evaluations
+    accept it, so a proposal pays only where the span is wider than four
+    sub-spans, and bisection finishes inside it.  A rejected proposal
+    leaves the whole span to bisection.
     """
-    # The check costs two sign evaluations, so a seed pays only past n = 2.
-    m = min(n, max(3, _SEED_BITS + 1 - a.bit_length()))
-    if m > 2:
-        s, den = a << m, 1 << (bits + m)
-        j = _seed_cell(poly, s, den, m)
-        if j is not None and poly.sign_at(s + j, den) < 0 <= poly.sign_at(s + j + 1, den):
-            a, bits, n = s + j, bits + m, n - m
-    a, den = a << n, 1 << (bits + n)
-    j, k = 0, 1 << n
-    while k - j > 1:
-        mid = (j + k) // 2
-        if poly.sign_at(a + mid, den) < 0:
-            j = mid
+    w = 1 << max(0, hi.bit_length() - _SEED_BITS - 1)
+    if hi - lo > 4 * w:
+        j = _seed_cell(poly, lo, hi, den, w)
+        if j is not None and poly.sign_at(j, den) < 0 <= poly.sign_at(j + w, den):
+            lo, hi = j, j + w
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if poly.sign_at(mid, den) < 0:
+            lo = mid
         else:
-            k = mid
-    return a + j
+            hi = mid
+    return lo
 
 
-def _seed_cell(poly: CharPoly, a: int, den: int, n: int) -> Optional[int]:
-    """Grid cell of a float estimate of the root, or None if floats overflow.
+def _seed_cell(poly: CharPoly, lo: int, hi: int, den: int, w: int) -> Optional[int]:
+    """Start j of a sub-span [j, j + w] of [lo, hi] around a float estimate
+    of the root, over ``den``; None if floats overflow.
 
-    Cell j is [a + j, a + j + 1] / den.  Newton's method on
-    f(x) = p(x) / x^L = 1 - sum c_i x^(-i), whose powers cannot overflow
-    for x >= 1 (a coefficient beyond the float range can).  f is increasing
-    and concave for x > 0, so from below the root each step climbs towards
-    it without passing it (up to rounding).  The climb starts at the larger
-    of the lower end and max c_i^(1/i): p(x) <= x^(L-i) (x^i - c_i) < 0
-    below c_i^(1/i), and from there a tap that dominates the others needs a
-    few steps, not a slow climb from a cell end far below.  Each step walks
-    the nonzero taps only, jumping across zeros with a power of y = 1/x.
-    The estimate is only a proposal: ``_bisect`` accepts it by exact sign
-    evaluation.
+    Newton's method on f(x) = p(x) / x^L = 1 - sum c_i x^(-i), whose powers
+    cannot overflow for x >= 1 (a coefficient beyond the float range can).
+    f is increasing and concave for x > 0, so from below the root each step
+    climbs towards it without passing it (up to rounding).  The climb starts
+    at the larger of lo/den and max c_i^(1/i): p(x) <= x^(L-i) (x^i - c_i)
+    < 0 below c_i^(1/i), and from there a tap that dominates the others
+    needs a few steps, not a slow climb from a span end far below.  Each
+    step walks the nonzero taps only, jumping across zeros with a power of
+    y = 1/x.  The estimate is only a proposal: ``_grid`` accepts it by exact
+    sign evaluation.
     """
     try:
         # h(y) by Horner from c_L down to c_1 over the taps: a jump of g
@@ -270,8 +264,8 @@ def _seed_cell(poly: CharPoly, a: int, den: int, n: int) -> Optional[int]:
         gaps, cs = poly.taps[::2], poly.taps[1::2]
         top = float(cs[-1])
         steps = [(gaps[j + 1], float(cs[j])) for j in reversed(range(len(cs) - 1))]
-        x = max(a / den, *(math.exp(math.log(ci) / i)
-                           for i, ci in zip(itertools.accumulate(gaps), cs)))
+        x = max(lo / den, *(math.exp(math.log(ci) / i)
+                            for i, ci in zip(itertools.accumulate(gaps), cs)))
         for _ in range(100):  # unconverged, the seed fails its sign check
             y = 1.0 / x
             h, dh = top, 0.0  # h(y) = c_1 + c_2 y + ... + c_L y^(L-1), and h'
@@ -291,8 +285,7 @@ def _seed_cell(poly: CharPoly, a: int, den: int, n: int) -> Optional[int]:
         num, rden = x.as_integer_ratio()
     except (OverflowError, ZeroDivisionError, ValueError):
         return None
-    j = (num * den - a * rden) // rden
-    return min(max(j, 0), (1 << n) - 1)
+    return min(max(num * den // rden - w // 2, lo), hi - w)
 
 
 def _integer_bracket(poly: CharPoly) -> RootBracket:
@@ -300,13 +293,12 @@ def _integer_bracket(poly: CharPoly) -> RootBracket:
     lo, hi = 0, 1  # p(0) = -c_L < 0
     while (s := poly.sign_at(hi)) < 0:
         lo, hi = hi, 2 * hi  # bounded: p(1 + max c_i) > 0
-    while s != 0 and hi - lo > 1:  # p(lo) < 0 < p(hi)
-        mid = (lo + hi) // 2
-        if (s := poly.sign_at(mid)) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return RootBracket(poly, hi, 0, exact_root=hi) if s == 0 else RootBracket(poly, lo, 0)
+    if s == 0:
+        return RootBracket(poly, hi, 0, exact_root=hi)
+    lo = _grid(poly, lo, hi, 1)
+    if lo + 1 < hi and poly.sign_at(lo + 1) == 0:  # p(hi) > 0 is known
+        return RootBracket(poly, lo + 1, 0, exact_root=lo + 1)
+    return RootBracket(poly, lo, 0)
 
 
 def principal_root(c: Coefficients, tol=DEFAULT_TOL) -> RootBracket:
@@ -379,7 +371,7 @@ def _separate(a: RootBracket, b: RootBracket) -> tuple[int, RootBracket, RootBra
         if round_no % 16 == 8 and _roots_equal(a, b):
             return 0, a, b
         low = min(a.bits, b.bits)
-        a, b = (a._split(2) if a.bits == low else a), (b._split(2) if b.bits == low else b)
+        a, b = (a._at(low + 2) if a.bits == low else a), (b._at(low + 2) if b.bits == low else b)
     raise RuntimeError("root comparison failed to converge")
 
 

@@ -253,7 +253,7 @@ class TestCompareRoots:
         c = validate(values)
         unit = analytic._integer_bracket(CharPoly(c))
         cell = principal_root(c, tol)
-        finer = cell._split(extra)
+        finer = cell._at(cell.bits + extra)
 
         def no_sign(*args):
             raise AssertionError("sign_at called")
@@ -511,19 +511,20 @@ class TestLeastRoot:
         s, a2, b2 = analytic._separate(a, b)
         assert s == compare_roots(a, b) == -1
         assert a2.bits > 10 and a2.hi <= b2.lo
-        assert a2 == a._split(a2.bits) and b2 == b._split(b2.bits)
+        assert a2 == a._at(a2.bits) and b2 == b._at(b2.bits)
 
     def test_refines_only_the_winner(self, monkeypatch):
-        seeds = []
+        # Seeds below depth 0 (den > 1) refine a cell past its unit cell.
+        dens = []
         seed_cell = analytic._seed_cell
 
-        def recorded(*args):
-            seeds.append(args)
-            return seed_cell(*args)
+        def recorded(poly, lo, hi, den, w):
+            dens.append(den)
+            return seed_cell(poly, lo, hi, den, w)
 
         monkeypatch.setattr(analytic, "_seed_cell", recorded)
         c, bracket = least_root(vectors_by_sum(4, 10))
-        assert len(seeds) <= 1
+        assert len([den for den in dens if den > 1]) <= 1
         assert (c, bracket) == (validate([1, 0, 0, 1]), principal_root(c))
 
 
@@ -800,6 +801,24 @@ class TestRootIsolationProperties:
     """Integer root isolation returns the brackets of plain Fraction bisection."""
 
     @settings(deadline=None)
+    @given(st.one_of(vectors, st.lists(st.integers(1, 10**60), min_size=1, max_size=5)))
+    @example([10**20])  # large integer parts: the seed fires at depth 0
+    @example([1, 10**30])
+    @example([3, 0, 10**40])
+    @example([4])  # exact integer roots, found by the doubling
+    @example([1, 2])
+    @example([2, 0, 0, 8])  # root in (2, 3): p(3) > 0 is checked, not exact
+    @example([12])  # exact integer roots, found inside the doubled span
+    @example([10, 24])
+    @example([2, 0, 0, 27])
+    @example([1, 10**700])  # beyond the float range: no seed
+    def test_integer_bracket_matches_integer_bisection(self, values):
+        c = validate(values)
+        b = analytic._integer_bracket(CharPoly(c))
+        assert b.bits == 0 and (b.lo, b.hi) == reference_root(c, Fraction(1))
+        assert (b.exact_root is not None) == (b.lo == b.hi)
+
+    @settings(deadline=None)
     @given(vectors, tolerances)
     def test_principal_root_matches_reference(self, values, tol):
         c = validate(values)
@@ -820,7 +839,7 @@ class TestRootIsolationProperties:
     def test_split_in_two_halvings_matches_refined_and_reference(self, values, tol):
         b = principal_root(validate(values), tol)
         assume(b.exact_root is None)
-        split, quarter = b._split(2), b.width / 4
+        split, quarter = b._at(b.bits + 2), b.width / 4
         assert split == b.refined(quarter)
         assert (split.lo, split.hi) == reference_bisect(b.poly, b.lo, b.hi, quarter)
 
@@ -835,7 +854,8 @@ class TestRootIsolationProperties:
         # 2^bits and as Fractions: the comparisons of compare_roots and of
         # the gap-shrink check must agree.
         tol = Fraction(1, 2**tol_exp)
-        bq, br, bs = (principal_root(validate(v), tol)._split(d) for v, d in drawn)
+        roots = ((principal_root(validate(v), tol), d) for v, d in drawn)
+        bq, br, bs = (b._at(b.bits + d) for b, d in roots)
         bits = max(b.bits for b in (bq, br, bs))
         ends = [b._ends(bits) for b in (bq, br, bs)]
         for b, (lo, hi) in zip((bq, br, bs), ends):
@@ -883,6 +903,8 @@ class TestRootIsolationProperties:
         c = validate([1, 10**400])  # 10**400 has no float
         tol = Fraction(1, 10**12)
         b = principal_root(c, tol)
+        # One seed, in the search for the unit cell: at a 665-bit root the
+        # 2^40 cells of tol's grid are fewer than four sub-spans.
         assert seeds == [None]
         assert (b.lo, b.hi) == reference_root(c, tol)
         assert b.poly.eval(b.lo) < 0 < b.poly.eval(b.hi)
@@ -895,11 +917,11 @@ class TestRootIsolationProperties:
         assume(expected[0] != expected[1])  # integer roots need no bisection
         proposals = []
 
-        def neighbour(poly, a, den, n):
-            # A cell next to the right one: always wrong.
-            right = int(expected[0] * den - a)
-            proposals.append(right + 1 if right + 1 < 1 << n else right - 1)
-            return proposals[-1]
+        def neighbour(poly, lo, hi, den, w):
+            # A sub-span next to the right cell: always wrong.
+            right = int(expected[0] * den)
+            proposals.append(den)
+            return right + 1 if right + 1 + w <= hi else right - w
 
         seed_cell = analytic._seed_cell
         analytic._seed_cell = neighbour
@@ -907,7 +929,7 @@ class TestRootIsolationProperties:
             b = principal_root(c, tol)
         finally:
             analytic._seed_cell = seed_cell
-        assert len(proposals) == 1
+        assert [den for den in proposals if den > 1] == [1 << b.bits]
         assert (b.lo, b.hi) == expected
 
     @settings(deadline=None)

@@ -11,6 +11,7 @@ from plrs import (
     UNKNOWN,
     HorizonTooSmall,
     OneZerosN,
+    analytic,
     brown,
     check_completeness,
     classify_family,
@@ -537,6 +538,15 @@ recheck_vectors = st.one_of(
     long_sparse_vectors,
 )
 
+# Vectors of length 2 to 12 with small coefficients, for root triage.
+triage_vectors = st.builds(
+    lambda c1, mid, cL: (c1, *mid, cL),
+    st.integers(1, 2),
+    st.lists(st.sampled_from([0, 0, 0, 1, 2]), max_size=10),
+    st.integers(1, 40),
+)
+TRIAGE_RULES = {analytic.TRIAGE_FAST, analytic.TRIAGE_SLOW, analytic.TRIAGE_INDETERMINATE}
+
 
 class TestRecheckProperties:
     @example((1, 1), 0)  # the 2L-1 rule
@@ -568,3 +578,24 @@ class TestRecheckProperties:
                 assert recheck(moved(v, witness=cert.witness + 1)) == (
                     cert.witness + 1 < next_term
                 ), v
+
+    @example((3, 1))  # p2_negative
+    @example((1, 1))  # below_lambda
+    @example((1, 1, 2))  # indeterminate
+    @example((1, *[0] * 10, 39))  # below_lambda at L = 12
+    @settings(max_examples=60, deadline=None)
+    @given(triage_vectors)
+    def test_triage_verdicts_pass_and_forgeries_fail(self, values):
+        v = triage(validate(values))
+        assert recheck(v), v
+        for forged in forgeries(v):
+            assert not recheck(forged), forged
+        for rule in TRIAGE_RULES - {v.certificate.rule}:
+            assert not recheck(moved(v, rule=rule)), rule
+            # Moved with the kind and flag the other rule implies, the
+            # evaluation must refuse it; an unknown verdict claims no root
+            # position that its recheck reads.
+            if rule != analytic.TRIAGE_INDETERMINATE:
+                kind, conjectural = brown._IMPLIED[f"root:{rule}"]
+                dressed = dataclasses.replace(moved(v, rule=rule), kind=kind, conjectural=conjectural)
+                assert not recheck(dressed), rule
