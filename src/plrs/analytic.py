@@ -643,7 +643,9 @@ class DensenessReport:
     ``max_gap`` is the gap of the displayed midpoints there; ``epsilon_met``
     compares exact cell ends with epsilon, never the floats.  The
     certificates compare the integer ends of cells at least 2^-40 fine,
-    which integer Newton steps find; the floats are only displayed.
+    which integer Newton steps find, most of them one step and one sign
+    from a start predicted by the roots before (``_sparse_roots``); the
+    floats are only displayed.
     """
 
     L: int
@@ -667,34 +669,50 @@ def _sparse_roots(L: int, ks: range, d: int) -> tuple[list[int], list[int]]:
     ``principal_root(sparse_vector(L, k), 2^-d)``, with his[i] = los[i] + 1,
     or his[i] = los[i] when the root is that integer.  With den = 2^d,
     F(j) = den^L p_k(j/den) = j^(L-1) (j - den) - k den^L, so cell j - 1 is
-    the one with F(j - 1) < 0 <= F(j), and F(j) = 0 is an exact root.  F is
-    increasing and convex past den, where every root lies, so the integer
-    Newton step j - floor(F(j) / F'(j)) from above the root stays above it
-    and descends until the floor is 0; then F(j) >= 0, and j steps down
-    while F(j - 1) >= 0 too.  The first two roots start above at
-    (1 + 2^ceil(bitlen(k) / L)) den, since (x - 1)^L <= k at the root x, and
-    each later one at 2 lo_(k-1) - lo_(k-2) + 2, since the roots are
-    concave in k.
+    the one with F(j - 1) < 0 <= F(j), and F(j) = 0 is an exact root, which
+    p, monic with integer coefficients, has only at an integer: at j a
+    multiple of den.  F is increasing and convex past den, where every root
+    lies, so a tangent of F lies below it there, and one integer Newton step
+    j - floor(F(j) / F'(j)) from any j >= den lands at or above the root;
+    from above it, steps stay above it.  At or above the root, F(j - 1) < 0
+    names the cell [j - 1, j]; otherwise j - 1 is at or above it too and
+    the steps go on from there.  The first two roots start above at
+    (1 + 2^ceil(bitlen(k) / L)) den, since (x - 1)^L <= k at the root x,
+    and step until the floor is 0 before that sign.  Every later root takes
+    the sign after one step from a start predicted by the roots before it:
+    the third at 2 lo_(k-1) - lo_(k-2) + 2, above it since the roots are
+    concave in k, and each later one at the quadratic extrapolation
+    3 (lo_(k-1) - lo_(k-2)) + lo_(k-3), raised to his_(k-1) where it falls
+    below.
     """
     los: list[int] = []
     his: list[int] = []
     den = 1 << d
-    for k in ks:
+
+    def F(j: int) -> int:
+        return j ** (L - 1) * (j - den) - target
+
+    for i, k in enumerate(ks):
         target = k << d * L
-        if len(los) < 2:
+        if i < 2:
             j = (1 + (1 << -(-k.bit_length() // L))) << d
-        else:
+        elif i == 2:
             j = 2 * los[-1] - los[-2] + 2
+        else:
+            j = max(3 * (los[-1] - los[-2]) + los[-3], his[-1])
+        one_step = i >= 2
         while True:
+            # F(j) // F'(j), with F'(j) = j^(L-2) (Lj - (L-1) den); the two share j^(L-2)
             p = j ** (L - 2)
-            f = p * j * (j - den) - target
-            step = f // (p * (L * j - (L - 1) * den))  # F'(j) = j^(L-2) (Lj - (L-1) den)
-            if not step:
-                break
+            step = (p * j * (j - den) - target) // (p * (L * j - (L - 1) * den))
             j -= step
-        while f and (below := (j - 1) ** (L - 1) * (j - 1 - den) - target) >= 0:
-            j, f = j - 1, below
-        los.append(j if f == 0 else j - 1)
+            if step and not one_step:
+                continue
+            if F(j - 1) < 0:  # j is at or above the root
+                break
+            j -= 1
+            one_step = False
+        los.append(j if not j & (den - 1) and F(j) == 0 else j - 1)
         his.append(j)
     return los, his
 

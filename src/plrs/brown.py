@@ -416,12 +416,13 @@ def _recheck_root(verdict: Verdict) -> bool:
     if rule == analytic.TRIAGE_FAST:
         # p(2) < 0: the principal root exceeds 2.
         return p.eval(Fraction(2)) < 0
+    if c.L < 2 or rule not in (analytic.TRIAGE_SLOW, analytic.TRIAGE_INDETERMINATE):
+        return False
+    lam = analytic.lambda_threshold(c.L).root
     if rule == analytic.TRIAGE_SLOW:
-        if c.L < 2:
-            return False
-        lam = analytic.lambda_threshold(c.L).root
         # p_lambda(lo) <= 0 puts lo at or below lambda_L (equal only when
         # lambda_L is an integer, as at L = 3); p(lo) > 0 puts the root
         # below lo.
         return lam.poly.eval(lam.lo) <= 0 < p.eval(lam.lo)
-    return rule == analytic.TRIAGE_INDETERMINATE
+    # Neither rule above holds: p(2) >= 0, and p(lo) <= 0 at the bracket.
+    return p.eval(Fraction(2)) >= 0 and p.eval(lam.lo) <= 0

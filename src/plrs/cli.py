@@ -419,7 +419,7 @@ def _cmd_dense(args) -> tuple[dict, str, int]:
         report = analytic.denseness_scan(args.L, epsilon=args.epsilon, tol=tol)
     except analytic.CostCap as exc:
         return config, f"k,root\n# cost_cap: {exc}", EXIT_EXHAUSTED
-    lines = ["k,root", *(f"{k},{root:.12f}" for k, root in report.roots)]
+    lines = ["k,root", *map("%d,%.12f".__mod__, report.roots)]
     gap = "none" if report.max_gap is None else f"{report.max_gap:.12f} at k={report.max_gap_at}"
     covered = "none" if report.covered is None else "[{:.12f}, {:.12f}]".format(*report.covered)
     lines += [

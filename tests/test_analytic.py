@@ -749,7 +749,7 @@ class TestDensenessScan:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(2, 16),
            st.integers(1, 1500).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)),
-           st.integers(0, 400), st.integers(1, 4))
+           st.integers(0, 400), st.integers(1, 12))
     @example(5, 10**400, 400, 3)
     @example(7, 2**1100, 400, 3)
     @example(12, 257, 0, 4)
@@ -758,10 +758,17 @@ class TestDensenessScan:
     @example(4, 5**3 * 4 - 1, 40, 4)  # the exact root 5 second
     @example(3, 3**2 * 2 - 2, 0, 4)  # the exact root 3 third, on the unit grid
     @example(16, 2**15 - 1, 7, 2)  # the exact root 2
+    @example(12, 2**11 - 11, 40, 12)  # twelve roots, the last the exact root 2
+    @example(12, 2**11 - 11, 1, 12)  # the exact root 2 one step from its predicted start
+    @example(4, 50, 3, 8)  # the exact root 3, fifth, one step from its predicted start
+    @example(2, 1, 0, 12)  # the exact roots 3 and 4 on the unit grid
+    @example(4, 50, 100, 8)  # the exact root 3 at depth 100, where one step from a prediction falls short
+    @example(12, 2**11 - 11, 100, 12)  # the same at depth 100, ending at 2
     def test_integer_newton_cells_are_principal_root_cells(self, L, k, d, n):
         # Every cell, and each exact root k = m^(L-1) (m - 1) as a point,
         # is the one principal_root isolates at the same depth, also for k
-        # far beyond the float range.
+        # far beyond the float range; runs of up to 12 roots find most of
+        # them one step from a prediction.
         los, his = analytic._sparse_roots(L, range(k, k + n), d)
         expected = []
         for t in range(k, k + n):

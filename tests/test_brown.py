@@ -593,9 +593,7 @@ class TestRecheckProperties:
         for rule in TRIAGE_RULES - {v.certificate.rule}:
             assert not recheck(moved(v, rule=rule)), rule
             # Moved with the kind and flag the other rule implies, the
-            # evaluation must refuse it; an unknown verdict claims no root
-            # position that its recheck reads.
-            if rule != analytic.TRIAGE_INDETERMINATE:
-                kind, conjectural = brown._IMPLIED[f"root:{rule}"]
-                dressed = dataclasses.replace(moved(v, rule=rule), kind=kind, conjectural=conjectural)
-                assert not recheck(dressed), rule
+            # evaluation must refuse it.
+            kind, conjectural = brown._IMPLIED[f"root:{rule}"]
+            dressed = dataclasses.replace(moved(v, rule=rule), kind=kind, conjectural=conjectural)
+            assert not recheck(dressed), rule

@@ -580,8 +580,10 @@ def test_root_reports_match_goldens(capsys, monkeypatch, name):
     # and of dense at tol 1/10 with epsilon and at tol 4, as written when
     # roots the grid of tol left unseparated were refined as brackets; and
     # of dense at tol 1e-300, as written when float Newton steps proposed
-    # each root and an exact gallop and bisection replaced a wrong one.  The
-    # usage errors, stderr included, are as written when every call went
+    # each root and an exact gallop and bisection replaced a wrong one; and
+    # of dense at L 16 and at tol 1e-60, as written when every root took
+    # integer Newton steps from above it until the floor of the step was 0.
+    # The usage errors, stderr included, are as written when every call went
     # through the top-level parser; argparse wraps usage to COLUMNS, which
     # is 80 on a stdout that is not a terminal.
     monkeypatch.setenv("COLUMNS", "80")
