@@ -40,12 +40,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from . import brown, families
-from .core import Coefficients, _prefix_walk, validate
+from .core import Coefficients, _prefix_walk, _Record, validate
 
 Rational = Union[int, Fraction]
 T = TypeVar("T")
@@ -76,8 +75,7 @@ def _as_fraction(tol) -> Fraction:
 _DENSE_L = 8
 
 
-@dataclass(frozen=True, slots=True)
-class CharPoly:
+class CharPoly(_Record):
     """Characteristic polynomial p(x) = x^L - sum c_i x^(L-i).
 
     ``eval`` walks every coefficient with exact rationals; ``sign_at`` (past
@@ -85,8 +83,11 @@ class CharPoly:
     coefficients only.
     """
 
-    coefficients: Coefficients
-    _taps: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("coefficients", "_taps")
+
+    def __init__(self, coefficients: Coefficients) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "_taps", None)
 
     @property
     def taps(self) -> tuple[int, ...]:
@@ -146,8 +147,7 @@ def char_poly_eval(c: Coefficients, t: Rational) -> Rational:
     return CharPoly(c).eval(t)
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class RootBracket(_Record):
     """Certified isolating cell [num, num + 1] / 2^bits of the principal root.
 
     Either ``exact_root`` is set (num = exact_root, bits = 0, and
@@ -156,10 +156,15 @@ class RootBracket:
     views of the integer cell.
     """
 
-    poly: CharPoly
-    num: int
-    bits: int
-    exact_root: Optional[int] = None
+    __slots__ = ("poly", "num", "bits", "exact_root")
+
+    def __init__(
+        self, poly: CharPoly, num: int, bits: int, exact_root: Optional[int] = None
+    ) -> None:
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "exact_root", exact_root)
 
     @property
     def lo(self) -> Fraction:
@@ -401,8 +406,7 @@ def least_root(
 # Lambda thresholds
 
 
-@dataclass(frozen=True)
-class LambdaThreshold:
+class LambdaThreshold(_Record):
     """Conjectured least principal root among incomplete length-L vectors.
 
     ``max_complete_n`` is ceil(L(L+1)/4), the largest N for which
@@ -411,9 +415,12 @@ class LambdaThreshold:
     member of that family.
     """
 
-    L: int
-    max_complete_n: int
-    root: RootBracket
+    __slots__ = ("L", "max_complete_n", "root")
+
+    def __init__(self, L: int, max_complete_n: int, root: RootBracket) -> None:
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "max_complete_n", max_complete_n)
+        object.__setattr__(self, "root", root)
 
 
 def sparse_vector(L: int, last: int) -> Coefficients:
@@ -503,8 +510,7 @@ def min_root_in_pls(
 # Exhaustive threshold audit
 
 
-@dataclass(frozen=True)
-class ThresholdSearchReport:
+class ThresholdSearchReport(_Record):
     """Outcome of the exhaustive sub-2 frontier search at one length.
 
     ``frontier`` is the smallest certified principal root among vectors the
@@ -514,13 +520,28 @@ class ThresholdSearchReport:
     probes the engine leaves unknown is listed in ``undecided``.
     """
 
-    L: int
-    candidates: int
-    frontier_coefficients: Optional[Coefficients]
-    frontier: Optional[RootBracket]
-    lam: LambdaThreshold
-    agrees_with_lambda: bool
-    undecided: tuple[tuple[int, ...], ...]
+    __slots__ = (
+        "L", "candidates", "frontier_coefficients", "frontier", "lam", "agrees_with_lambda",
+        "undecided",
+    )
+
+    def __init__(
+        self,
+        L: int,
+        candidates: int,
+        frontier_coefficients: Optional[Coefficients],
+        frontier: Optional[RootBracket],
+        lam: LambdaThreshold,
+        agrees_with_lambda: bool,
+        undecided: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "frontier_coefficients", frontier_coefficients)
+        object.__setattr__(self, "frontier", frontier)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "agrees_with_lambda", agrees_with_lambda)
+        object.__setattr__(self, "undecided", undecided)
 
 
 def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
@@ -630,8 +651,7 @@ def _sparse_decide(
     return None
 
 
-@dataclass(frozen=True)
-class DensenessReport:
+class DensenessReport(_Record):
     """Roots of [1, 0^(L-2), k] for k across the incomplete range.
 
     Certifies that the roots increase strictly in k, that consecutive gaps
@@ -648,18 +668,39 @@ class DensenessReport:
     floats are only displayed.
     """
 
-    L: int
-    k_min: int
-    k_max: int
-    roots: tuple[tuple[int, float], ...]
-    max_gap: Optional[float]
-    max_gap_at: Optional[int]
-    covered: Optional[tuple[float, float]]
-    increasing_certified: bool
-    gaps_decreasing_certified: bool
-    terminal_root_exact_two: bool
-    epsilon: Optional[float]
-    epsilon_met: Optional[bool]
+    __slots__ = (
+        "L", "k_min", "k_max", "roots", "max_gap", "max_gap_at", "covered",
+        "increasing_certified", "gaps_decreasing_certified", "terminal_root_exact_two",
+        "epsilon", "epsilon_met",
+    )
+
+    def __init__(
+        self,
+        L: int,
+        k_min: int,
+        k_max: int,
+        roots: tuple[tuple[int, float], ...],
+        max_gap: Optional[float],
+        max_gap_at: Optional[int],
+        covered: Optional[tuple[float, float]],
+        increasing_certified: bool,
+        gaps_decreasing_certified: bool,
+        terminal_root_exact_two: bool,
+        epsilon: Optional[float],
+        epsilon_met: Optional[bool],
+    ) -> None:
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "k_min", k_min)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "max_gap", max_gap)
+        object.__setattr__(self, "max_gap_at", max_gap_at)
+        object.__setattr__(self, "covered", covered)
+        object.__setattr__(self, "increasing_certified", increasing_certified)
+        object.__setattr__(self, "gaps_decreasing_certified", gaps_decreasing_certified)
+        object.__setattr__(self, "terminal_root_exact_two", terminal_root_exact_two)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "epsilon_met", epsilon_met)
 
 
 def _sparse_roots(L: int, ks: range, d: int) -> tuple[list[int], list[int]]:

@@ -22,11 +22,18 @@ enters any verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .core import Coefficients, TermSequence, _next_terms, _prefix_walk, generate_terms, validate
+from .core import (
+    Coefficients,
+    TermSequence,
+    _next_terms,
+    _prefix_walk,
+    _Record,
+    generate_terms,
+    validate,
+)
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
@@ -43,8 +50,7 @@ class HorizonTooSmall(ValueError):
     """The requested horizon cannot even cover the 2L-1 window."""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Machine-checkable evidence attached to a verdict.
 
     kind is one of ``strict_window``, ``doubling_window``, ``family``,
@@ -55,10 +61,19 @@ class Certificate:
     (failure found by subset sums).
     """
 
-    kind: str
-    index: Optional[int] = None
-    rule: Optional[str] = None
-    witness: Optional[int] = None
+    __slots__ = ("kind", "index", "rule", "witness")
+
+    def __init__(
+        self,
+        kind: str,
+        index: Optional[int] = None,
+        rule: Optional[str] = None,
+        witness: Optional[int] = None,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "witness", witness)
 
     def tag(self) -> str:
         if self.kind == "family":
@@ -92,20 +107,30 @@ def horizon_exhausted(m: int) -> Certificate:
     return Certificate("horizon", index=m)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Completeness verdict for one coefficient vector.
 
     ``conjectural`` is True whenever the verdict rests on an unproven
     conjecture rather than a sound certificate.
     """
 
-    coefficients: Coefficients
-    kind: str
-    certificate: Certificate
-    conjectural: bool
-    horizon_used: int
-    note: Optional[str] = None
+    __slots__ = ("coefficients", "kind", "certificate", "conjectural", "horizon_used", "note")
+
+    def __init__(
+        self,
+        coefficients: Coefficients,
+        kind: str,
+        certificate: Certificate,
+        conjectural: bool,
+        horizon_used: int,
+        note: Optional[str] = None,
+    ) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "conjectural", conjectural)
+        object.__setattr__(self, "horizon_used", horizon_used)
+        object.__setattr__(self, "note", note)
 
     def to_json_dict(self) -> dict:
         """Serialize to the documented wire format."""

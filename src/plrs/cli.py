@@ -48,7 +48,6 @@ error text and every exit code is the one it writes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -234,7 +233,7 @@ def _cmd_oracle_check(args) -> tuple[dict, dict | str, int]:
 
 def _cmd_family_table(args) -> tuple[dict, str, int]:
     shape_of = families.FAMILIES[args.family]
-    params = [f.name for f in dataclasses.fields(shape_of)]
+    params = shape_of.__slots__
     missing = [p for p in params if getattr(args, p) is None]
     if missing:
         flags = ", ".join(f"--{p}" for p in missing)

@@ -14,7 +14,7 @@ the conventions above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -38,18 +38,57 @@ class NegativeEntry(InvalidCoefficients):
     pass
 
 
-@dataclass(frozen=True)
-class Coefficients:
+class _Record:
+    """An immutable value record over the fields named in ``__slots__``.
+
+    Each record type sets its fields once, with ``object.__setattr__``, in
+    its own ``__init__``, which takes them in slot order.  After that,
+    assigning or deleting an attribute raises AttributeError.  Equality
+    (only between instances of one type), hash and repr read the fields in
+    slot order, as a frozen dataclass does.  A slot whose name starts with
+    ``_`` is a cache and takes no part in them.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through __init__, so copy and pickle never assign a field.
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Coefficients(_Record):
     """A validated coefficient vector ``[c_1, ..., c_L]``.
 
     Equality is element-wise; ``[1, 2]`` and ``[1, 2, 0]`` are distinct
     vectors (and the latter is rejected outright).
     """
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        vals = tuple(map(int, self.values))
+    def __init__(self, values: Iterable[int]) -> None:
+        vals = tuple(map(int, values))
         object.__setattr__(self, "values", vals)
         if not vals:
             raise EmptyVector("coefficient vector is empty")
@@ -139,12 +178,14 @@ def _next_terms(values: Sequence[int], terms: list[int]) -> Iterator[int]:
         yield h
 
 
-@dataclass(frozen=True)
-class TermSequence:
+class TermSequence(_Record):
     """An exact, immutable prefix ``(H_1, ..., H_n)`` of a PLRS."""
 
-    coefficients: Coefficients
-    terms: tuple[int, ...]
+    __slots__ = ("coefficients", "terms")
+
+    def __init__(self, coefficients: Coefficients, terms: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:
         return len(self.terms)

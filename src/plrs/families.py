@@ -16,11 +16,10 @@ proven=False, and classifications made with them are flagged conjectural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import brown
-from .core import Coefficients, validate
+from .core import Coefficients, _Record, validate
 
 RULE_ONE_ZEROS = "one-zeros"
 RULE_ONES_ZEROS = "ones-zeros"
@@ -36,13 +35,15 @@ class ShapeViolation(ValueError):
     """Parameters do not describe a member of the family."""
 
 
-@dataclass(frozen=True)
-class FamilyBound:
+class FamilyBound(_Record):
     """Largest last coefficient keeping the family member complete."""
 
-    max_n: int
-    proven: bool
-    rule_id: str
+    __slots__ = ("max_n", "proven", "rule_id")
+
+    def __init__(self, max_n: int, proven: bool, rule_id: str) -> None:
+        object.__setattr__(self, "max_n", max_n)
+        object.__setattr__(self, "proven", proven)
+        object.__setattr__(self, "rule_id", rule_id)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -117,11 +118,13 @@ def _check_one_zeros_ones(L: int, m: int) -> None:
         raise ShapeViolation(f"need L >= 2m+2 and L-m >= 3, got L={L}, m={m}")
 
 
-@dataclass(frozen=True)
-class OneZerosN:
+class OneZerosN(_Record):
     """[1, 0^k, N]"""
 
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int) -> None:
+        object.__setattr__(self, "k", k)
 
     def coefficients(self, n: int) -> Coefficients:
         return validate([1] + [0] * self.k + [n])
@@ -130,12 +133,14 @@ class OneZerosN:
         return bound_one_zeros(self.k)
 
 
-@dataclass(frozen=True)
-class OnesZerosN:
+class OnesZerosN(_Record):
     """[1^g, 0^k, N]"""
 
-    g: int
-    k: int
+    __slots__ = ("g", "k")
+
+    def __init__(self, g: int, k: int) -> None:
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "k", k)
 
     def coefficients(self, n: int) -> Coefficients:
         return validate([1] * self.g + [0] * self.k + [n])
@@ -147,12 +152,14 @@ class OnesZerosN:
         return bound_ones_zeros(self.g, self.k)
 
 
-@dataclass(frozen=True)
-class TwoOnesZerosN:
+class TwoOnesZerosN(_Record):
     """[1, 1, 0^k, N]"""
 
-    g: ClassVar[int] = 2  # leading ones, as in OnesZerosN
-    k: int
+    __slots__ = ("k",)
+    g = 2  # leading ones, as in OnesZerosN
+
+    def __init__(self, k: int) -> None:
+        object.__setattr__(self, "k", k)
 
     def coefficients(self, n: int) -> Coefficients:
         return validate([1, 1] + [0] * self.k + [n])
@@ -161,12 +168,14 @@ class TwoOnesZerosN:
         return bound_two_ones_zeros(self.k)
 
 
-@dataclass(frozen=True)
-class OneZerosOnesN:
+class OneZerosOnesN(_Record):
     """[1, 0^(L-m-2), 1^m, N] with L coefficients, L >= 2m+2 and L-m >= 3"""
 
-    L: int
-    m: int
+    __slots__ = ("L", "m")
+
+    def __init__(self, L: int, m: int) -> None:
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "m", m)
 
     def coefficients(self, n: int) -> Coefficients:
         _check_one_zeros_ones(self.L, self.m)
@@ -178,7 +187,8 @@ class OneZerosOnesN:
 
 FamilyShape = Union[OneZerosN, OnesZerosN, TwoOnesZerosN, OneZerosOnesN]
 
-#: Family name -> shape class; the dataclass fields are the parameters.
+#: Family name -> shape class; the shape's ``__slots__`` are its parameters,
+#: in the order its constructor takes them.
 FAMILIES = {
     RULE_ONE_ZEROS: OneZerosN,
     RULE_ONES_ZEROS: OnesZerosN,

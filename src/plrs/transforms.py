@@ -17,9 +17,7 @@ hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Coefficients, validate
+from .core import Coefficients, _Record, validate
 
 APPEND_COEFF = "append_coeff"
 DECREASE_LAST = "decrease_last"
@@ -41,12 +39,16 @@ class TooShort(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TransformRecord:
-    input: Coefficients
-    output: Coefficients
-    rule: str
-    guarantee: str
+class TransformRecord(_Record):
+    __slots__ = ("input", "output", "rule", "guarantee")
+
+    def __init__(
+        self, input: Coefficients, output: Coefficients, rule: str, guarantee: str
+    ) -> None:
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "guarantee", guarantee)
 
 
 def append_coeff(c: Coefficients, c_new: int) -> TransformRecord:

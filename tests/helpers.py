@@ -18,6 +18,12 @@ from plrs.core import Coefficients, validate
 getcontext().prec = 60
 
 
+def replace(record, **changes):
+    """``record`` rebuilt through its constructor, with ``changes`` to its fields."""
+    fields = {name: changes.pop(name, getattr(record, name)) for name in record._fields}
+    return type(record)(**fields, **changes)
+
+
 def brute_subset_sums(terms) -> set[int]:
     """Every subset sum of the prefix, by explicit enumeration."""
     sums = set()

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import os
@@ -40,6 +39,7 @@ from helpers import (
     reference_root,
     reference_sign,
     reference_threshold_search,
+    replace,
     vectors_by_sum,
 )
 
@@ -409,7 +409,7 @@ class TestExactThresholdSearch:
         # vectors of the box there.
         r, expected = exact_threshold_search(L, tol), reference_threshold_search(L, tol)
         assert r.candidates < expected.candidates
-        assert dataclasses.replace(r, candidates=expected.candidates) == expected
+        assert replace(r, candidates=expected.candidates) == expected
 
     @pytest.mark.parametrize("L", [6, 7, 8])
     def test_finds_the_conjectured_vector_past_the_box(self, L):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -23,7 +22,13 @@ from plrs import (
     triage,
     validate,
 )
-from helpers import all_vectors, brute_gaps, reference_check_completeness, reference_terms
+from helpers import (
+    all_vectors,
+    brute_gaps,
+    reference_check_completeness,
+    reference_terms,
+    replace,
+)
 
 # Short vectors with small coefficients, and the sparse family [1, 0^k, N].
 short_vectors = st.one_of(
@@ -445,12 +450,12 @@ def forgeries(v):
     """Each variant of ``v`` with its kind or its conjectural flag flipped."""
     for kind in KINDS:
         if kind != v.kind:
-            yield dataclasses.replace(v, kind=kind)
-    yield dataclasses.replace(v, conjectural=not v.conjectural)
+            yield replace(v, kind=kind)
+    yield replace(v, conjectural=not v.conjectural)
 
 
 def moved(v, **changes):
-    return dataclasses.replace(v, certificate=dataclasses.replace(v.certificate, **changes))
+    return replace(v, certificate=replace(v.certificate, **changes))
 
 
 # One verdict per certificate tag that fixes the verdict's kind and flag.
@@ -595,5 +600,5 @@ class TestRecheckProperties:
             # Moved with the kind and flag the other rule implies, the
             # evaluation must refuse it.
             kind, conjectural = brown._IMPLIED[f"root:{rule}"]
-            dressed = dataclasses.replace(moved(v, rule=rule), kind=kind, conjectural=conjectural)
+            dressed = replace(moved(v, rule=rule), kind=kind, conjectural=conjectural)
             assert not recheck(dressed), rule

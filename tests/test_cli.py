@@ -809,6 +809,19 @@ class TestParserReuse:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "0 False\n"
 
+    def test_import_loads_every_layer_and_no_dataclasses(self):
+        # perfbench's tracer reads the six layers from sys.modules right
+        # after this import; dataclasses would load inspect, ast and dis.
+        src = os.path.dirname(os.path.dirname(plrs.__file__))
+        probe = (f"import sys; sys.path.insert(0, {src!r}); import plrs.cli; "
+                 "layers = ('cli', 'core', 'brown', 'oracle', 'analytic', 'families'); "
+                 "print(all(f'plrs.{m}' in sys.modules for m in layers), "
+                 "[m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True []\n"
+
     def test_option_does_not_carry_over(self, capsys):
         _, first, _ = run_json(capsys, "check", "1,3", "--horizon", "5")
         _, second, _ = run_json(capsys, "check", "1,3")
