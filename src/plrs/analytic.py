@@ -40,14 +40,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from . import brown, families
 from .core import Coefficients, _prefix_walk, _Record, validate
 
-Rational = Union[int, Fraction]
-T = TypeVar("T")
+Rational = int | Fraction
 
 #: Default bracket width for reported roots; display precision only.
 DEFAULT_TOL = Fraction(1, 10**12)
@@ -106,11 +105,17 @@ class CharPoly(_Record):
         return self._taps
 
     def eval(self, t: Rational) -> Rational:
-        """Exact value of p(t) for rational t (int in, int out)."""
-        acc: Rational = 1
+        """Exact value of p(t) for rational t (int in, int out).
+
+        One integer Horner pass over every coefficient gives den^L p(t) for
+        t = num/den, and a Fraction t gets one Fraction, built at the end.
+        """
+        num, den = t.numerator, t.denominator
+        acc = dp = 1
         for ci in self.coefficients.values:
-            acc = acc * t - ci
-        return acc
+            dp *= den
+            acc = acc * num - ci * dp
+        return Fraction(acc, dp) if isinstance(t, Fraction) else acc
 
     def sign_at(self, num: int, den: int = 1) -> int:
         """Sign of p(num/den) for den >= 1, using integer arithmetic only.
@@ -159,7 +164,7 @@ class RootBracket(_Record):
     __slots__ = ("poly", "num", "bits", "exact_root")
 
     def __init__(
-        self, poly: CharPoly, num: int, bits: int, exact_root: Optional[int] = None
+        self, poly: CharPoly, num: int, bits: int, exact_root: int | None = None
     ) -> None:
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "num", num)
@@ -248,7 +253,7 @@ def _grid(poly: CharPoly, lo: int, hi: int, den: int) -> int:
     return lo
 
 
-def _seed_cell(poly: CharPoly, lo: int, hi: int, den: int, w: int) -> Optional[int]:
+def _seed_cell(poly: CharPoly, lo: int, hi: int, den: int, w: int) -> int | None:
     """Start j of a sub-span [j, j + w] of [lo, hi] around a float estimate
     of the root, over ``den``; None if floats overflow.
 
@@ -382,7 +387,7 @@ def _separate(a: RootBracket, b: RootBracket) -> tuple[int, RootBracket, RootBra
 
 def least_root(
     vectors: Iterable[Coefficients], tol=DEFAULT_TOL
-) -> Optional[tuple[Coefficients, RootBracket]]:
+) -> tuple[Coefficients, RootBracket] | None:
     """The first vector with the least principal root, and its bracket.
 
     Ties keep the earlier vector; None when there are no vectors.  Each
@@ -391,7 +396,7 @@ def least_root(
     cell, and the winner alone is then brought to the depth of ``tol``,
     which gives exactly ``principal_root(winner, tol)``.
     """
-    best: Optional[tuple[Coefficients, RootBracket]] = None
+    best: tuple[Coefficients, RootBracket] | None = None
     for c in vectors:
         bracket = _integer_bracket(CharPoly(c))
         if best is None:
@@ -529,8 +534,8 @@ class ThresholdSearchReport(_Record):
         self,
         L: int,
         candidates: int,
-        frontier_coefficients: Optional[Coefficients],
-        frontier: Optional[RootBracket],
+        frontier_coefficients: Coefficients | None,
+        frontier: RootBracket | None,
         lam: LambdaThreshold,
         agrees_with_lambda: bool,
         undecided: tuple[tuple[int, ...], ...],
@@ -606,7 +611,7 @@ def root_order_gap(L: int, k: int, tol=DEFAULT_TOL) -> tuple[Fraction, Fraction]
     if L <= 2 or k <= 0:
         raise ValueError(f"need L > 2 and k > 0, got L={L}, k={k}")
 
-    def gaps(los: list[int], his: list[int], depth: int) -> Optional[tuple[Fraction, Fraction]]:
+    def gaps(los: list[int], his: list[int], depth: int) -> tuple[Fraction, Fraction] | None:
         q, r, s = (Fraction(lo + hi, 2 << depth) for lo, hi in zip(los, his))
         return (r - q, s - r) if _shrinks(los, his, depth) else None
 
@@ -628,15 +633,15 @@ def root_order_gap(L: int, k: int, tol=DEFAULT_TOL) -> tuple[Fraction, Fraction]
     return found
 
 
-def _shrinks(los: list[int], his: list[int], depth: int) -> Optional[bool]:
+def _shrinks(los: list[int], his: list[int], depth: int) -> bool | None:
     # r - q > s - r for the cells of roots q < r < s, since r - q >= r_lo - q_hi
     # and s - r <= s_hi - r_lo; None while the cells leave it open.
     return 2 * los[1] > his[0] + his[2] or None
 
 
 def _sparse_decide(
-    L: int, k: int, count: int, depth: int, test: Callable[[list[int], list[int], int], Optional[T]]
-) -> Optional[T]:
+    L: int, k: int, count: int, depth: int, test: Callable[[list[int], list[int], int], object]
+) -> object:
     """The answer of ``test`` on the roots of [1, 0^(L-2), t] for t = k..k+count-1.
 
     ``test(los, his, depth)`` reads the cells of those roots at ``depth``
@@ -680,14 +685,14 @@ class DensenessReport(_Record):
         k_min: int,
         k_max: int,
         roots: tuple[tuple[int, float], ...],
-        max_gap: Optional[float],
-        max_gap_at: Optional[int],
-        covered: Optional[tuple[float, float]],
+        max_gap: float | None,
+        max_gap_at: int | None,
+        covered: tuple[float, float] | None,
         increasing_certified: bool,
         gaps_decreasing_certified: bool,
         terminal_root_exact_two: bool,
-        epsilon: Optional[float],
-        epsilon_met: Optional[bool],
+        epsilon: float | None,
+        epsilon_met: bool | None,
     ) -> None:
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "k_min", k_min)
@@ -760,7 +765,7 @@ def _sparse_roots(L: int, ks: range, d: int) -> tuple[list[int], list[int]]:
 
 def denseness_scan(
     L: int,
-    epsilon: Optional[float] = None,
+    epsilon: float | None = None,
     tol=DEFAULT_TOL,
     budget: int = 1 << 16,
 ) -> DensenessReport:
@@ -824,7 +829,7 @@ def denseness_scan(
     )
 
 
-def _below(epsilon: Fraction, los: list[int], his: list[int], depth: int) -> Optional[bool]:
+def _below(epsilon: Fraction, los: list[int], his: list[int], depth: int) -> bool | None:
     # r - q < epsilon for the cells of roots q < r, once [r_lo - q_hi, r_hi - q_lo]
     # lies on one side of epsilon; None while it does not.
     scaled = epsilon.numerator << depth  # epsilon * 2^depth * q

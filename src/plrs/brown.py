@@ -22,8 +22,8 @@ enters any verdict.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
 
 from .core import (
     Coefficients,
@@ -66,9 +66,9 @@ class Certificate(_Record):
     def __init__(
         self,
         kind: str,
-        index: Optional[int] = None,
-        rule: Optional[str] = None,
-        witness: Optional[int] = None,
+        index: int | None = None,
+        rule: str | None = None,
+        witness: int | None = None,
     ) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "index", index)
@@ -99,7 +99,7 @@ def root_triage(path: str) -> Certificate:
     return Certificate("root", rule=path)
 
 
-def failure(index: int, witness: Optional[int] = None) -> Certificate:
+def failure(index: int, witness: int | None = None) -> Certificate:
     return Certificate("failure", index=index, witness=witness)
 
 
@@ -123,7 +123,7 @@ class Verdict(_Record):
         certificate: Certificate,
         conjectural: bool,
         horizon_used: int,
-        note: Optional[str] = None,
+        note: str | None = None,
     ) -> None:
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "kind", kind)
@@ -187,7 +187,7 @@ def window_survivors(
             yield Coefficients(tuple(prefix)), proven
 
 
-def _read_leaf(values: list[int], terms: list[int], running: int, window: int) -> Optional[bool]:
+def _read_leaf(values: list[int], terms: list[int], running: int, window: int) -> bool | None:
     # A leaf of ``core._prefix_walk`` (c_1..c_L, H_1..H_{L+1}, H_1 + ... +
     # H_L) whose B_1..B_{L+1} are known to be >= 0, read on to B_window.
     # None at the first B_m < 0 with m <= window, which ``terms`` then ends
@@ -248,7 +248,7 @@ def last_coefficient_window(prefix: Sequence[int]) -> tuple[tuple[int, int], ...
     return tuple(lines)
 
 
-def engine_horizon(L: int, horizon: Optional[int] = None) -> int:
+def engine_horizon(L: int, horizon: int | None = None) -> int:
     """The horizon of an engine run on a length-L vector.
 
     ``horizon`` itself, or max(DEFAULT_MAX_HORIZON, 4L) when it is None:
@@ -263,7 +263,7 @@ def engine_horizon(L: int, horizon: Optional[int] = None) -> int:
 
 
 def check_completeness(
-    c: Coefficients, horizon: Optional[int] = None, assume_2l1: bool = False
+    c: Coefficients, horizon: int | None = None, assume_2l1: bool = False
 ) -> Verdict:
     """Decide completeness of the PLRS defined by ``c`` on a finite horizon.
 

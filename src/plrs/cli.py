@@ -37,12 +37,14 @@ each call parses into a fresh namespace, so no option carries over from
 one call to the next.  Every call sets the process-wide int-digit limit to
 0, since terms of many thousands of digits are printed in full.
 
-A call whose first argument is a command name is parsed once, by that
-command's own parser: the top-level parser would only hand it every later
-argument and copy its namespace back.  Any other call (no arguments, a
-leading option such as -h, an unknown command, or arguments the command
-leaves over) goes through the top-level parser, so every usage, help and
-error text and every exit code is the one it writes.
+A call whose first argument is a command name is read straight from the
+arguments declared for that command, when each later argument is an exact
+option name, the value such an option takes, or the next positional, and
+every value passes its type and choices.  Any other call (no arguments, -h,
+an unknown command, "--", an abbreviated option, --opt=value, a negative
+number, a bad or missing value, a positional left over or missing) goes
+through the top-level parser, so every usage, help and error text and every
+exit code is the one argparse writes.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import analytic, brown, core, families, oracle
 from .core import Coefficients, generate_terms, validate
@@ -94,7 +95,7 @@ def _parse_range(text: str) -> range:
     return r
 
 
-def _tolerance(tol: Optional[float]) -> Fraction:
+def _tolerance(tol: float | None) -> Fraction:
     # --tol of min-root and dense; a float that underflows to 0.0 is rejected too.
     if tol is None:
         return analytic.DEFAULT_TOL
@@ -118,7 +119,7 @@ def _check_out(out: str) -> None:
         raise ValueError(f"--out {out}: permission denied")
 
 
-def _write(config: dict, body: dict | str, fmt: str, out: Optional[str]) -> None:
+def _write(config: dict, body: dict | str, fmt: str, out: str | None) -> None:
     # The one writer of every report; config is serialised once.
     if fmt == "json":
         text = json.dumps({**body, "config": config}, sort_keys=True)
@@ -134,7 +135,7 @@ def _write(config: dict, body: dict | str, fmt: str, out: Optional[str]) -> None
         print(echo, file=sys.stderr)
 
 
-def _color(kind: str, out: Optional[str]) -> str:
+def _color(kind: str, out: str | None) -> str:
     # Only a terminal stdout is coloured, never an --out file.
     if out or os.environ.get("NO_COLOR") or not sys.stdout.isatty():
         return kind
@@ -444,90 +445,127 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Completeness toolkit for positive linear recurrence sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # name -> the command's own parser, for _parse
+    parser.commands = {}  # name -> (defaults, options, positionals), for _read
 
-    def common(p, formats=("json", "csv", "plain"), default="json", definite=True):
-        p.add_argument("--format", choices=formats, default=default)
-        p.add_argument("--out", help="write output to a file instead of stdout")
+    def command(name, func, help):
+        # Adds the command's parser and returns add: add_argument on it, which
+        # also files the action it returns under the command's name.
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        defaults, options, positionals = parser.commands[name] = (
+            {"command": name, "func": func}, {}, [])
+
+        def add(*args, **kwargs):
+            action = p.add_argument(*args, **kwargs)
+            defaults[action.dest] = action.default
+            options.update(dict.fromkeys(action.option_strings, action))
+            if not action.option_strings:
+                positionals.append(action)
+
+        return add
+
+    def common(add, formats=("json", "csv", "plain"), default="json", definite=True):
+        add("--format", choices=formats, default=default)
+        add("--out", help="write output to a file instead of stdout")
         if definite:
-            p.add_argument("--require-definite", action="store_true",
-                           help="exit 3 when no definite verdict is reached")
+            add("--require-definite", action="store_true",
+                help="exit 3 when no definite verdict is reached")
 
-    p = sub.add_parser("gen", help="generate exact sequence terms")
-    p.add_argument("coefficients", help="comma-separated, e.g. 1,0,3")
-    p.add_argument("--n", type=int, required=True, help="number of terms")
-    common(p, default="plain", definite=False)
-    p.set_defaults(func=_cmd_gen)
+    add = command("gen", _cmd_gen, "generate exact sequence terms")
+    add("coefficients", help="comma-separated, e.g. 1,0,3")
+    add("--n", type=int, required=True, help="number of terms")
+    common(add, default="plain", definite=False)
 
-    p = sub.add_parser("check", help="completeness verdict with certificate")
-    p.add_argument("coefficients")
-    p.add_argument("--horizon", type=int, default=None,
-                   help="explicit scan horizon (default: adaptive)")
-    p.add_argument("--assume-2l1", action="store_true",
-                   help="accept the conjectural 2L-1 window rule")
-    p.add_argument("--triage-first", action="store_true",
-                   help="try the root triage before gap arithmetic")
-    p.add_argument("--verify", action="store_true",
-                   help="re-validate the certificate from scratch")
-    common(p)
-    p.set_defaults(func=_cmd_check)
+    add = command("check", _cmd_check, "completeness verdict with certificate")
+    add("coefficients")
+    add("--horizon", type=int, default=None, help="explicit scan horizon (default: adaptive)")
+    add("--assume-2l1", action="store_true", help="accept the conjectural 2L-1 window rule")
+    add("--triage-first", action="store_true", help="try the root triage before gap arithmetic")
+    add("--verify", action="store_true", help="re-validate the certificate from scratch")
+    common(add)
 
-    p = sub.add_parser("oracle-check", help="verdict with a subset-sum witness")
-    p.add_argument("coefficients")
-    p.add_argument("--max-prefix", type=int, default=None)
-    p.add_argument("--verify", action="store_true",
-                   help="re-validate the certificate from scratch")
-    common(p)
-    p.set_defaults(func=_cmd_oracle_check)
+    add = command("oracle-check", _cmd_oracle_check, "verdict with a subset-sum witness")
+    add("coefficients")
+    add("--max-prefix", type=int, default=None)
+    add("--verify", action="store_true", help="re-validate the certificate from scratch")
+    common(add)
 
-    p = sub.add_parser("family-table", help="closed-form bounds vs engine search")
-    p.add_argument("--family", required=True, choices=list(families.FAMILIES))
-    p.add_argument("--g", type=_parse_range, default=None, help="range of leading ones, A..B")
-    p.add_argument("--k", type=_parse_range, default=None, help="range of zeros, A..B")
-    p.add_argument("--L", type=_parse_range, default=None, help="range of total lengths, A..B")
-    p.add_argument("--m", type=_parse_range, default=None, help="range of trailing ones, A..B")
-    p.add_argument("--horizon", type=int, default=None)
-    common(p, formats=("csv",), default="csv")
-    p.set_defaults(func=_cmd_family_table)
+    add = command("family-table", _cmd_family_table, "closed-form bounds vs engine search")
+    add("--family", required=True, choices=list(families.FAMILIES))
+    add("--g", type=_parse_range, default=None, help="range of leading ones, A..B")
+    add("--k", type=_parse_range, default=None, help="range of zeros, A..B")
+    add("--L", type=_parse_range, default=None, help="range of total lengths, A..B")
+    add("--m", type=_parse_range, default=None, help="range of trailing ones, A..B")
+    add("--horizon", type=int, default=None)
+    common(add, formats=("csv",), default="csv")
 
-    p = sub.add_parser("scan-2l1", help="hunt counterexamples to the 2L-1 window rule")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--coeff-cap", type=int, required=True)
-    p.add_argument("--window", type=int, default=None,
-                   help="override the pass-window length (default 2L-1)")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    common(p, formats=("json", "plain"))
-    p.set_defaults(func=_cmd_scan_2l1)
+    add = command("scan-2l1", _cmd_scan_2l1, "hunt counterexamples to the 2L-1 window rule")
+    add("--L", type=int, required=True)
+    add("--coeff-cap", type=int, required=True)
+    add("--window", type=int, default=None,
+        help="override the pass-window length (default 2L-1)")
+    add("--horizon", type=int, default=None)
+    add("--jobs", type=int, default=1)
+    common(add, formats=("json", "plain"))
 
-    p = sub.add_parser("min-root", help="least incomplete principal root vs lambda")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--sum-cap", type=int, required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    common(p, formats=("json", "plain"))
-    p.set_defaults(func=_cmd_min_root)
+    add = command("min-root", _cmd_min_root, "least incomplete principal root vs lambda")
+    add("--L", type=int, required=True)
+    add("--sum-cap", type=int, required=True)
+    add("--tol", type=float, default=None)
+    add("--jobs", type=int, default=1)
+    common(add, formats=("json", "plain"))
 
-    p = sub.add_parser("dense", help="root sweep of the sparse family")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    common(p, formats=("csv",), default="csv")
-    p.set_defaults(func=_cmd_dense)
+    add = command("dense", _cmd_dense, "root sweep of the sparse family")
+    add("--L", type=int, required=True)
+    add("--epsilon", type=float, default=None)
+    add("--tol", type=float, default=None)
+    common(add, formats=("csv",), default="csv")
 
     return parser
 
 
+def _read(commands: dict, argv: list[str]) -> argparse.Namespace | None:
+    # The namespace parse_args(argv) gives a well-formed call to a command,
+    # read from the actions declared for it: each token is an exact option
+    # (one that takes a value takes the next token, which must not start
+    # with "-") or fills the next positional.  None on anything else, for
+    # parse_args to decide: -h, "--", an abbreviation, --opt=value, a
+    # negative number, a value its type or choices reject, a positional
+    # left over or unfilled, a required option missing.
+    if not argv or argv[0] not in commands:
+        return None
+    defaults, options, positionals = commands[argv[0]]
+    values, seen, pending, tokens = dict(defaults), set(), iter(positionals), iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            if token.startswith("-") or (action := next(pending, None)) is None:
+                return None
+        elif action.nargs == 0:
+            values[action.dest] = action.const
+            seen.add(action)
+            continue
+        elif (token := next(tokens, "-")).startswith("-"):
+            return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    if next(pending, None) or any(a.required and a not in seen for a in options.values()):
+        return None
+    args = argparse.Namespace()
+    vars(args).update(values)  # what Namespace(**values) sets, at a third of its cost
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    # The namespace _build_parser().parse_args(argv) gives, or its exit: a
-    # command's parser alone decides a call it parses with nothing left over.
+    # The namespace _build_parser().parse_args(argv) gives, or its exit.
     parser = _build_parser()
-    if argv and argv[0] in parser.commands:
-        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    return _read(parser.commands, argv) or parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ the conventions above.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 
 class InvalidCoefficients(ValueError):

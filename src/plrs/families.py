@@ -16,7 +16,7 @@ proven=False, and classifications made with them are flagged conjectural.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from collections.abc import Sequence
 
 from . import brown
 from .core import Coefficients, _Record, validate
@@ -185,7 +185,7 @@ class OneZerosOnesN(_Record):
         return bound_one_zeros_ones(self.L, self.m)
 
 
-FamilyShape = Union[OneZerosN, OnesZerosN, TwoOnesZerosN, OneZerosOnesN]
+FamilyShape = OneZerosN | OnesZerosN | TwoOnesZerosN | OneZerosOnesN
 
 #: Family name -> shape class; the shape's ``__slots__`` are its parameters,
 #: in the order its constructor takes them.
@@ -197,7 +197,7 @@ FAMILIES = {
 }
 
 
-def max_last(prefix: Sequence[int], horizon: Optional[int] = None) -> Optional[int]:
+def max_last(prefix: Sequence[int], horizon: int | None = None) -> int | None:
     """Largest N for which the gap engine judges ``prefix + [N]`` complete.
 
     0 when N = 1 is already incomplete; None when the engine leaves a
@@ -236,7 +236,7 @@ def max_last(prefix: Sequence[int], horizon: Optional[int] = None) -> Optional[i
     hi = min((1 if a + s < 0 else a // -s + 1 for a, s in gaps if a + s < 0 or s < 0),
              default=None)
 
-    def complete(n: int) -> Optional[bool]:
+    def complete(n: int) -> bool | None:
         if n <= lo:
             return True
         if hi is not None and n >= hi:

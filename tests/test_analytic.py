@@ -84,6 +84,21 @@ class TestCharPolyEval:
             sign = (exact > 0) - (exact < 0)
             assert poly.sign_at(num, den) == sign
 
+    @settings(deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 2**70), min_size=1, max_size=70).filter(
+            lambda v: v[0] and v[-1]),
+        num=st.integers(0, 2**80),
+        den=st.one_of(st.integers(0, 60).map(lambda e: 1 << e), st.integers(2, 2**50)),
+    )
+    def test_eval_matches_the_plain_polynomial(self, values, num, den):
+        # At dyadic and other t, and at an int t, which gives an int back.
+        poly, L = CharPoly(validate(values)), len(values)
+        for t in (Fraction(num, den), num):
+            plain = t**L - sum(ci * t ** (L - i) for i, ci in enumerate(values, start=1))
+            got = poly.eval(t)
+            assert got == plain and type(got) is type(t)
+
 
 def _with_runs(first, runs):
     # [first] followed by each run of zeros and the nonzero entry that ends it.

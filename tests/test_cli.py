@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -584,8 +585,10 @@ def test_root_reports_match_goldens(capsys, monkeypatch, name):
     # of dense at L 16 and at tol 1e-60, as written when every root took
     # integer Newton steps from above it until the floor of the step was 0.
     # The usage errors, stderr included, are as written when every call went
-    # through the top-level parser; argparse wraps usage to COLUMNS, which
-    # is 80 on a stdout that is not a terminal.
+    # through the top-level parser, and so are the argument lists that
+    # cli._read leaves to argparse (--opt=value, abbreviations, a negative
+    # value, a missing one); argparse wraps usage to COLUMNS, which is 80
+    # on a stdout that is not a terminal.
     monkeypatch.setenv("COLUMNS", "80")
     try:
         code, out, err = run(capsys, *GOLDEN_JOBS[name])
@@ -812,11 +815,12 @@ class TestParserReuse:
     def test_import_loads_every_layer_and_no_dataclasses(self):
         # perfbench's tracer reads the six layers from sys.modules right
         # after this import; dataclasses would load inspect, ast and dis.
+        # Without site, nothing but plrs would load typing.
         src = os.path.dirname(os.path.dirname(plrs.__file__))
         probe = (f"import sys; sys.path.insert(0, {src!r}); import plrs.cli; "
                  "layers = ('cli', 'core', 'brown', 'oracle', 'analytic', 'families'); "
                  "print(all(f'plrs.{m}' in sys.modules for m in layers), "
-                 "[m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules])")
+                 "[m for m in ('dataclasses', 'inspect', 'ast', 'typing') if m in sys.modules])")
         done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
@@ -844,7 +848,8 @@ class TestParserReuse:
 
 
 # Every command, valid and not, with help, unknown commands, leftovers, "--",
-# --opt=value, abbreviated options and bad choices.
+# --opt=value, abbreviated options, bad choices, negative and padded numbers,
+# an empty --out and repeated options.
 PARSE_ARGVS = [
     [], ["-h"], ["--help"], ["--he"], ["frobnicate"], ["frobnicate", "1,3"],
     ["-x", "check", "1,3"], ["--", "check", "1,3"], ["-h", "check", "1,3"],
@@ -868,6 +873,10 @@ PARSE_ARGVS = [
     ["min-root", "--L", "4", "--sum-cap", "10", "--tol=nan"], ["min-root", "--sum"],
     ["dense", "--L", "12"], ["dense", "--L", "12", "--epsilon", "0.01", "--tol", "0.1"],
     ["dense", "--L"], ["dense", "--L", "x"], ["dense", "-h"], ["dense", "--L", "3", "4"],
+    ["check", "1,1", "--horizon", "-5"], ["check", "1,3", "--horizon", " 5"],
+    ["dense", "--L", "1e400"], ["dense", "--L", "4", "--tol", "1e400"],
+    ["oracle-check", "1,3", "--out", ""], ["oracle-check", "1,3", "--out", "", "--verify"],
+    ["check", "1,3", "--verify", "--verify", "--horizon", "5", "--horizon", "7"],
 ]
 
 COMMANDS = ["gen", "check", "oracle-check", "family-table", "scan-2l1", "min-root", "dense"]
@@ -877,7 +886,7 @@ PARSE_TOKENS = [
     "--k", "--L", "--m", "--coeff-cap", "--window", "--jobs", "--sum-cap", "--tol", "--epsilon",
     "--hor", "--ver", "--fo", "--format=csv", "--L=3", "--tol=nan", "1,3", "1,0,3", "3", "1..4",
     "4..1", "0", "-1", "json", "csv", "plain", "one-zeros", "1e-9", "", "-", "-x", "--nope",
-    "frobnicate", "a b",
+    "frobnicate", "a b", "-5", " 5", "1e400",
 ]
 TOKEN_LISTS = st.lists(st.sampled_from(PARSE_TOKENS), max_size=8)
 
@@ -910,19 +919,24 @@ class TestParse:
         assert _parse_outcome(cli._parse, argv) == _parse_outcome(parser.parse_args, argv)
 
     @pytest.mark.parametrize("argv", [
-        ["gen", "1,1", "--n", "3"], ["check", "1,3", "--verify"],
-        ["oracle-check", "1,2,3,0,1", "--verify"],
-        ["family-table", "--family", "one-zeros", "--k", "1..3"],
-        ["scan-2l1", "--L", "2", "--coeff-cap", "2", "--jobs", "1"],
-        ["min-root", "--L", "2", "--sum-cap", "3", "--jobs", "1"], ["dense", "--L", "4"],
-    ], ids=lambda argv: argv[0])
+        ["gen", "1,1", "--n", "3"], ["check", "1,0,3", "--verify"],
+        ["check", "1,0,3", "--triage-first", "--verify"], ["oracle-check", "1,2,3,0,1", "--verify"],
+        ["family-table", "--family", "one-zeros", "--k", "1..60"],
+        ["family-table", "--family", "ones-zeros", "--g", "1..6", "--k", "1..6"],
+        ["family-table", "--family", "two-ones-zeros", "--k", "1..30"],
+        ["family-table", "--family", "one-zeros-ones", "--L", "3..10", "--m", "1..8"],
+        ["scan-2l1", "--L", "4", "--coeff-cap", "3", "--jobs", "1"],
+        ["min-root", "--L", "3", "--sum-cap", "6", "--jobs", "1"], ["dense", "--L", "12"],
+    ], ids=["gen", "check", "check --triage-first", "oracle-check", "family-table",
+            "family-table ones-zeros", "family-table two-ones-zeros",
+            "family-table one-zeros-ones", "scan-2l1", "min-root", "dense"])
     def test_valid_request_skips_the_top_level_parser(self, capsys, monkeypatch, argv):
-        def top_level(*args, **kwargs):
-            raise AssertionError("the top-level parser parsed a valid request")
+        # Every request shape of the benchmark's workloads is read by _read,
+        # without argparse: parse_args would go through parse_known_args.
+        def parse_known_args(*args, **kwargs):
+            raise AssertionError("argparse parsed a well-formed request")
 
-        parser = cli._build_parser()
-        monkeypatch.setattr(parser, "parse_args", top_level)
-        monkeypatch.setattr(parser, "parse_known_args", top_level)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parse_known_args)
         assert run(capsys, *argv)[0] == 0
 
 
