@@ -23,7 +23,6 @@ enters any verdict.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 
 from .core import (
     Coefficients,
@@ -440,7 +439,7 @@ def _recheck_root(verdict: Verdict) -> bool:
     rule = verdict.certificate.rule
     if rule == analytic.TRIAGE_FAST:
         # p(2) < 0: the principal root exceeds 2.
-        return p.eval(Fraction(2)) < 0
+        return p.eval(2) < 0
     if c.L < 2 or rule not in (analytic.TRIAGE_SLOW, analytic.TRIAGE_INDETERMINATE):
         return False
     lam = analytic.lambda_threshold(c.L).root
@@ -450,4 +449,4 @@ def _recheck_root(verdict: Verdict) -> bool:
         # below lo.
         return lam.poly.eval(lam.lo) <= 0 < p.eval(lam.lo)
     # Neither rule above holds: p(2) >= 0, and p(lo) <= 0 at the bracket.
-    return p.eval(Fraction(2)) >= 0 and p.eval(lam.lo) <= 0
+    return p.eval(2) >= 0 and p.eval(lam.lo) <= 0

@@ -18,11 +18,11 @@ serially at any value.
 
 Exit codes: 0 a report was written (of any kind, ``unknown`` included),
 1 a certificate failed re-validation under --verify (the report is still
-written), 2 input error, including an --out file that cannot be written,
-which is rejected before any work (no report is written), 3 no definite
-answer within the horizon or cost cap while --require-definite was set (the
-report is still written), 4 a scan or table surfaced a counterexample or
-discrepancy (never silently ignored).
+written), 2 input error, including an --out path that is empty or cannot
+be written, which is rejected before any work (no report is written), 3 no
+definite answer within the horizon or cost cap while --require-definite was
+set (the report is still written), 4 a scan or table surfaced a
+counterexample or discrepancy (never silently ignored).
 
 Each command returns its report as (config, body, exit code); ``main``
 alone writes it, to stdout unless --out is given.  JSON outputs embed the
@@ -35,7 +35,10 @@ variable consulted is NO_COLOR.
 argument parser is built on the first call, not on import, and reused;
 each call parses into a fresh namespace, so no option carries over from
 one call to the next.  Every call sets the process-wide int-digit limit to
-0, since terms of many thousands of digits are printed in full.
+0, since terms of many thousands of digits are printed in full.  Importing
+this module runs ``core`` alone: every other layer of the package loads on
+its first use (see ``plrs``), and ``json`` and ``fractions`` load in the one
+function each that needs them, so a command compiles only what it calls.
 
 A call whose first argument is a command name is read straight from the
 arguments declared for that command, when each later argument is an exact
@@ -52,11 +55,9 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import analytic, brown, core, families, oracle
 from .core import Coefficients, generate_terms, validate
@@ -65,6 +66,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EXHAUSTED = 3
 EXIT_COUNTEREXAMPLE = 4
+
+# The keys of families.FAMILIES, spelled out so that building the parser does
+# not load families (a test holds the two equal).
+_FAMILY_NAMES = ("one-zeros", "ones-zeros", "two-ones-zeros", "one-zeros-ones")
 
 
 def _parse_coefficients(text: str) -> Coefficients:
@@ -97,6 +102,8 @@ def _parse_range(text: str) -> range:
 
 def _tolerance(tol: float | None) -> Fraction:
     # --tol of min-root and dense; a float that underflows to 0.0 is rejected too.
+    from fractions import Fraction
+
     if tol is None:
         return analytic.DEFAULT_TOL
     if not 0 < tol < float("inf"):
@@ -107,6 +114,8 @@ def _tolerance(tol: float | None) -> Fraction:
 def _check_out(out: str) -> None:
     # Runs before the command, so an --out that open() would reject costs no
     # work; it only inspects the path, never creating or truncating a file.
+    if not out:
+        raise ValueError("--out: empty path")
     if os.path.isdir(out):
         raise ValueError(f"--out {out}: is a directory")
     if os.path.exists(out):
@@ -121,12 +130,14 @@ def _check_out(out: str) -> None:
 
 def _write(config: dict, body: dict | str, fmt: str, out: str | None) -> None:
     # The one writer of every report; config is serialised once.
+    import json
+
     if fmt == "json":
         text = json.dumps({**body, "config": config}, sort_keys=True)
     else:
         echo = f"# config: {json.dumps(config, sort_keys=True)}"
         text = f"{echo}\n{body}" if fmt == "csv" else body
-    if out:
+    if out is not None:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -137,7 +148,7 @@ def _write(config: dict, body: dict | str, fmt: str, out: str | None) -> None:
 
 def _color(kind: str, out: str | None) -> str:
     # Only a terminal stdout is coloured, never an --out file.
-    if out or os.environ.get("NO_COLOR") or not sys.stdout.isatty():
+    if out is not None or os.environ.get("NO_COLOR") or not sys.stdout.isatty():
         return kind
     codes = {brown.COMPLETE: "32", brown.INCOMPLETE: "31", brown.UNKNOWN: "33"}
     return f"\x1b[{codes.get(kind, '0')}m{kind}\x1b[0m"
@@ -491,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(add)
 
     add = command("family-table", _cmd_family_table, "closed-form bounds vs engine search")
-    add("--family", required=True, choices=list(families.FAMILIES))
+    add("--family", required=True, choices=_FAMILY_NAMES)
     add("--g", type=_parse_range, default=None, help="range of leading ones, A..B")
     add("--k", type=_parse_range, default=None, help="range of zeros, A..B")
     add("--L", type=_parse_range, default=None, help="range of total lengths, A..B")
@@ -573,7 +584,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)  # terms grow geometrically; never truncate
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         config, body, code = args.func(args)
         _write(config, body, args.format, args.out)

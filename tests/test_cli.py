@@ -588,7 +588,8 @@ def test_root_reports_match_goldens(capsys, monkeypatch, name):
     # through the top-level parser, and so are the argument lists that
     # cli._read leaves to argparse (--opt=value, abbreviations, a negative
     # value, a missing one); argparse wraps usage to COLUMNS, which is 80
-    # on a stdout that is not a terminal.
+    # on a stdout that is not a terminal.  out_empty is as written once an
+    # empty --out became an input error.
     monkeypatch.setenv("COLUMNS", "80")
     try:
         code, out, err = run(capsys, *GOLDEN_JOBS[name])
@@ -718,6 +719,13 @@ class TestOutput:
         assert err.startswith("error: ") and str(target) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
+    @pytest.mark.parametrize("argv", [["--out", ""], ["--out="]], ids=["read", "argparse"])
+    def test_empty_out_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, "oracle-check", "1,3", *argv)
+        assert (code, out, err) == (2, "", "error: --out: empty path\n")
+        with pytest.raises(ValueError, match="empty path"):
+            cli._check_out("")
+
     def test_out_without_write_permission_is_rejected(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "x.json"
         target.write_text("keep\n")
@@ -797,6 +805,16 @@ def test_every_report_echoes_its_config(capsys, fmt, argv):
         assert json.loads(echo[len("# config: "):])["command"] == argv[0]
 
 
+LAZY_LAYERS = ("analytic", "brown", "families", "oracle", "transforms")
+# Prints the layers in LAZY_LAYERS that have not run: their module dicts, read
+# without the attribute access that runs them, hold none of their exports.
+UNRUN_PROBE = (
+    f"import types; LAZY = {LAZY_LAYERS!r}; "
+    "raw = lambda m: types.ModuleType.__getattribute__(sys.modules[f'plrs.{m}'], '__dict__'); "
+    "print([m for m in LAZY if not set(plrs._EXPORTS[m]) & set(raw(m))])"
+)
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
@@ -815,16 +833,36 @@ class TestParserReuse:
     def test_import_loads_every_layer_and_no_dataclasses(self):
         # perfbench's tracer reads the six layers from sys.modules right
         # after this import; dataclasses would load inspect, ast and dis.
-        # Without site, nothing but plrs would load typing.
+        # Without site, nothing but plrs would load typing.  Every layer but
+        # core is registered and not yet run, and the vars() the tracer reads
+        # runs it; fractions, decimal and json wait for a command that needs
+        # them.
         src = os.path.dirname(os.path.dirname(plrs.__file__))
         probe = (f"import sys; sys.path.insert(0, {src!r}); import plrs.cli; "
                  "layers = ('cli', 'core', 'brown', 'oracle', 'analytic', 'families'); "
                  "print(all(f'plrs.{m}' in sys.modules for m in layers), "
-                 "[m for m in ('dataclasses', 'inspect', 'ast', 'typing') if m in sys.modules])")
+                 "[m for m in ('dataclasses', 'inspect', 'ast', 'typing') if m in sys.modules]); "
+                 f"{UNRUN_PROBE}; "
+                 "print([m for m in ('fractions', 'decimal', 'json') if m in sys.modules]); "
+                 "print(all(set(plrs._EXPORTS[m]) <= set(vars(sys.modules[f'plrs.{m}']))"
+                 " for m in LAZY))")
         done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "True []\n"
+        assert done.stdout.splitlines() == ["True []", str(list(LAZY_LAYERS)), "[]", "True"]
+
+    def test_check_runs_no_layer_but_brown(self):
+        # A fresh `plrs check` compiles neither analytic, families nor oracle.
+        src = os.path.dirname(os.path.dirname(plrs.__file__))
+        probe = (f"import sys; sys.path.insert(0, {src!r}); import plrs.cli; "
+                 f"plrs.cli.main(['check', '1,3']); {UNRUN_PROBE}")
+        done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[1:] == ["['analytic', 'families', 'oracle', 'transforms']"]
+
+    def test_family_names_are_the_families_table(self):
+        assert cli._FAMILY_NAMES == tuple(families.FAMILIES)
 
     def test_option_does_not_carry_over(self, capsys):
         _, first, _ = run_json(capsys, "check", "1,3", "--horizon", "5")
