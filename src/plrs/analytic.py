@@ -569,16 +569,19 @@ def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
     undecided: list[tuple[int, ...]] = []
 
     def below(prefix: list[int], h: int, running: int) -> bool:
+        if len(prefix) == L:
+            return True  # c_L = 0 closes a full prefix
         poly = CharPoly(validate([*prefix, *[0] * (L - 1 - len(prefix)), 1]))
         return poly.sign_at(2) > 0 and not (
             lam_below_two and _separate(_integer_bracket(poly), lam.root)[0] > 0)
 
     def incomplete() -> Iterator[Coefficients]:
         # The least-root incomplete vector below each full prefix, in order.
-        for prefix, _, _ in _prefix_walk([range(i == 1, 2**i) for i in range(1, L)], below):
-            prefix = tuple(prefix)
+        ranges = [*(range(i == 1, 2**i) for i in range(1, L)), range(1)]
+        for prefix, terms, _ in _prefix_walk(ranges, below):
+            prefix = tuple(prefix[:-1])
             full.append(prefix)
-            m = families.max_last(prefix)
+            m = families.max_last(prefix, terms=terms)
             if m is None:
                 undecided.append(prefix)
             elif CharPoly(c := validate([*prefix, m + 1])).sign_at(2) > 0:

@@ -31,7 +31,6 @@ from .core import (
     _prefix_walk,
     _Record,
     generate_terms,
-    validate,
 )
 
 COMPLETE = "complete"
@@ -153,98 +152,121 @@ def window_survivors(
 ) -> Iterator[tuple[Coefficients, bool]]:
     """The vectors c with c_i in ``ranges[i-1]`` whose gaps B_n are
     non-negative for every n <= ``window``, in lexicographic order, each
-    with a flag ``proven``.
+    with a flag ``proven``: True when L >= 2, ``window`` >= 2L-1 and B_n > 0
+    for L <= n <= 2L-1, exactly when ``check_completeness`` returns
+    ``strict_window`` at 2L-1, so such a survivor needs no engine run.
 
-    ``proven`` is True when the gaps the walk has read already prove c
-    complete by the strict window: L >= 2, ``window`` reaches 2L-1, and
-    B_n > 0 for L <= n <= 2L-1.  That is exactly when ``check_completeness``
-    returns ``strict_window`` at 2L-1, so such a survivor needs no engine
-    run.  Below a window of 2L-1 no survivor is proven.  Each leaf is read
-    by ``_read_leaf``, which ``min-root`` calls on its own walk's leaves.
-
-    The box is walked by ``core._prefix_walk``, which shares the terms of a
-    prefix with its subtree.  The gap a coordinate fixes (B_{k+1} at depth
-    k) falls strictly as that coordinate grows, since c_k multiplies H_1 = 1
-    and nothing else in the gap depends on it.  So the first value whose gap
-    is negative at an index <= ``window`` ends the level: its subtree and
-    every later sibling fail too.  That needs every range ascending.  A leaf
-    reads on to the window from the terms it holds, and only a vector that
-    is yielded becomes a ``Coefficients`` (validated then, so the first and
+    ``core._prefix_walk`` walks the prefixes c_1..c_{L-1}, sharing a
+    prefix's terms with its subtree.  B_{k+1} falls strictly as c_k grows
+    (c_k multiplies H_1 = 1 and nothing else in it depends on c_k), so the
+    first value at depth k with a negative gap at an index <= ``window``
+    ends the level; that needs every range ascending.  ``_read_level``
+    reads each prefix for every c_L at once, and the survivors are the
+    values of the last range inside its interval.  Past 2L the gaps are not
+    affine in c_L, and each vector of the interval of 2L that the strict
+    window leaves open is read on from its own terms.  Only the vectors in
+    that interval become ``Coefficients`` (validated then, so the first and
     last ranges must exclude 0).
     """
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
     if any(r.step < 0 for r in ranges):
         raise ValueError("ranges must be ascending")
+    L, last = len(ranges), ranges[-1]
 
     def keep(prefix: list[int], h: int, running: int) -> bool:
         return len(prefix) >= window or h <= 1 + running  # B_{k+1} >= 0
 
-    for prefix, terms, running in _prefix_walk(ranges, keep):
-        proven = _read_leaf(prefix, terms, running, window)
-        if proven is not None:
-            yield Coefficients(tuple(prefix)), proven
+    # c_L = 0 closes each prefix: its leaf holds H_1..H_L, free of c_L.
+    for prefix, terms, _ in _prefix_walk([*ranges[:-1], range(1)], keep):
+        lo, hi, slo, shi = _read_level(prefix, terms, min(window, 2 * L))
+        head = prefix[:-1]
+        for n in last:
+            if hi is not None and n > hi:
+                break
+            if n < lo:
+                continue
+            c, proven = Coefficients((*head, n)), slo <= n <= shi
+            if proven or window <= 2 * L or min(_gaps(generate_terms(c, window).terms)) >= 0:
+                yield c, proven
 
 
-def _read_leaf(values: list[int], terms: list[int], running: int, window: int) -> bool | None:
-    # A leaf of ``core._prefix_walk`` (c_1..c_L, H_1..H_{L+1}, H_1 + ... +
-    # H_L) whose B_1..B_{L+1} are known to be >= 0, read on to B_window.
-    # None at the first B_m < 0 with m <= window, which ``terms`` then ends
-    # at (H_m).  Otherwise True when the read proves the strict window
-    # (L >= 2, window >= 2L-1 and B_m > 0 for L <= m <= 2L-1), else False.
+def _read_level(values: list[int], terms: list[int], window: int) -> tuple:
+    # The gaps B_1..B_window, window <= 2L, of P + [N] for every N at once,
+    # where ``values`` is P + [0] (c_1..c_{L-1} and a 0) and ``terms`` holds
+    # leading terms of that vector (none, or H_1..H_L and maybe more, as a
+    # leaf of ``core._prefix_walk`` closed by c_L = 0 holds them).  H_n =
+    # p_n + q_n*N: N enters at H_{L+1} = ... + N*H_1, and H_{n+1} with
+    # n < 2L multiplies it only by H_{n+1-L}, which is free of N; so p is the
+    # sequence of P + [0], q_n = 0 for n <= L, and q_{n+1} = p_{n+1-L} +
+    # sum c_i*q_{n+1-i} over i < L.  The head gaps B_1..B_L are free of N and
+    # pass or fail every N; each later B_n = a_n + s_n*N is cut by the sign
+    # of its slope as it is read: s_{L+1} = -1, and later slopes may have
+    # either sign.  Returns (lo, hi, slo, shi): the N >= 1 with B_1..B_window
+    # >= 0 are lo..hi (hi None when window <= L, (1, 0) when none pass), and
+    # those the strict window proves complete (L >= 2, window >= 2L-1,
+    # B_n >= 0 for n < L and B_n > 0 for L <= n <= 2L-1) are slo..shi, or
+    # (1, 0) when there are none or the window stops short of 2L-1.
     L = len(values)
-    last = 2 * L - 1
-    h = terms[L]  # B_L = 1 + running - 2*H_L and B_{L+1} = 1 + running - H_{L+1}
-    strict = L >= 2 and window >= last and 2 * terms[L - 1] <= running and h <= running
-    running += h
-    for m, h in zip(range(L + 2, window + 1), _next_terms(values, terms)):
-        if h > running:  # B_m <= 0
-            if h > 1 + running:
-                return None
-            if m <= last:
-                strict = False
-        running += h
-    return strict
-
-
-def last_coefficient_window(prefix: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Brown's gaps B_1..B_{2L} of ``prefix + [N]`` as exact lines in N.
-
-    Returns the pairs (a_n, s_n), n = 1..2L, with B_n = a_n + s_n*N for
-    every N >= 1.  N = c_L first enters at H_{L+1} = ... + N*H_1, and a term
-    H_{n+1} with n < 2L multiplies N only by H_{n+1-L}, which is free of N;
-    so H_1..H_{2L} are affine in N, and N^2 first appears in H_{2L+1}.  One
-    pass builds H_n = p_n + q_n*N.  For n < L, q_{n+1} = 0 and p_{n+1} =
-    1 + c_1*p_n + ... + c_n*p_1; past it p_{n+1} = sum c_i*p_{n+1-i} and
-    q_{n+1} = sum c_i*q_{n+1-i} + p_{n+1-L}, over i < L.  Two running sums
-    give a_n and s_n.  s_n = 0 for n <= L, s_{L+1} = -1, and later slopes
-    may have either sign.
-    """
-    values = validate([*prefix, 1]).values[:-1]  # raises as the vector would
-    L = len(values) + 1
     taps = [(ci, i) for i, ci in enumerate(values, start=1) if ci]
-    p: list[int] = []
+    p = terms[:L]
+    for n in range(len(p), L):  # H_{n+1}, if not given
+        h = 1
+        for ci, i in taps:
+            if i > n:
+                break
+            h += ci * p[n - i]
+        p.append(h)
+    running = 0
+    for h in p[:window]:  # the head gaps
+        if h > 1 + running:
+            return 1, 0, 1, 0
+        running += h
+    if window <= L:
+        return 1, None, 1, 0
+    # B_{n+1} with n < strict_last needs to be >= 1 for the strict window;
+    # B_L, the last head gap, is one of them.
+    strict_last = 2 * L - 1 if L >= 2 and window >= 2 * L - 1 and 2 * p[-1] <= running else 0
     q = [0] * L
-    lines = []
-    sum_p = sum_q = 0  # of p_1..p_n and q_1..q_n
-    for n in range(2 * L):  # H_{n+1}
-        if n < L:
-            p_n, q_n = 1, 0
-            for ci, i in taps:
-                if i > n:
-                    break
-                p_n += ci * p[n - i]
-        else:
-            p_n, q_n = 0, p[n - L]
-            for ci, i in taps:
-                p_n += ci * p[n - i]
-                q_n += ci * q[n - i]
-            q.append(q_n)
+    lo = slo = 1
+    hi = shi = 1 + running  # above a_{L+1}, where B_{L+1} = a_{L+1} - N cuts both
+    sum_p, sum_q = 1 + running, 0  # 1 + p_1 + ... + p_n, and q_1 + ... + q_n
+    for n in range(L, window):  # H_{n+1} and B_{n+1}
+        p_n, q_n = 0, p[n - L]
+        for ci, i in taps:
+            p_n += ci * p[n - i]
+            q_n += ci * q[n - i]
         p.append(p_n)
-        lines.append((1 + sum_p - p_n, sum_q - q_n))
+        q.append(q_n)
+        a = sum_p - p_n
+        s = sum_q - q_n
         sum_p += p_n
         sum_q += q_n
-    return tuple(lines)
+        if s < 0:  # N <= a / -s
+            x = a // -s
+            if x < lo:
+                return 1, 0, 1, 0
+            if x < hi:
+                hi = x
+            if n < strict_last:
+                x = (a - 1) // -s
+            if x < shi:
+                shi = x
+        elif s:  # N >= -a / s
+            x = -(a // s)
+            if x > hi:
+                return 1, 0, 1, 0
+            if x > lo:
+                lo = x
+            if n < strict_last:
+                x = -((a - 1) // s)
+            if x > slo:
+                slo = x
+        elif a < 0:
+            return 1, 0, 1, 0
+        elif a == 0 and n < strict_last:
+            strict_last = 0
+    return (lo, hi, slo, shi) if strict_last and slo <= shi else (lo, hi, 1, 0)
 
 
 def engine_horizon(L: int, horizon: int | None = None) -> int:

@@ -356,46 +356,51 @@ def _cmd_min_root(args) -> tuple[dict, dict | str, int]:
     tol = _tolerance(args.tol)
     config = {"command": "min-root", "L": L, "sum_cap": cap, "jobs": _check_jobs(args.jobs),
               "tol": float(tol), "format": args.format}
-    # The vectors of sum <= cap, walked while B_{k+1} >= 0 for k <= L, each
-    # leaf read on to B_{2L-1} as scan-2l1 reads it.  No window fires before
-    # 2L-1, so a negative gap there is the engine's first failure, and a
-    # strict window read there is its certificate: only a leaf the window
-    # leaves open gets an engine run.  Roots grow in every c_i, so least_root
-    # needs only the completion c_1..c_k, 0, ..., 0, 1 of each pruned node
-    # (the node itself at k = L) and the first incomplete vector of each
-    # prefix c_1..c_{L-1}.
-    pruned, incomplete, undecided, leaves = [], [], [], 0
+    # The prefixes c_1..c_{L-1} of the vectors of sum <= cap, walked while
+    # B_{k+1} >= 0 for k <= L (c_L = 0 closes each one), and each read for
+    # every c_L in 1..cap - sum at once to B_{2L-1}.  No window fires before
+    # 2L-1, so a c_L outside the pass interval fails in the engine too, and
+    # one inside the strict window's interval is complete: only the c_L the
+    # read leaves open get an engine run.  Completeness is closed downward
+    # in c_L, and roots grow in every c_i, so least_root needs only the
+    # completion c_1..c_k, 0, ..., 0, 1 of each pruned node and the first
+    # incomplete vector of each prefix; the walk reaches them in
+    # lexicographic order.
+    firsts, undecided, complete = [], [], 0
 
     def keep(prefix: list[int], h: int, running: int) -> bool:
         fits = sum(prefix) + (len(prefix) < L) <= cap  # with room left for c_L >= 1
         if fits and h > 1 + running:
-            pruned.append((*prefix, *[0] * (L - 1 - len(prefix)), 1)[:L])
+            firsts.append((*prefix[: L - 1], *[0] * (L - 1 - len(prefix)), 1))
         return fits and h <= 1 + running
 
-    walk = core._prefix_walk([range(1, cap), *[range(cap - 1)] * (L - 2), range(1, cap)], keep)
-    for prefix, terms, running in walk:
-        leaves += 1
-        proven = brown._read_leaf(prefix, terms, running, 2 * L - 1)
-        if proven is None:
-            incomplete.append(tuple(prefix))
-        elif not proven:
-            c = core.Coefficients(tuple(prefix))
+    walk = core._prefix_walk([range(1, cap), *[range(cap - 1)] * (L - 2), range(1)], keep)
+    for prefix, terms, _ in walk:
+        head, top = prefix[:-1], cap - sum(prefix)
+        lo, hi, slo, shi = brown._read_level(prefix, terms, 2 * L - 1)
+        hi = min(hi, top)
+        fails = [1] if lo > hi or lo > 1 else [hi + 1] if hi < top else []
+        complete += max(0, min(shi, top) - slo + 1)
+        for n in (*range(lo, min(slo, hi + 1)), *range(max(shi + 1, lo), hi + 1)):
+            c = core.Coefficients((*head, n))
             kind = brown.check_completeness(c).kind
             if kind == brown.INCOMPLETE:
-                incomplete.append(c.values)
-            elif kind == brown.UNKNOWN:
+                fails.append(n)
+            elif kind == brown.COMPLETE:
+                complete += 1
+            else:
                 undecided.append(list(c.values))
+        if fails:
+            firsts.append((*head, min(fails)))
     undecided.sort(key=sum)
     candidates = math.comb(cap - 2 + L, L)
-    firsts = [core.validate(next(g)) for _, g in
-              itertools.groupby(sorted(pruned + incomplete), key=lambda v: v[:-1])]
     lam = analytic.lambda_threshold(L, tol)
-    best_c, best_bracket = analytic.least_root(firsts, tol) or (None, None)
+    best_c, best_bracket = analytic.least_root(map(core.validate, firsts), tol) or (None, None)
     best = list(best_c.values) if best_c is not None else None
     violated = best_bracket is not None and analytic.compare_roots(best_bracket, lam.root) < 0
     report = {
         "candidates": candidates,
-        "incomplete": candidates - leaves + len(incomplete),
+        "incomplete": candidates - complete - len(undecided),
         "undecided": undecided,
         "lambda": lam.root.approx,
         "frontier": best,

@@ -197,26 +197,33 @@ FAMILIES = {
 }
 
 
-def max_last(prefix: Sequence[int], horizon: int | None = None) -> int | None:
+def max_last(
+    prefix: Sequence[int], horizon: int | None = None, terms: list[int] | None = None
+) -> int | None:
     """Largest N for which the gap engine judges ``prefix + [N]`` complete.
 
     0 when N = 1 is already incomplete; None when the engine leaves a
     probed member unknown.  Lowering the last coefficient keeps a complete
     sequence complete, so doubling and then bisection find N exactly.
     Raises HorizonTooSmall when ``horizon`` < 2L-1, as the engine does.
+    ``terms``, when given, holds leading terms of ``prefix + [0]``, as a
+    leaf of ``core._prefix_walk`` closed by c_L = 0 does, so that they are
+    not grown again; it is only read.
 
-    Most probes need no engine run.  The gaps B_1..B_{2L} are lines
-    a_n + s_n*N (``brown.last_coefficient_window``), and each one is cut by
-    the sign of its slope.  They bracket the answer in [lo, hi - 1]:
+    Most probes need no engine run.  The gaps B_1..B_{2L-1} are lines
+    a_n + s_n*N, read for every N at once by ``brown._read_level``, which
+    cuts each one by the sign of its slope.  They bracket the answer in
+    [lo, hi - 1]:
 
     * lo: every N <= lo is complete, backed by the strict window (B_n >= 0
       for n < L, B_n > 0 on L..2L-1, L >= 2).  lo is the largest N passing
       it, or 0 when N = 1 does not.
     * hi: the least N >= 1 with some B_n < 0 at n <= 2L-1, backed by that
-      failure.  B_{L+1} has slope -1, so hi exists for L >= 2.  When
-      hi > 1, only falling lines fail at hi, so every larger N fails too.
-      B_{2L} is left out: it could fail first only at a counterexample to
-      the 2L-1 conjecture, and a run at horizon 2L-1 does not read it.
+      failure: 1 when N = 1 fails, else one past the pass interval.
+      B_{L+1} has slope -1, so hi exists for L >= 2.  When hi > 1, only
+      falling lines fail at hi, so every larger N fails too.  B_{2L} is
+      left out: it could fail first only at a counterexample to the 2L-1
+      conjecture, and a run at horizon 2L-1 does not read it.
 
     On every N outside (lo, hi) that the search probes, the engine would
     return exactly that verdict, since no certificate of its fires before
@@ -226,15 +233,10 @@ def max_last(prefix: Sequence[int], horizon: int | None = None) -> int | None:
     """
     L = len(prefix) + 1
     brown.engine_horizon(L, horizon)  # HorizonTooSmall, as from the engine
-    gaps = brown.last_coefficient_window(prefix)[: 2 * L - 1]
-    head, window = gaps[: L - 1], gaps[L - 1 :]
-    lo = 0
-    if L >= 2 and all(a >= 0 for a, _ in head) and all(a + s > 0 for a, s in window):
-        lo = min((a - 1) // -s for a, s in window if s < 0)
-    # A line fails from N = 1 if it is already negative there, else, if it
-    # falls, from a // -s + 1.
-    hi = min((1 if a + s < 0 else a // -s + 1 for a, s in gaps if a + s < 0 or s < 0),
-             default=None)
+    values = [*validate([*prefix, 1]).values[:-1], 0]  # raises as the vector would
+    pass_lo, pass_hi, strict_lo, strict_hi = brown._read_level(values, terms or [], 2 * L - 1)
+    lo = strict_hi if strict_lo == 1 else 0
+    hi = 1 if pass_lo > 1 else None if pass_hi is None else pass_hi + 1
 
     def complete(n: int) -> bool | None:
         if n <= lo:

@@ -153,6 +153,33 @@ def reference_max_last(prefix, horizon=None):
     return lo
 
 
+def last_coefficient_window(prefix) -> tuple[tuple[int, int], ...]:
+    """Brown's gaps B_1..B_{2L} of ``prefix + [N]`` as exact lines in N.
+
+    The pairs (a_n, s_n), n = 1..2L, with B_n = a_n + s_n*N for every N,
+    from one pass over H_n = p_n + q_n*N: p_{n+1} = 1 + c_1*p_n + ... +
+    c_n*p_1 for n < L, and past it p_{n+1} = sum c_i*p_{n+1-i} and q_{n+1} =
+    sum c_i*q_{n+1-i} + p_{n+1-L}, over i < L.  The reference for
+    ``brown._read_level``, which cuts these lines as it builds them.
+    """
+    values = validate([*prefix, 1]).values[:-1]  # raises as the vector would
+    L = len(values) + 1
+    p, q, lines = [], [0] * L, []
+    sum_p = sum_q = 0  # of p_1..p_n and q_1..q_n
+    for n in range(2 * L):  # H_{n+1}
+        if n < L:
+            p_n, q_n = 1 + sum(values[i - 1] * p[n - i] for i in range(1, n + 1)), 0
+        else:
+            p_n = sum(values[i - 1] * p[n - i] for i in range(1, L))
+            q_n = p[n - L] + sum(values[i - 1] * q[n - i] for i in range(1, L))
+            q.append(q_n)
+        p.append(p_n)
+        lines.append((1 + sum_p - p_n, sum_q - q_n))
+        sum_p += p_n
+        sum_q += q_n
+    return tuple(lines)
+
+
 def definite_oracle(c: Coefficients) -> brown.Verdict:
     """Oracle verdict with a prefix long enough to be definite for small c.
 

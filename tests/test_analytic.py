@@ -444,8 +444,8 @@ class TestExactThresholdSearch:
 
     def test_a_prefix_the_engine_leaves_open_is_listed(self, monkeypatch):
         max_last = families.max_last
-        monkeypatch.setattr(families, "max_last",
-                            lambda prefix: None if prefix == (1, 0, 0) else max_last(prefix))
+        monkeypatch.setattr(families, "max_last", lambda prefix, **kw:
+                            None if prefix == (1, 0, 0) else max_last(prefix, **kw))
         r = exact_threshold_search(4)
         assert r.undecided == ((1, 0, 0),)
         assert r.frontier_coefficients != validate([1, 0, 0, 6])

@@ -16,6 +16,7 @@ from plrs import (
     classify_family,
     cli,
     core,
+    families,
     generate_terms,
     oracle_verdict,
     recheck,
@@ -25,6 +26,7 @@ from plrs import (
 from helpers import (
     all_vectors,
     brute_gaps,
+    last_coefficient_window,
     reference_check_completeness,
     reference_terms,
     replace,
@@ -184,33 +186,6 @@ class TestWindowSurvivors:
             list(brown.window_survivors([range(1, 3)], 0))
 
 
-class TestReadLeaf:
-    @settings(deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), min_size=2, max_size=6))
-    @example([(1, 1), (0, 1), (3, 1), (0, 1), (1, 1), (4, 1)])  # B_8 = 0 only: not proven
-    def test_agrees_with_the_engine_on_every_leaf(self, specs):
-        # The leaves of a walk that keeps B_1..B_{L+1} >= 0, read through
-        # 2L-1: proven is the engine's strict window at 2L-1, None its
-        # failure at the index the read ended at, and False a verdict the
-        # engine reaches only past 2L-1.
-        L = len(specs)
-        ranges = [range(lo + (i in (0, L - 1) and not lo), lo + size)
-                  for i, (lo, size) in enumerate(specs)]
-        leaves = 0
-        for prefix, terms, running in core._prefix_walk(ranges, lambda _, h, s: h <= 1 + s):
-            leaves += 1
-            proven = brown._read_leaf(prefix, terms, running, 2 * L - 1)
-            assert tuple(terms) == reference_terms(prefix, len(terms))
-            cert = check_completeness(validate(prefix)).certificate
-            if proven is None:
-                assert (cert.kind, cert.index) == ("failure", len(terms))
-            elif proven:
-                assert (cert.kind, cert.index) == ("strict_window", 2 * L - 1)
-            else:
-                assert cert.index > 2 * L - 1
-        assert leaves == len(_passing(ranges, L + 1))
-
-
 # Prefixes c_1..c_{L-1} of a vector, L = 1..10; the last coefficient is N.
 prefixes = st.one_of(
     st.just([]),
@@ -218,24 +193,114 @@ prefixes = st.one_of(
 )
 
 
+def _strict(gaps, L, window):
+    # The strict window read from B_1..B_window: L >= 2, the window reaches
+    # 2L-1, B_n >= 0 throughout and B_n > 0 for L <= n <= 2L-1.
+    return (L >= 2 and window >= 2 * L - 1 and min(gaps[:window]) >= 0
+            and min(gaps[L - 1 : 2 * L - 1]) > 0)
+
+
+class TestReadLevel:
+    @settings(deadline=None)
+    @given(prefixes)
+    @example([1, 0, 0, 0, 0])  # B_11 rises with N
+    @example([1, 0, 3, 1, 0])  # B_5 < 0, yet B_6..B_11 > 0 at N = 1
+    @example([1, 0, 0, 1])  # B_10 rises with N
+    def test_intervals_are_the_brute_force_at_every_window(self, prefix):
+        # Every N from 1 to past any N that could pass B_{L+1} = a_{L+1} - N
+        # <= 1 + H_1 + ... + H_L - N, with the ends of each interval and the
+        # N on either side of them, each read from its own reference terms.
+        L = len(prefix) + 1
+        head = reference_terms([*prefix, 0], L)
+        top = min(sum(head) + 2, 300)
+        levels = {window: brown._read_level([*prefix, 0], [], window)
+                  for window in range(1, 2 * L + 1)}
+        assert all(hi is not None for window, (_, hi, _, _) in levels.items() if window > L)
+        ns = set(range(1, top + 1))
+        for lo, hi, slo, shi in levels.values():
+            ns.update(n for e in (lo, hi or 0, slo, shi) for n in (e - 1, e, e + 1) if n >= 1)
+        for n in sorted(ns):
+            gaps = brute_gaps(reference_terms([*prefix, n], 2 * L))
+            for window, (lo, hi, slo, shi) in levels.items():
+                passes = min(gaps[:window]) >= 0
+                assert (lo <= n and (hi is None or n <= hi)) == passes, (n, window)
+                assert (slo <= n <= shi) == _strict(gaps, L, window), (n, window)
+
+    def test_walk_terms_give_the_same_read_and_stay_intact(self):
+        # A leaf of the walk closed by c_L = 0 holds H_1..H_{L+1} of P + [0].
+        for L in range(1, 7):
+            ranges = [*[range(1, 3)] * (L > 1), *[range(3)] * (L - 2), range(1)]
+            for prefix, terms, _ in core._prefix_walk(ranges, lambda *_: True):
+                before = list(terms)
+                assert before == list(reference_terms(prefix, L + 1))
+                for window in range(1, 2 * L + 1):
+                    got = brown._read_level(prefix, terms, window)
+                    assert got == brown._read_level(prefix, [], window)
+                    assert terms == before
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), min_size=2, max_size=6))
+    @example([(1, 1), (0, 1), (3, 1), (0, 1), (1, 1), (4, 1)])  # B_8 = 0 only: not proven
+    def test_agrees_with_the_engine_at_every_last_coefficient(self, specs):
+        # The prefixes of a walk that keeps B_1..B_L >= 0, each read through
+        # 2L-1 for the whole last range: outside the pass interval the engine
+        # fails at the first negative gap, which is at most 2L-1; inside the
+        # strict interval it proves the strict window at 2L-1; in between it
+        # decides past 2L-1.
+        L = len(specs)
+        ranges = [range(lo + (i in (0, L - 1) and not lo), lo + size)
+                  for i, (lo, size) in enumerate(specs)]
+        survivors = 0
+        for prefix, terms, _ in core._prefix_walk([*ranges[:-1], range(1)],
+                                                  lambda _, h, s: h <= 1 + s):
+            assert tuple(terms) == reference_terms(prefix, len(terms))
+            lo, hi, slo, shi = brown._read_level(prefix, terms, 2 * L - 1)
+            for n in ranges[-1]:
+                vector = [*prefix[:-1], n]
+                cert = check_completeness(validate(vector)).certificate
+                if not lo <= n <= hi:
+                    gaps = brute_gaps(reference_terms(vector, 2 * L - 1))
+                    first = next(m for m, gap in enumerate(gaps, 1) if gap < 0)
+                    assert (cert.kind, cert.index) == ("failure", first)
+                elif slo <= n <= shi:
+                    assert (cert.kind, cert.index) == ("strict_window", 2 * L - 1)
+                else:
+                    assert cert.index > 2 * L - 1
+                survivors += lo <= n <= hi
+        assert survivors == len(_passing(ranges, 2 * L - 1))
+
+
 class TestLastCoefficientWindow:
+    # The reader against the lines that ``last_coefficient_window``, its
+    # reference, builds in full, at N far past any brute-force range.
     @example([], 1)
     @example([1, 0, 0, 1], 7)  # B_10 rises with N
+    @example([1, 0, 0, 0, 0], 11)  # B_11 rises with N
     @given(prefixes, st.integers(1, 10**6) | st.integers(1, 30))
     def test_lines_give_every_gap_through_2l(self, prefix, n):
         L = len(prefix) + 1
-        lines = brown.last_coefficient_window(prefix)
-        assert [a + s * n for a, s in lines] == brute_gaps(reference_terms([*prefix, n], 2 * L))
+        lines = last_coefficient_window(prefix)
+        gaps = [a + s * n for a, s in lines]
+        assert gaps == brute_gaps(reference_terms([*prefix, n], 2 * L))
         assert [s for _, s in lines[:L]] == [0] * L
         assert lines[L][1] == -1  # s_{L+1}
+        for window in range(1, 2 * L + 1):
+            lo, hi, slo, shi = brown._read_level([*prefix, 0], [], window)
+            assert (lo <= n and (hi is None or n <= hi)) == (min(gaps[:window]) >= 0)
+            assert (slo <= n <= shi) == _strict(gaps, L, window)
 
     def test_some_gaps_rise_with_n(self):
-        assert [n for n, (_, s) in enumerate(brown.last_coefficient_window([1, 0, 0, 1]), 1)
+        assert [n for n, (_, s) in enumerate(last_coefficient_window([1, 0, 0, 1]), 1)
                 if s > 0] == [10]
+        # B_10 >= 0 wherever B_1..B_9 are, so it moves neither interval.
+        assert brown._read_level([1, 0, 0, 1, 0], [], 9) == (1, 7, 1, 6)
+        assert brown._read_level([1, 0, 0, 1, 0], [], 10) == (1, 7, 1, 6)
 
     def test_rejects_an_invalid_prefix(self):
         with pytest.raises(ValueError):
-            brown.last_coefficient_window([0, 1])
+            last_coefficient_window([0, 1])
+        with pytest.raises(ValueError):
+            families.max_last([0, 1])
 
 
 class TestLazyPrefixProperties:
