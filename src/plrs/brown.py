@@ -27,7 +27,6 @@ from collections.abc import Iterator, Sequence
 from .core import (
     Coefficients,
     TermSequence,
-    _next_terms,
     _prefix_walk,
     _Record,
     generate_terms,
@@ -299,42 +298,78 @@ def check_completeness(
        conjectural (the 2L-1 shortcut is an open conjecture).
     5. otherwise unknown; the horizon is reported.
 
-    Each term is grown as the gap scan reaches it, in the same pass: H_n
-    only once B_{n-1} has been read, so an early verdict costs only the
-    terms before it, and H_{h+1} is never built.  The horizon h is
-    ``engine_horizon(L, horizon)``.
-    """
-    L = c.L
-    h = engine_horizon(L, horizon)
-    running = 0  # sum of H_1..H_{n-1}
-    strict_ok = True  # B_n > 0 for L <= n <= 2L-1, so far
-    nonneg_margin_run = 0  # consecutive D_j >= 0 ending at D_{n-1}
-    ok_through_2l1 = False
-    h_prev = 0  # H_{n-1}; 0 before H_1 makes "D_0" negative, an empty run
+    The horizon h is ``engine_horizon(L, horizon)``.  Each term is grown
+    as the scan reaches it, so an early verdict at n costs H_1..H_n alone
+    and H_{h+1} is never built.  H_n is read against room = 1 + H_1 + ...
+    + H_{n-1}: B_n < 0 exactly when H_n > room, and the gap room - H_n is
+    computed only as a failure's witness.  The terms grow in three flat
+    loops, one per phase, over the nonzero coefficients only:
 
-    for n, h_n in zip(range(1, h + 1), _next_terms(c.values, [])):
-        gap = 1 + running - h_n
-        # Margin D_{n-1} = 2*H_{n-1} - H_n.  A window [n-L, n-1] of L
-        # non-negative margins with n-L >= L+1, plus B_n >= 0, is a
-        # doubling window at n.
-        if h_n <= 2 * h_prev:
-            nonneg_margin_run += 1
-            if nonneg_margin_run >= L and n >= 2 * L + 1 and gap >= 0:
+    * head, H_2..H_L: one run per stretch between consecutive nonzero
+      indices, where the live taps (c_i with i < n) do not change, plus
+      the 1 of the head.
+    * window, H_{L+1}..H_{2L-1}: every tap live.  A zero gap rules the
+      strict window out, which is decided once the loop ends.
+    * tail, H_{2L}..H_h: the doubling window.  The run of non-negative
+      margins D_j = 2*H_j - H_{j+1} is counted from D_{L+1} on, through
+      the window and the tail.  A doubling window at m >= 2L+1 reads
+      D_{m-L}..D_{m-1}, all at indices above L, so the counted run
+      reaches L at m exactly when m >= 2L+1 and the full run does: the
+      loop needs no test of m.
+    """
+    return _gap_scan(c, engine_horizon(c.L, horizon), assume_2l1, [])
+
+
+def _gap_scan(c: Coefficients, h: int, assume_2l1: bool, terms: list[int]) -> Verdict:
+    # check_completeness on horizon h >= 2L-1.  H_1..H_n, n the index of
+    # the verdict, are appended to ``terms``, an empty list.
+    L, t = c.L, terms
+    taps = [(ci, -i) for i, ci in enumerate(c.values, start=1) if ci]  # H_{n-i} is t[-i]
+    t.append(1)
+    room = 2
+    for j in range(1, len(taps)):  # H_n for -taps[j-1][1] < n <= -taps[j][1]
+        live = taps[:j]
+        for n in range(1 - taps[j - 1][1], 1 - taps[j][1]):
+            x = 1
+            for ci, k in live:
+                x += ci * t[k]
+            t.append(x)
+            if x > room:
+                return Verdict(c, INCOMPLETE, failure(n, room - x), False, n)
+            room += x
+    prev = t[-1]
+    strict = L >= 2 and 2 * prev < room  # B_L > 0; the theorem needs L >= 2
+    run = -1  # D_L, read at H_{L+1}, leaves it at 0: the run starts at D_{L+1}
+    for n in range(L + 1, 2 * L):
+        x = 0
+        for ci, k in taps:
+            x += ci * t[k]
+        t.append(x)
+        if x > room:
+            return Verdict(c, INCOMPLETE, failure(n, room - x), False, n)
+        if x == room:
+            strict = False
+        run = run + 1 if x <= 2 * prev else 0
+        room += x
+        prev = x
+    if strict:
+        return Verdict(c, COMPLETE, strict_window(2 * L - 1), False, 2 * L - 1)
+    for n in range(2 * L, h + 1):
+        x = 0
+        for ci, k in taps:
+            x += ci * t[k]
+        t.append(x)
+        if x > room:
+            return Verdict(c, INCOMPLETE, failure(n, room - x), False, n)
+        if x <= 2 * prev:
+            run += 1
+            if run >= L:
                 return Verdict(c, COMPLETE, doubling_window(n), False, n)
         else:
-            nonneg_margin_run = 0
-        if gap < 0:
-            return Verdict(c, INCOMPLETE, failure(n, witness=gap), False, n)
-        running += h_n
-        h_prev = h_n
-        if L <= n <= 2 * L - 1 and gap == 0:
-            strict_ok = False
-        if n == 2 * L - 1:
-            ok_through_2l1 = True  # no failure so far
-            if strict_ok and L >= 2:  # the strict-window theorem needs L >= 2
-                return Verdict(c, COMPLETE, strict_window(n), False, n)
-
-    if assume_2l1 and ok_through_2l1:
+            run = 0
+        room += x
+        prev = x
+    if assume_2l1:
         return Verdict(c, COMPLETE, family_rule(RULE_2L1), True, h)
     return Verdict(c, UNKNOWN, horizon_exhausted(h), False, h)
 

@@ -157,27 +157,6 @@ def _prefix_walk(ranges: Sequence[Iterable[int]], keep: Callable[..., bool]) -> 
     yield from walk(1, 1) if ranges else [(prefix, terms, 0)]
 
 
-def _next_terms(values: Sequence[int], terms: list[int]) -> Iterator[int]:
-    # Appends H_{n+1} to `terms` (H_1..H_n, maybe none) and yields it, without end.
-    # Only nonzero coefficients are visited: tap (c_i, -i) reads H_{n+1-i} as terms[-i].
-    L = len(values)
-    taps = [(ci, -i) for i, ci in enumerate(values, start=1) if ci]
-    for n in range(len(terms), L):  # H_{n+1} = 1 + sum over i <= n
-        h = 1
-        for ci, j in taps:
-            if -j > n:
-                break
-            h += ci * terms[j]
-        terms.append(h)
-        yield h
-    while True:
-        h = 0
-        for ci, j in taps:
-            h += ci * terms[j]
-        terms.append(h)
-        yield h
-
-
 class TermSequence(_Record):
     """An exact, immutable prefix ``(H_1, ..., H_n)`` of a PLRS."""
 
@@ -206,8 +185,9 @@ def generate_terms(c: Coefficients, n: int) -> TermSequence:
     """Generate the exact first ``n`` terms of the PLRS defined by ``c``.
 
     The library's reference term loop: the definition above, over the
-    nonzero coefficients only.  It shares no code with the engine's kernel
-    ``_next_terms``, so ``brown.recheck`` can re-check the engine with it.
+    nonzero coefficients only.  It shares no code with the gap engine
+    ``brown.check_completeness``, which grows its own terms as it reads
+    them, so ``brown.recheck`` can re-check the engine with it.
     """
     if n < 1:
         raise ValueError(f"need at least one term, got n={n}")

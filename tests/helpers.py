@@ -348,9 +348,9 @@ def reference_gap_below(a, b, epsilon) -> bool:
 
 
 # Reference copies of the term growth, gap engine and oracle scan that
-# `core._next_terms`, `brown.check_completeness` and `oracle.oracle_verdict`
-# replaced: every coefficient visited, every prefix built in full up front,
-# and the smallest missing sum found from a complement of the whole mask.
+# `brown.check_completeness` and `oracle.oracle_verdict` replaced: every
+# coefficient visited, every prefix built in full up front, and the smallest
+# missing sum found from a complement of the whole mask.
 
 
 def reference_terms(values, n: int) -> tuple[int, ...]:
@@ -368,10 +368,31 @@ def reference_terms(values, n: int) -> tuple[int, ...]:
     return tuple(terms)
 
 
+def minus_ten_at_l_plus_2(values, n: int) -> tuple[int, ...]:
+    """Wrong terms: H_1..H_n grown from an H_{L+2} that is 10 too small."""
+    L = len(values)
+    terms = list(reference_terms(values, min(n, L + 2)))
+    if n >= L + 2:
+        terms[L + 1] -= 10
+    while len(terms) < n:
+        m = len(terms)
+        terms.append(sum(values[i] * terms[m - 1 - i] for i in range(L)))
+    return tuple(terms)
+
+
+def wrong_check_completeness(c: Coefficients, horizon=None, assume_2l1=False) -> brown.Verdict:
+    """A wrong gap engine: the reference engine over ``minus_ten_at_l_plus_2``."""
+    h = brown.engine_horizon(c.L, horizon)
+    return reference_check_completeness(c, h, assume_2l1, grow=minus_ten_at_l_plus_2)
+
+
 def reference_check_completeness(
-    c: Coefficients, horizon=None, assume_2l1=False, max_horizon=None
+    c: Coefficients, horizon=None, assume_2l1=False, max_horizon=None, grow=reference_terms
 ) -> brown.Verdict:
-    """The gap engine with each horizon's whole prefix built before it is read."""
+    """The gap engine with each horizon's whole prefix built before it is read.
+
+    ``grow(values, n)`` builds the prefix H_1..H_n.
+    """
     L = c.L
     if max_horizon is None:
         max_horizon = max(brown.DEFAULT_MAX_HORIZON, 4 * L)
@@ -382,7 +403,7 @@ def reference_check_completeness(
     running, strict_ok, run, ok_through_2l1, n = 0, True, 0, False, 0
     while True:
         target = h
-        terms = reference_terms(c.values, target + 1)
+        terms = grow(c.values, target + 1)
         while n < target:
             n += 1
             h_n = terms[n - 1]

@@ -30,6 +30,7 @@ from helpers import (
     reference_check_completeness,
     reference_terms,
     replace,
+    wrong_check_completeness,
 )
 
 # Short vectors with small coefficients, and the sparse family [1, 0^k, N].
@@ -49,6 +50,20 @@ long_sparse_vectors = st.integers(64, 1100).flatmap(
         lambda n: (1, *[0] * (L - 2), n), st.integers(2 ** (L // 2 - 1), 2 ** (L - 1) - 1)
     )
 )
+
+
+@st.composite
+def segmented_vectors(draw):
+    """c_1 <= 3 and one to four more nonzero coefficients, c_L among them,
+    each up to 3L^2, at random positions of a vector of length L <= 40."""
+    L = draw(st.integers(1, 40))
+    big = st.integers(1, 3 * L * L)
+    values = [0] * L
+    values[-1] = draw(big)
+    values[0] = draw(st.integers(1, 3))
+    for i in draw(st.lists(st.integers(1, L - 2), max_size=3)) if L > 2 else ():
+        values[i] = draw(big)
+    return tuple(values)
 
 
 class TestGapTrace:
@@ -359,19 +374,34 @@ class TestLazyPrefixProperties:
         h = max(1024, 4 * c.L)
         assert got == reference_check_completeness(c, horizon=h, assume_2l1=assume)
 
-    def test_prefix_grows_only_as_far_as_it_is_read(self, monkeypatch):
+    # Verdicts in each of the engine's three loops and on both sides of
+    # each loop's end: c_1 plus one to four nonzero coefficients, up to
+    # 3L^2, at random positions.  Failures land in the head, in any of its
+    # stretches of live taps, and in the window; the tail ends in a
+    # doubling window or unknown (a failure there, with B_1..B_{2L-1} >= 0,
+    # would refute the 2L-1 conjecture).  The examples are L = 1, L = 2
+    # and the vectors of the goldens that end in each loop: a failure at 7
+    # in the head's second stretch, one at 42 in the window, a doubling
+    # window at 188 and, at horizon 150, unknown.
+    @example((3,), 0)
+    @example((1, 2), 1)
+    @example((1, 0, 0, 0, 0, 16, *[0] * 8, 3), 0)
+    @example((1, *[0] * 38, 420), 0)
+    @example((1, *[0] * 60, 977), 27)
+    @settings(max_examples=150, deadline=None)
+    @given(segmented_vectors(), st.integers(0, 200))
+    def test_engine_matches_eager_engine_across_segment_boundaries(self, values, extra):
+        c, L = validate(values), len(values)
+        for h in (2 * L - 1, 2 * L, 2 * L + 1, 4 * L + 3, 2 * L - 1 + extra):
+            for assume in (False, True):
+                got = check_completeness(c, horizon=h, assume_2l1=assume)
+                assert got == reference_check_completeness(c, horizon=h, assume_2l1=assume)
+
+    def test_prefix_grows_only_as_far_as_it_is_read(self):
         # H_n is grown only once B_{n-1} is read, so a verdict at index n
         # costs exactly H_1..H_n: no 2L+1 prefix up front, no doubling, and
-        # nothing of the horizon past the verdict.
-        grown = []
-        real = brown._next_terms
-
-        def counting(values, terms):
-            for h in real(values, terms):
-                grown.append(h)
-                yield h
-
-        monkeypatch.setattr(brown, "_next_terms", counting)
+        # nothing of the horizon past the verdict.  The engine's loops grow
+        # every term into the list its caller passes.
         for values, horizon, index in [
             ((1, 3), None, 3),  # fails at B_3
             ((1, *[0] * 600, 10**6), None, 603),  # fails at B_{L+1}
@@ -379,8 +409,9 @@ class TestLazyPrefixProperties:
             ((1, 0, 3, 0, 3), None, 12),  # doubling window past 2L+1
             ((1, 0, 2, 2, 2, 3, 1, 2), 40, 40),  # unknown: no H_{h+1}
         ]:
-            grown.clear()
-            v = check_completeness(validate(values), horizon=horizon)
+            c, grown = validate(values), []
+            v = brown._gap_scan(c, brown.engine_horizon(c.L, horizon), False, grown)
+            assert v == check_completeness(c, horizon=horizon)
             assert v.horizon_used == v.certificate.index == index
             assert grown == list(reference_terms(values, index))
 
@@ -538,22 +569,6 @@ TAGGED = {
 }
 
 
-def minus_ten_at_l_plus_2(real):
-    """A wrong term kernel: H_{L+2} comes out 10 too small."""
-
-    def kernel(values, terms):
-        for h in real(values, terms):
-            if len(terms) == len(values) + 2:
-                terms[-1] = h = h - 10
-            yield h
-
-    return kernel
-
-
-def raising_kernel(values, terms):
-    raise AssertionError("the engine's kernel ran")
-
-
 class TestRecheckTiesTheVerdictToItsCertificate:
     @pytest.mark.parametrize("name", TAGGED)
     def test_a_flipped_kind_or_flag_is_rejected(self, name):
@@ -567,21 +582,19 @@ class TestRecheckTiesTheVerdictToItsCertificate:
 
 
 class TestRecheckIsIndependentOfTheKernel:
+    # The kernel is the gap engine, brown.check_completeness, and the terms
+    # it grows; recheck reads terms from core.generate_terms alone.
     @pytest.mark.parametrize("values", [(1, 0, 0, 0, 0, 0, 15), (1, 0, 0, 3, 5)])
     def test_a_wrong_kernel_does_not_certify_itself(self, monkeypatch, values):
         c = validate(values)
         truth = (check_completeness(c), oracle_verdict(c, max_prefix=32))
-        bad = minus_ten_at_l_plus_2(core._next_terms)
-        monkeypatch.setattr(core, "_next_terms", bad)
-        monkeypatch.setattr(brown, "_next_terms", bad)
-        for wrong, right in zip((check_completeness(c), oracle_verdict(c, max_prefix=32)), truth):
+        monkeypatch.setattr(brown, "check_completeness", wrong_check_completeness)
+        for wrong, right in zip((brown.check_completeness(c), oracle_verdict(c, max_prefix=32)), truth):
             assert wrong != right
             assert not recheck(wrong), wrong
 
     def test_check_verify_exits_one_under_a_wrong_kernel(self, monkeypatch, capsys):
-        bad = minus_ten_at_l_plus_2(core._next_terms)
-        monkeypatch.setattr(core, "_next_terms", bad)
-        monkeypatch.setattr(brown, "_next_terms", bad)
+        monkeypatch.setattr(brown, "check_completeness", wrong_check_completeness)
         assert cli.main(["check", "1,0,0,0,0,0,15", "--verify"]) == 1
         assert '"verified": false' in capsys.readouterr().out
 
@@ -591,8 +604,12 @@ class TestRecheckIsIndependentOfTheKernel:
         for vals in all_vectors(3, 3):
             c = validate(vals)
             verdicts += [check_completeness(c), oracle_verdict(c, max_prefix=4 * c.L)]
-        monkeypatch.setattr(core, "_next_terms", raising_kernel)
-        monkeypatch.setattr(brown, "_next_terms", raising_kernel)
+
+        def raising_engine(*args, **kwargs):
+            raise AssertionError("recheck ran the gap engine")
+
+        monkeypatch.setattr(brown, "check_completeness", raising_engine)
+        monkeypatch.setattr(brown, "_gap_scan", raising_engine)
         assert all(recheck(v) for v in verdicts)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plrs import (
+    brown,
     core,
     EmptyVector,
     LeadingZero,
@@ -141,16 +142,22 @@ class TestGenerateTerms:
 class TestGrowthProperties:
     @given(sparse_vectors(), st.integers(1, 300))
     def test_matches_full_recurrence(self, values, n):
-        # Both term loops: the reference generate_terms and the engine's kernel.
+        # Both term loops: the reference generate_terms, and the gap engine's,
+        # which grows H_1..H_m, m the index of its verdict, into the list
+        # its caller passes.
         expected = reference_terms(values, n)
-        assert generate_terms(validate(values), n).terms == expected
-        assert tuple(itertools.islice(core._next_terms(values, []), n)) == expected
+        c = validate(values)
+        assert generate_terms(c, n).terms == expected
+        grown = []
+        v = brown._gap_scan(c, max(n, 2 * c.L - 1), False, grown)
+        assert tuple(grown) == reference_terms(values, v.horizon_used)
 
     def test_reference_loop_shares_no_code_with_the_kernel(self, monkeypatch):
-        def broken(values, terms):
-            raise AssertionError("generate_terms ran the engine's kernel")
+        def broken(*args, **kwargs):
+            raise AssertionError("generate_terms ran the gap engine")
 
-        monkeypatch.setattr(core, "_next_terms", broken)
+        monkeypatch.setattr(brown, "_gap_scan", broken)
+        monkeypatch.setattr(brown, "check_completeness", broken)
         assert generate_terms(validate([1, 0, 0, 3, 5]), 8).terms == reference_terms(
             (1, 0, 0, 3, 5), 8
         )
