@@ -29,8 +29,9 @@ coefficient: it is the independent re-check of the roots found here.
 
 The triage test classifies fast: p(2) < 0 proves incompleteness (the root
 exceeds 2, too fast to be complete), while a root certified below the
-lambda threshold of the same length is conjecturally complete.  Roots in
-between land in an indeterminate band where gap arithmetic must decide.
+lambda threshold of the same length is conjecturally complete, on the
+coarsest grid that certifies it.  Roots in between land in an
+indeterminate band where gap arithmetic must decide.
 ``exact_threshold_search`` audits the conjectured lower end of that band
 by a pruned walk over coefficient prefixes, one ``max_last`` per prefix.
 """
@@ -127,22 +128,27 @@ class CharPoly(_Record):
         nonzero), so no factor of num is left over.
         """
         values = self.coefficients.values
-        if len(values) <= _DENSE_L:
-            acc = dp = 1
-            for ci in values:
-                dp *= den
-                acc = acc * num - ci * dp
-        else:
-            acc, i = 1, 0
-            shift = den.bit_length() - 1
-            dyadic = den == 1 << shift
-            it = iter(self.taps)
-            for g, ci in zip(it, it):
-                i += g
-                acc = (acc * num if g == 1 else acc * num**g) - (
-                    ci << shift * i if dyadic else ci * den**i
-                )
+        if len(values) > _DENSE_L:
+            return _taps_sign(self.taps, num, den)
+        acc = dp = 1
+        for ci in values:
+            dp *= den
+            acc = acc * num - ci * dp
         return (acc > 0) - (acc < 0)
+
+
+def _taps_sign(taps: tuple[int, ...], num: int, den: int) -> int:
+    # ``CharPoly.sign_at`` over the flat taps (g_1, c_1, g_2, c_2, ...).
+    acc, i = 1, 0
+    shift = den.bit_length() - 1
+    dyadic = den == 1 << shift
+    it = iter(taps)
+    for g, ci in zip(it, it):
+        i += g
+        acc = (acc * num if g == 1 else acc * num**g) - (
+            ci << shift * i if dyadic else ci * den**i
+        )
+    return (acc > 0) - (acc < 0)
 
 
 def char_poly_eval(c: Coefficients, t: Rational) -> Rational:
@@ -435,46 +441,105 @@ def sparse_vector(L: int, last: int) -> Coefficients:
     return validate([1] + [0] * (L - 2) + [last])
 
 
-_lambda_cache: dict[tuple[int, Fraction], LambdaThreshold] = {}
+class _SparsePoly:
+    """x^L - x^(L-1) - k, the polynomial of [1, 0^(L-2), k], by its taps alone.
+
+    Its ``taps`` and ``sign_at`` are all that ``_integer_bracket`` and
+    ``_grid`` read of a polynomial, so lambda_L's cells are isolated without
+    building and validating the length-L vector.
+    """
+
+    __slots__ = ("taps",)
+
+    def __init__(self, L: int, k: int) -> None:
+        self.taps = (1, 1, L - 1, k)
+
+    def sign_at(self, num: int, den: int = 1) -> int:
+        return _taps_sign(self.taps, num, den)
+
+
+#: lambda_L for each length L, its root (over a ``_SparsePoly``) at the
+#: deepest depth asked for so far.
+_lambda_cache: dict[int, LambdaThreshold] = {}
+
+
+def _lambda(L: int, bits: int) -> LambdaThreshold:
+    # The cached threshold of length L >= 2, its root refined to depth >= bits.
+    lam = _lambda_cache.get(L)
+    if lam is None:
+        n_l = families.bound_one_zeros(L - 2).max_n  # ceil(L(L+1)/4)
+        lam = LambdaThreshold(L, n_l, _integer_bracket(_SparsePoly(L, n_l + 1)))
+    elif bits <= lam.root.bits:
+        return lam
+    lam = _lambda_cache[L] = LambdaThreshold(L, lam.max_complete_n, lam.root._at(bits))
+    return lam
 
 
 def lambda_threshold(L: int, tol=DEFAULT_TOL) -> LambdaThreshold:
-    """Threshold root for length L >= 2, bracketed to ``tol``."""
+    """Threshold root for length L >= 2, bracketed to ``tol``.
+
+    The root is ``principal_root(sparse_vector(L, max_complete_n + 1), tol)``:
+    the cell of the depth d of ``tol``.  One cell per length is kept, at the
+    deepest depth any caller has asked for, and isolated without the
+    length-L vector (``_SparsePoly``); the cell at a depth d at most that
+    one is the kept one shifted right, and a deeper one is bisected inside
+    it, so every caller, ``triage`` and ``brown.recheck`` among them, reads
+    the same cell at d.
+    """
     if L < 2:
         raise ValueError(f"threshold defined for L >= 2, got {L}")
-    tol = _as_fraction(tol)
-    key = (L, tol)
-    if key not in _lambda_cache:
-        n_l = families.bound_one_zeros(L - 2).max_n  # ceil(L(L+1)/4)
-        root = principal_root(sparse_vector(L, n_l + 1), tol)
-        _lambda_cache[key] = LambdaThreshold(L, n_l, root)
-    return _lambda_cache[key]
+    bits = _depth(tol)
+    lam = _lambda(L, bits)
+    root = lam.root._at(bits)
+    poly = CharPoly(sparse_vector(L, lam.max_complete_n + 1))
+    root = RootBracket(poly, root.num, root.bits, root.exact_root)
+    return LambdaThreshold(L, lam.max_complete_n, root)
 
 
 # ---------------------------------------------------------------------------
 # Triage
 
 
+#: The depths at which ``triage`` compares a root with lambda_L's cell,
+#: coarse to fine; the last is the depth of DEFAULT_TOL, 40.  Past L = 32,
+#: lambda_L < 5/4, so a root of 5/4 or more is placed at depth 2.  Each grid
+#: that leaves the question open adds two signs of p and lambda_L's cell at
+#: its depth: with grids at 5, 10 and 20 a root next to lambda_L cost about
+#: 1.4 times the 40-bit test alone at L = 300, and with one at 8 about 1.
+_TRIAGE_BITS = (2, 8, _depth(DEFAULT_TOL))
+
+
 def triage(c: Coefficients) -> brown.Verdict:
     """Classify by root position alone; no terms are generated.
 
     * p(2) < 0: the root exceeds 2, incomplete (sound).
-    * root certified below the lambda threshold: complete, conjectural.
+    * p(l) > 0, where l is the lower end of lambda_L's cell at the depth
+      of ``DEFAULT_TOL`` (the bracket ``brown.recheck`` reads back): the
+      root lies below l <= lambda_L, complete, conjectural.
     * otherwise unknown: the root lies in the indeterminate band.
 
-    The threshold is bracketed at ``DEFAULT_TOL``, the bracket that
-    ``brown.recheck`` reads back.
+    That question is settled on the coarsest grid that can settle it.
+    With [l_b, u_b] lambda_L's cell at depth b (``_TRIAGE_BITS``), p(l_b)
+    > 0 answers below, since l_b <= l; p(u_b) <= 0 answers unknown, since
+    the root is then at least u_b >= lambda_L >= l; else the next depth
+    decides.  The last depth tests p(l) alone, so the verdict is the one
+    of the sign at l, and each step is an exact integer sign.  A root far
+    from lambda_L is placed on a grid a few bits deep, where a sign and
+    lambda_L's cell cost a fraction of the 40-bit ones (at L = 448 a sign
+    at depth 2 costs about a thirtieth of one at depth 40).
     """
     if c.L < 2:
         raise ValueError("triage needs L >= 2")
     poly = CharPoly(c)
-    s2 = poly.sign_at(2)
-    if s2 < 0:
+    if poly.sign_at(2) < 0:
         return brown.Verdict(c, brown.INCOMPLETE, brown.root_triage(TRIAGE_FAST), False, 0)
-    lam = lambda_threshold(c.L).root
-    # A positive sign at the bracket's lower end certifies root < lambda.
-    if poly.sign_at(lam.num, 1 << lam.bits) > 0:
-        return brown.Verdict(c, brown.COMPLETE, brown.root_triage(TRIAGE_SLOW), True, 0)
+    last = _TRIAGE_BITS[-1]
+    for bits in _TRIAGE_BITS:
+        lo, hi = _lambda(c.L, bits).root._at(bits)._ends(bits)
+        if poly.sign_at(lo, 1 << bits) > 0:
+            return brown.Verdict(c, brown.COMPLETE, brown.root_triage(TRIAGE_SLOW), True, 0)
+        if bits == last or poly.sign_at(hi, 1 << bits) <= 0:
+            break
     return brown.Verdict(
         c,
         brown.UNKNOWN,

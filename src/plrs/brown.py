@@ -186,7 +186,7 @@ def window_survivors(
             if n < lo:
                 continue
             c, proven = Coefficients((*head, n)), slo <= n <= shi
-            if proven or window <= 2 * L or min(_gaps(generate_terms(c, window).terms)) >= 0:
+            if proven or window <= 2 * L or _room_after(generate_terms(c, window).terms):
                 yield c, proven
 
 
@@ -414,12 +414,15 @@ def recheck(verdict: Verdict) -> bool:
     if cert.kind == "root":
         return _recheck_root(verdict)
     if cert.kind == "family" and cert.rule == RULE_2L1:
-        return min(_gaps(generate_terms(c, 2 * L - 1).terms)) >= 0
+        return _room_after(generate_terms(c, 2 * L - 1).terms) is not None
     if cert.kind == "family":
         return _recheck_family(verdict)
-    if cert.kind == "strict_window":
-        gaps = _gaps(generate_terms(c, 2 * L - 1).terms)
-        return m == 2 * L - 1 and min(gaps[: L - 1], default=0) >= 0 and min(gaps[L - 1 :]) > 0
+    if cert.kind == "strict_window":  # B_1..B_{L-1} >= 0 and B_L..B_{2L-1} > 0
+        if m != 2 * L - 1:
+            return False
+        terms = generate_terms(c, m).terms
+        room = _room_after(terms[: L - 1])
+        return room is not None and _room_after(terms[L - 1 :], room, strict=True) is not None
     if m is None or m < 1:
         return False
     if cert.kind == "failure" and cert.witness is not None and cert.witness > 0:
@@ -433,7 +436,7 @@ def recheck(verdict: Verdict) -> bool:
             return False
         if w > sum(prefix):
             return True
-        if min(_gaps(prefix)) >= 0:
+        if _room_after(prefix) is not None:
             return False
         from .oracle import BudgetExceeded, reachable_sums  # local: oracle imports brown
 
@@ -442,14 +445,27 @@ def recheck(verdict: Verdict) -> bool:
         except BudgetExceeded:
             return False
     if cert.kind == "failure":  # the first negative gap, and its value
-        gaps = _gaps(generate_terms(c, m).terms)
-        return min(gaps[:-1], default=0) >= 0 > gaps[-1] and cert.witness in (None, gaps[-1])
+        terms = generate_terms(c, m).terms
+        room = _room_after(terms[:-1])
+        return room is not None and terms[-1] > room and cert.witness in (None, room - terms[-1])
     if cert.kind == "doubling_window" and m - L >= L + 1:
         # Margins D_j = B_{j+1} - B_j >= 0 for m-L <= j < m, and B_1..B_m >= 0.
         gaps = _gaps(generate_terms(c, m).terms)
         window = gaps[m - L - 1 :]
         return min(gaps) >= 0 and all(a <= b for a, b in zip(window, window[1:]))
     return False
+
+
+def _room_after(terms: Sequence[int], room: int = 1, strict: bool = False) -> int | None:
+    # One pass over a term prefix H_1..H_n, each term read against room =
+    # 1 + H_1 + ... + H_{n-1} (``room`` is that sum before the prefix):
+    # the room after the prefix, or None at its first B_n = room - H_n < 0
+    # (B_n <= 0 when ``strict``).  Every call site needs only these signs.
+    for h in terms:
+        if h + strict > room:
+            return None
+        room += h
+    return room
 
 
 def _gaps(terms: Sequence[int]) -> list[int]:

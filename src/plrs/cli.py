@@ -73,13 +73,14 @@ _FAMILY_NAMES = ("one-zeros", "ones-zeros", "two-ones-zeros", "one-zeros-ones")
 
 
 def _parse_coefficients(text: str) -> Coefficients:
-    parts = [p.strip() for p in text.split(",")]
-    if "" in parts:
-        raise ValueError(f"empty field in coefficients {text!r}")
+    # One int() per field (int() skips surrounding whitespace); only a field
+    # it rejects leads to the error, and an empty field is named first.
     try:
-        values = [int(p) for p in parts]
+        values = [int(p) for p in text.split(",")]
     except ValueError:
-        raise ValueError(f"coefficients must be comma-separated integers, got {text!r}")
+        if any(not p.strip() for p in text.split(",")):
+            raise ValueError(f"empty field in coefficients {text!r}") from None
+        raise ValueError(f"coefficients must be comma-separated integers, got {text!r}") from None
     return validate(values)
 
 

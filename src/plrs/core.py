@@ -194,11 +194,16 @@ def generate_terms(c: Coefficients, n: int) -> TermSequence:
     L = c.L
     nonzero = [(i, ci) for i, ci in enumerate(c.values, start=1) if ci]
     terms = [1]
-    for m in range(1, n):  # H_{m+1}: c_i*H_{m+1-i} over i <= min(m, L), +1 while m < L
-        h = 1 if m < L else 0
+    for m in range(1, min(n, L)):  # H_{m+1}: 1 + c_i*H_{m+1-i} over i <= m
+        h = 1
         for i, ci in nonzero:
             if i > m:
                 break
+            h += ci * terms[m - i]
+        terms.append(h)
+    for m in range(L, n):  # H_{m+1}: c_i*H_{m+1-i} over every i <= L
+        h = 0
+        for i, ci in nonzero:
             h += ci * terms[m - i]
         terms.append(h)
     return TermSequence(c, tuple(terms))

@@ -244,6 +244,24 @@ def reference_root(c: Coefficients, tol: Fraction):
     return reference_bisect(poly, Fraction(lo), Fraction(hi), tol)
 
 
+def reference_lambda_root(L: int, tol=analytic.DEFAULT_TOL) -> analytic.RootBracket:
+    """lambda_L's bracket as ``lambda_threshold`` first defined it: the
+    principal root of [1, 0^(L-2), ceil(L(L+1)/4) + 1], isolated afresh."""
+    return principal_root(analytic.sparse_vector(L, -(-L * (L + 1) // 4) + 1), tol)
+
+
+def reference_triage(c: Coefficients) -> str:
+    """The rule of ``triage``'s certificate, as first written: the sign of
+    p at 2, then one sign at the lower end of lambda_L's bracket at
+    ``DEFAULT_TOL`` (``reference_lambda_root``), both by ``CharPoly.eval``."""
+    poly = CharPoly(c)
+    if poly.eval(2) < 0:
+        return analytic.TRIAGE_FAST
+    if poly.eval(reference_lambda_root(c.L).lo) > 0:
+        return analytic.TRIAGE_SLOW
+    return analytic.TRIAGE_INDETERMINATE
+
+
 def reference_threshold_search(L: int, tol) -> analytic.ThresholdSearchReport:
     """``exact_threshold_search`` by brute force over the box c_i <= 2^i.
 

@@ -36,9 +36,11 @@ from helpers import (
     reference_bisect,
     reference_denseness_scan,
     reference_gap_shrink,
+    reference_lambda_root,
     reference_root,
     reference_sign,
     reference_threshold_search,
+    reference_triage,
     replace,
     vectors_by_sum,
 )
@@ -309,6 +311,19 @@ class TestLambdaThreshold:
         with pytest.raises(ValueError):
             lambda_threshold(1)
 
+    @pytest.mark.parametrize("L", [*range(2, 65), 100, 257, 448, 737, 1024])
+    def test_brackets_are_principal_roots_in_any_order(self, monkeypatch, L):
+        # One cell per length serves every tol: a coarser one is a shift of
+        # it, a finer one is bisected inside it.
+        tols = [analytic.DEFAULT_TOL, Fraction(1, 10), Fraction(1, 10**30), Fraction(1, 3)]
+        expected = [reference_lambda_root(L, tol) for tol in tols]
+        for order in (tols, tols[::-1]):
+            monkeypatch.setattr(analytic, "_lambda_cache", {})
+            for tol in order:
+                lam = lambda_threshold(L, tol)
+                assert lam.root == expected[tols.index(tol)]
+                assert lam.max_complete_n == -(-L * (L + 1) // 4)
+
     @pytest.mark.parametrize("L", range(2, 25))
     def test_strictly_decreasing_in_length(self, L):
         lam = lambda_threshold(L).root
@@ -336,7 +351,62 @@ class TestLambdaThreshold:
         assert lambda_threshold(found).root.hi < Fraction(11, 10)
 
 
+@st.composite
+def sparse_triage_vectors(draw):
+    """[1, 0^(L-2), N] with N = n_L (the largest complete N), n_L + 1
+    (lambda_L's own vector) or any N up to 2^L."""
+    L = draw(st.integers(2, 700))
+    n_l = -(-L * (L + 1) // 4)
+    N = draw(st.one_of(st.sampled_from([n_l, n_l + 1]), st.integers(1, 2**L)))
+    return (1, *[0] * (L - 2), N)
+
+
+short_triage_vectors = st.builds(
+    lambda c1, mid, cL: (c1, *mid, cL),
+    st.integers(1, 3),
+    st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]), max_size=10),
+    st.integers(1, 60),
+)
+
+
 class TestTriage:
+    # triage settles on the coarsest grid what the sign at the lower end of
+    # lambda_L's 40-bit cell decides; the reference reads that sign alone.
+    @settings(deadline=None, max_examples=150)
+    @example((1, *[0] * 298, 22575), True)
+    @example((1, *[0] * 298, 22576), False)
+    @example((1, 0, 4), True)  # lambda_3 = 2 is an integer
+    @given(st.one_of(short_triage_vectors, sparse_triage_vectors()), st.booleans())
+    def test_agrees_with_the_sign_at_the_lower_end(self, values, uncached):
+        c = validate(values)
+        if uncached:
+            analytic._lambda_cache.clear()
+        assert triage(c).certificate.rule == reference_triage(c)
+
+    def test_far_roots_stay_shallow(self, monkeypatch):
+        # Roots far from lambda_L are placed on a coarse grid: no sign of
+        # either polynomial (each walks its taps at this length) is taken
+        # at depth 40, and lambda_L's cell is left coarse.  lambda_L's own
+        # vector needs depth 40.
+        L = 1024
+        monkeypatch.setattr(analytic, "_lambda_cache", {})
+        dens = []
+        taps_sign = analytic._taps_sign
+
+        def counted(taps, num, den):
+            dens.append(den)
+            return taps_sign(taps, num, den)
+
+        monkeypatch.setattr(analytic, "_taps_sign", counted)
+        for N in (2**600 + 1, 2**1000 + 7, 3):
+            assert triage(validate([1] + [0] * (L - 2) + [N])).kind in (UNKNOWN, COMPLETE)
+        assert 1 << 40 not in dens
+        assert analytic._lambda_cache[L].root.bits < 40
+        lam = analytic.sparse_vector(L, -(-L * (L + 1) // 4) + 1)
+        dens.clear()
+        assert triage(lam).kind == UNKNOWN
+        assert 1 << 40 in dens
+
     def test_fast_growth_is_incomplete(self):
         v = triage(validate([1, 3]))
         assert v.kind == INCOMPLETE

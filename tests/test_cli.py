@@ -71,12 +71,27 @@ class TestGen:
 
 
 @pytest.mark.parametrize("command", [["check"], ["oracle-check"], ["gen", "--n", "3"]])
-@pytest.mark.parametrize("text", ["1,,1", ",1", "1,1,", ","])
+@pytest.mark.parametrize("text", ["1,,1", ",1", "1,1,", ",", "1, ,1", "1,x,,1"])
 def test_empty_coefficient_field_is_input_error(capsys, command, text):
-    # An empty field is an error, not dropped: "1,,1" is not [1, 1].
+    # An empty field is an error, not dropped: "1,,1" is not [1, 1].  A
+    # blank field is empty too, and it is named before a field that is not
+    # an integer.
     code, out, err = run(capsys, command[0], text, *command[1:])
     assert (code, out) == (2, "")
     assert f"error: empty field in coefficients {text!r}" in err
+
+
+@pytest.mark.parametrize("text", ["1,x", "1,2.5", "1,0x3"])
+def test_non_integer_coefficient_field_is_input_error(capsys, text):
+    code, out, err = run(capsys, "check", text)
+    assert (code, out) == (2, "")
+    assert f"error: coefficients must be comma-separated integers, got {text!r}" in err
+
+
+def test_blanks_around_the_coefficients_are_tolerated(capsys):
+    code, payload, _ = run_json(capsys, "check", " 1,2 ")
+    assert code == 0
+    assert payload["coefficients"] == [1, 2]
 
 
 class TestCheck:
@@ -591,7 +606,9 @@ def test_root_reports_match_goldens(capsys, monkeypatch, name):
     # on a stdout that is not a terminal.  out_empty is as written once an
     # empty --out became an input error.  scan-2l1 at L 6 with windows 7,
     # 12 and 13, and min-root at L 6, are as written when each vector was
-    # read on from its own leaf of the walk.
+    # read on from its own leaf of the walk.  check --triage-first at n_L
+    # and n_L + 1 of L 300 is as written when triage compared the root with
+    # lambda_L's 40-bit cell alone.
     monkeypatch.setenv("COLUMNS", "80")
     try:
         code, out, err = run(capsys, *GOLDEN_JOBS[name])
