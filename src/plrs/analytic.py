@@ -33,7 +33,8 @@ lambda threshold of the same length is conjecturally complete, on the
 coarsest grid that certifies it.  Roots in between land in an
 indeterminate band where gap arithmetic must decide.
 ``exact_threshold_search`` audits the conjectured lower end of that band
-by a pruned walk over coefficient prefixes, one ``max_last`` per prefix.
+by a pruned walk over coefficient prefixes, ``least_incomplete_root`` a
+sum class, both through one per-prefix step, ``_first_incomplete``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from . import brown, families
@@ -554,26 +555,71 @@ def triage(c: Coefficients) -> brown.Verdict:
 # Minimal roots
 
 
-def min_root_in_pls(
-    L: int, S: int, tol=DEFAULT_TOL, verify: bool = False
-) -> tuple[Coefficients, RootBracket]:
-    """Minimizer of the principal root over vectors of length L, sum S+1.
-
-    The minimum is attained by [1, 0^(L-2), S]; with ``verify`` the whole
-    class goes through ``least_root``, and since the claimed vector comes
-    first there and ties keep the earlier vector, it must be the winner.
-    """
+def min_root_in_pls(L: int, S: int, tol=DEFAULT_TOL) -> tuple[Coefficients, RootBracket]:
+    """The minimizer [1, 0^(L-2), S] of the principal root over length L, sum S+1."""
     if L < 1 or S < 1:
         raise ValueError(f"need L >= 1 and S >= 1, got L={L}, S={S}")
     claimed = sparse_vector(L, S if L > 1 else S + 1)
-    if not verify:
-        return claimed, principal_root(claimed, tol)
-    # Prefixes c_1..c_(L-1) of sum <= S, completed to sum S+1 by c_L.
-    walk = _prefix_walk([range(i == 0, S + 1) for i in range(L - 1)], lambda p, *_: sum(p) <= S)
-    winner, bracket = least_root((validate([*p, S + 1 - sum(p)]) for p, _, _ in walk), tol)
-    if winner != claimed:
-        raise AssertionError(f"{winner} has a smaller principal root than {claimed}")
-    return claimed, bracket
+    return claimed, principal_root(claimed, tol)
+
+
+def _first_incomplete(leaf: list[int], terms: list[int], top: float) -> tuple:
+    """(first incomplete c_L or None, complete count, unknown vectors) for c_L in [1, top].
+
+    ``leaf`` is P + [0] with its terms, a leaf of ``core._prefix_walk``.
+    One ``brown._read_level`` reads B_1..B_(2L-1) for every c_L: no window
+    fires before 2L-1, so a c_L outside the pass interval fails in the
+    engine too and one inside the strict window's is complete, and only
+    the c_L it leaves open get an engine run.  ``top`` may be ``math.inf``:
+    B_(L+1) has slope -1, so the pass interval is finite.
+    """
+    lo, hi, slo, shi = brown._read_level(leaf, terms, 2 * len(leaf) - 1)
+    hi = min(hi, top)
+    fails = [1] if lo > hi or lo > 1 else [hi + 1] if hi < top else []
+    complete = max(0, min(shi, top) - slo + 1)
+    unknown = []
+    for n in (*range(lo, min(slo, hi + 1)), *range(max(shi + 1, lo), hi + 1)):
+        c = Coefficients((*leaf[:-1], n))
+        kind = brown.check_completeness(c).kind
+        if kind == brown.INCOMPLETE:
+            fails.append(n)
+        elif kind == brown.COMPLETE:
+            complete += 1
+        else:
+            unknown.append(c)
+    return min(fails, default=None), complete, unknown
+
+
+def least_incomplete_root(L: int, cap: int, tol) -> tuple:
+    """(count of complete vectors, unknown vectors by sum, ``least_root`` of
+    the incomplete ones) over length L >= 2 and coefficient sum <= cap.
+
+    Prefixes c_1..c_(L-1) are walked while B_(k+1) >= 0 for k <= L, each
+    read by ``_first_incomplete`` for c_L up to cap - sum.  Completeness is
+    closed downward in c_L and roots grow in every c_i, so ``least_root``
+    is offered, in lexicographic order, only the completion c_1..c_k, 0,
+    ..., 0, 1 of each pruned node and the first incomplete vector of each
+    prefix.
+    """
+    if L < 2 or cap < 2:
+        raise ValueError(f"need L >= 2 and cap >= 2, got L={L}, cap={cap}")
+    firsts, undecided, complete = [], [], 0
+
+    def keep(prefix: list[int], h: int, running: int) -> bool:
+        fits = sum(prefix) + (len(prefix) < L) <= cap  # with room left for c_L >= 1
+        if fits and h > 1 + running:
+            firsts.append((*prefix[: L - 1], *[0] * (L - 1 - len(prefix)), 1))
+        return fits and h <= 1 + running
+
+    ranges = [range(1, cap), *[range(cap - 1)] * (L - 2), range(1)]
+    for leaf, terms, _ in _prefix_walk(ranges, keep):
+        first, n, unknown = _first_incomplete(leaf, terms, cap - sum(leaf))
+        complete += n
+        undecided += unknown
+        if first is not None:
+            firsts.append((*leaf[:-1], first))
+    undecided.sort(key=sum)
+    return complete, undecided, least_root(map(Coefficients, firsts), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +632,8 @@ class ThresholdSearchReport(_Record):
     ``frontier`` is the smallest certified principal root among vectors the
     gap engine judges incomplete whose root lies strictly below 2, or None
     when no such vector exists.  ``candidates`` counts the full prefixes
-    c_1..c_(L-1) reached, one ``families.max_last`` each; a prefix whose
-    probes the engine leaves unknown is listed in ``undecided``.
+    c_1..c_(L-1) reached, each read once by ``_first_incomplete``; a prefix
+    with a c_L the engine leaves unknown is listed in ``undecided``.
     """
 
     __slots__ = (
@@ -618,9 +664,11 @@ def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
     """Audit the lambda threshold exhaustively at length L >= 2.
 
     Roots grow in every c_i, and lowering c_L keeps completeness, so the
-    least incomplete root with full prefix P is that of P + [max_last(P)+1].
-    Prefixes c_1..c_(L-1) are walked by ``core._prefix_walk`` within the
-    box c_i < 2^i (p(2) > 0 needs it).  A value is kept while the least-root
+    least incomplete root with full prefix P is that of P + [first], the
+    first incomplete c_L of ``_first_incomplete`` with no bound on c_L; a
+    prefix with a c_L the engine leaves unknown offers no vector.  Prefixes
+    c_1..c_(L-1) are walked by ``core._prefix_walk`` within the box
+    c_i < 2^i (p(2) > 0 needs it).  A value is kept while the least-root
     completion c_1..c_k + 0^(L-1-k) + [1] has a root below 2 and, when
     lambda_L < 2, at most lambda_L (the sparse vector of lambda_L is
     incomplete); the first value that fails ends its level.
@@ -630,8 +678,6 @@ def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
     tol = _as_fraction(tol)
     lam = lambda_threshold(L, tol)
     lam_below_two = lam.root.poly.sign_at(2) > 0
-    full: list[tuple[int, ...]] = []
-    undecided: list[tuple[int, ...]] = []
 
     def below(prefix: list[int], h: int, running: int) -> bool:
         if len(prefix) == L:
@@ -640,27 +686,22 @@ def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
         return poly.sign_at(2) > 0 and not (
             lam_below_two and _separate(_integer_bracket(poly), lam.root)[0] > 0)
 
-    def incomplete() -> Iterator[Coefficients]:
-        # The least-root incomplete vector below each full prefix, in order.
-        ranges = [*(range(i == 1, 2**i) for i in range(1, L)), range(1)]
-        for prefix, terms, _ in _prefix_walk(ranges, below):
-            prefix = tuple(prefix[:-1])
-            full.append(prefix)
-            m = families.max_last(prefix, terms=terms)
-            if m is None:
-                undecided.append(prefix)
-            elif CharPoly(c := validate([*prefix, m + 1])).sign_at(2) > 0:
-                yield c
-
-    best_c, best = least_root(incomplete(), tol) or (None, None)
+    full, undecided, offered = 0, [], []  # offered: the least-root incomplete vectors
+    for leaf, terms, _ in _prefix_walk([*(range(i == 1, 2**i) for i in range(1, L)), range(1)],
+                                       below):
+        full += 1
+        first, _, unknown = _first_incomplete(leaf, terms, math.inf)
+        if unknown:
+            undecided.append(tuple(leaf[:-1]))
+        elif CharPoly(c := Coefficients((*leaf[:-1], first))).sign_at(2) > 0:
+            offered.append(c)
+    best_c, best = least_root(offered, tol) or (None, None)
     if best_c is None:
         # No sub-2 incomplete vector: consistent iff the threshold is >= 2.
         agrees = not lam_below_two
     else:
         agrees = best_c == sparse_vector(L, lam.max_complete_n + 1)
-    return ThresholdSearchReport(
-        L, len(full), best_c, best, lam, agrees, tuple(undecided)
-    )
+    return ThresholdSearchReport(L, full, best_c, best, lam, agrees, tuple(undecided))
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ import math
 import os
 import sys
 
-from . import analytic, brown, core, families, oracle
+from . import analytic, brown, families, oracle
 from .core import Coefficients, generate_terms, validate
 
 EXIT_OK = 0
@@ -357,62 +357,25 @@ def _cmd_min_root(args) -> tuple[dict, dict | str, int]:
     tol = _tolerance(args.tol)
     config = {"command": "min-root", "L": L, "sum_cap": cap, "jobs": _check_jobs(args.jobs),
               "tol": float(tol), "format": args.format}
-    # The prefixes c_1..c_{L-1} of the vectors of sum <= cap, walked while
-    # B_{k+1} >= 0 for k <= L (c_L = 0 closes each one), and each read for
-    # every c_L in 1..cap - sum at once to B_{2L-1}.  No window fires before
-    # 2L-1, so a c_L outside the pass interval fails in the engine too, and
-    # one inside the strict window's interval is complete: only the c_L the
-    # read leaves open get an engine run.  Completeness is closed downward
-    # in c_L, and roots grow in every c_i, so least_root needs only the
-    # completion c_1..c_k, 0, ..., 0, 1 of each pruned node and the first
-    # incomplete vector of each prefix; the walk reaches them in
-    # lexicographic order.
-    firsts, undecided, complete = [], [], 0
-
-    def keep(prefix: list[int], h: int, running: int) -> bool:
-        fits = sum(prefix) + (len(prefix) < L) <= cap  # with room left for c_L >= 1
-        if fits and h > 1 + running:
-            firsts.append((*prefix[: L - 1], *[0] * (L - 1 - len(prefix)), 1))
-        return fits and h <= 1 + running
-
-    walk = core._prefix_walk([range(1, cap), *[range(cap - 1)] * (L - 2), range(1)], keep)
-    for prefix, terms, _ in walk:
-        head, top = prefix[:-1], cap - sum(prefix)
-        lo, hi, slo, shi = brown._read_level(prefix, terms, 2 * L - 1)
-        hi = min(hi, top)
-        fails = [1] if lo > hi or lo > 1 else [hi + 1] if hi < top else []
-        complete += max(0, min(shi, top) - slo + 1)
-        for n in (*range(lo, min(slo, hi + 1)), *range(max(shi + 1, lo), hi + 1)):
-            c = core.Coefficients((*head, n))
-            kind = brown.check_completeness(c).kind
-            if kind == brown.INCOMPLETE:
-                fails.append(n)
-            elif kind == brown.COMPLETE:
-                complete += 1
-            else:
-                undecided.append(list(c.values))
-        if fails:
-            firsts.append((*head, min(fails)))
-    undecided.sort(key=sum)
+    complete, undecided, found = analytic.least_incomplete_root(L, cap, tol)
     candidates = math.comb(cap - 2 + L, L)
     lam = analytic.lambda_threshold(L, tol)
-    best_c, best_bracket = analytic.least_root(map(core.validate, firsts), tol) or (None, None)
-    best = list(best_c.values) if best_c is not None else None
+    best, best_bracket = found or (None, None)
     violated = best_bracket is not None and analytic.compare_roots(best_bracket, lam.root) < 0
     report = {
         "candidates": candidates,
         "incomplete": candidates - complete - len(undecided),
-        "undecided": undecided,
+        "undecided": [list(c.values) for c in undecided],
         "lambda": lam.root.approx,
-        "frontier": best,
+        "frontier": list(best.values) if best else None,
         "frontier_root": best_bracket.approx if best_bracket else None,
         "margin": (best_bracket.approx - lam.root.approx) if best_bracket else None,
         "conjecture_violated": violated,
     }
     if args.format == "plain":
         report = (
-            f"L={L} cap={cap}: {report['incomplete']} incomplete of {candidates}; "
-            f"frontier {best} root={report['frontier_root']} vs lambda={report['lambda']} "
+            f"L={L} cap={cap}: {report['incomplete']} incomplete of {candidates}; frontier "
+            f"{report['frontier']} root={report['frontier_root']} vs lambda={report['lambda']} "
             f"margin={report['margin']}"
         )
     if violated:

@@ -125,7 +125,7 @@ def validate(values: Sequence[int]) -> Coefficients:
     Raises EmptyVector, LeadingZero, TrailingZero, or NegativeEntry when
     the vector is not a legal shape.
     """
-    return Coefficients(tuple(values))
+    return Coefficients(values)
 
 
 def _prefix_walk(ranges: Sequence[Iterable[int]], keep: Callable[..., bool]) -> Iterator[tuple]:

@@ -197,18 +197,13 @@ FAMILIES = {
 }
 
 
-def max_last(
-    prefix: Sequence[int], horizon: int | None = None, terms: list[int] | None = None
-) -> int | None:
+def max_last(prefix: Sequence[int], horizon: int | None = None) -> int | None:
     """Largest N for which the gap engine judges ``prefix + [N]`` complete.
 
     0 when N = 1 is already incomplete; None when the engine leaves a
     probed member unknown.  Lowering the last coefficient keeps a complete
     sequence complete, so doubling and then bisection find N exactly.
     Raises HorizonTooSmall when ``horizon`` < 2L-1, as the engine does.
-    ``terms``, when given, holds leading terms of ``prefix + [0]``, as a
-    leaf of ``core._prefix_walk`` closed by c_L = 0 does, so that they are
-    not grown again; it is only read.
 
     Most probes need no engine run.  The gaps B_1..B_{2L-1} are lines
     a_n + s_n*N, read for every N at once by ``brown._read_level``, which
@@ -234,7 +229,7 @@ def max_last(
     L = len(prefix) + 1
     brown.engine_horizon(L, horizon)  # HorizonTooSmall, as from the engine
     values = [*validate([*prefix, 1]).values[:-1], 0]  # raises as the vector would
-    pass_lo, pass_hi, strict_lo, strict_hi = brown._read_level(values, terms or [], 2 * L - 1)
+    pass_lo, pass_hi, strict_lo, strict_hi = brown._read_level(values, [], 2 * L - 1)
     lo = strict_hi if strict_lo == 1 else 0
     hi = 1 if pass_lo > 1 else None if pass_hi is None else pass_hi + 1
 

@@ -92,6 +92,21 @@ def reference_min_root(L: int, cap: int, tol) -> dict:
     }
 
 
+def reference_min_root_in_pls(L: int, S: int, tol=analytic.DEFAULT_TOL):
+    """``min_root_in_pls``, checked against its whole sum class.
+
+    Every vector of length L and coefficient sum S + 1 goes through
+    ``least_root`` in lexicographic order.  The claimed minimizer comes
+    first there, and ties keep the earlier vector, so it must win, with the
+    bracket ``min_root_in_pls`` returns.
+    """
+    claimed, bracket = analytic.min_root_in_pls(L, S, tol)
+    box = itertools.product(range(S + 2), repeat=L)
+    vectors = [validate(v) for v in box if v[0] and v[-1] and sum(v) == S + 1]
+    assert analytic.least_root(vectors, tol) == (claimed, bracket)
+    return claimed, bracket
+
+
 def reference_scan_2l1(L: int, cap: int, window: int, horizon=None):
     """``scan-2l1``'s (candidates, counterexamples, undecided) by brute force.
 

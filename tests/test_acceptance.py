@@ -319,7 +319,7 @@ def test_criterion_10_denseness_sweep():
 
 
 def test_criterion_11_threshold_frontier_search():
-    # The budget is work, not time: full prefixes reached, one max_last each.
+    # The budget is work, not time: full prefixes reached, each read once for every c_L.
     started = time.monotonic()
     ok = True
     for L in range(2, 11):

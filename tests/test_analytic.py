@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import timeit
 from fractions import Fraction
@@ -15,6 +16,7 @@ from plrs import (
     CharPoly,
     CostCap,
     analytic,
+    brown,
     char_poly_eval,
     check_completeness,
     families,
@@ -22,7 +24,6 @@ from plrs import (
     denseness_scan,
     exact_threshold_search,
     lambda_threshold,
-    min_root_in_pls,
     principal_root,
     recheck,
     root_order_gap,
@@ -37,6 +38,7 @@ from helpers import (
     reference_denseness_scan,
     reference_gap_shrink,
     reference_lambda_root,
+    reference_min_root_in_pls,
     reference_root,
     reference_sign,
     reference_threshold_search,
@@ -432,20 +434,20 @@ class TestTriage:
 
 class TestMinRootInPls:
     def test_length_two_sum_four(self):
-        c, bracket = min_root_in_pls(2, 3, verify=True)
+        c, bracket = reference_min_root_in_pls(2, 3)
         assert c == validate([1, 3])
         assert abs(bracket.approx - float(quadratic_root(1, 3))) < 1e-9
 
     def test_length_three_sum_three(self):
-        c, _ = min_root_in_pls(3, 2, verify=True)
+        c, _ = reference_min_root_in_pls(3, 2)
         assert c == validate([1, 0, 2])
 
     def test_smallest_case(self):
-        c, _ = min_root_in_pls(2, 1, verify=True)
+        c, _ = reference_min_root_in_pls(2, 1)
         assert c == validate([1, 1])
 
     def test_larger_case_verifies(self):
-        c, _ = min_root_in_pls(4, 5, verify=True)
+        c, _ = reference_min_root_in_pls(4, 5)
         assert c == validate([1, 0, 0, 5])
 
     @pytest.mark.parametrize("L,S", [(1, 4), (2, 5), (3, 6), (4, 5), (5, 3)])
@@ -457,7 +459,7 @@ class TestMinRootInPls:
             return least_root(offered, tol)
 
         monkeypatch.setattr(analytic, "least_root", recorded)
-        min_root_in_pls(L, S, verify=True)
+        reference_min_root_in_pls(L, S)
         box = itertools.product(range(S + 2), repeat=L)
         expected = [v for v in box if v[0] and v[-1] and sum(v) == S + 1]
         assert [c.values for c in offered] == expected
@@ -513,13 +515,28 @@ class TestExactThresholdSearch:
         assert r.frontier_coefficients == validate([1, 0, 0, 6])
 
     def test_a_prefix_the_engine_leaves_open_is_listed(self, monkeypatch):
-        max_last = families.max_last
-        monkeypatch.setattr(families, "max_last", lambda prefix, **kw:
-                            None if prefix == (1, 0, 0) else max_last(prefix, **kw))
+        # The read of prefix (1, 0, 2) at L = 4 leaves c_L = 3 open, the one
+        # engine run of the search; made unknown, it lists the prefix, which
+        # then offers least_root nothing.
+        check, least, offered = brown.check_completeness, analytic.least_root, []
+
+        def unsure(c, *args, **kwargs):
+            if c == validate([1, 0, 2, 3]):
+                return brown.Verdict(c, UNKNOWN, brown.horizon_exhausted(1), False, 1)
+            return check(c, *args, **kwargs)
+
+        def recorded(vectors, tol):
+            offered.extend(vectors)
+            return least(offered, tol)
+
+        monkeypatch.setattr(brown, "check_completeness", unsure)
+        monkeypatch.setattr(analytic, "least_root", recorded)
+        monkeypatch.setattr(families, "max_last", None)  # the audit reads each prefix itself
         r = exact_threshold_search(4)
-        assert r.undecided == ((1, 0, 0),)
-        assert r.frontier_coefficients != validate([1, 0, 0, 6])
-        assert not r.agrees_with_lambda
+        assert r.undecided == ((1, 0, 2),)
+        assert offered and all(c.values[:-1] != (1, 0, 2) for c in offered)
+        assert r.frontier_coefficients == least(offered)[0] == validate([1, 0, 0, 6])
+        assert r.agrees_with_lambda
 
     # Full prefixes P with L <= 5 and c_i <= 4, and tails of completions.
     prefixes = st.builds(lambda first, rest: (first, *rest),
@@ -530,6 +547,8 @@ class TestExactThresholdSearch:
     def test_least_incomplete_completion_is_max_last_plus_one(self, prefix):
         m = families.max_last(prefix)
         assume(m is not None)
+        # The audit's per-prefix step, with no bound on c_L, finds m + 1 too.
+        assert analytic._first_incomplete([*prefix, 0], [], math.inf)[0] == m + 1
         least = principal_root(validate([*prefix, m + 1]))
         kinds = {n: check_completeness(validate([*prefix, n])).kind for n in range(1, m + 7)}
         assert kinds[m + 1] == INCOMPLETE
