@@ -109,15 +109,20 @@ class CharPoly(_Record):
     def eval(self, t: Rational) -> Rational:
         """Exact value of p(t) for rational t (int in, int out).
 
-        One integer Horner pass over every coefficient gives den^L p(t) for
-        t = num/den, and a Fraction t gets one Fraction, built at the end.
+        ``_scaled`` gives den^L p(t) for t = num/den, and a Fraction t gets
+        one Fraction, built at the end.
         """
         num, den = t.numerator, t.denominator
+        acc = self._scaled(num, den)
+        return Fraction(acc, den ** len(self.coefficients)) if isinstance(t, Fraction) else acc
+
+    def _scaled(self, num: int, den: int) -> int:
+        # den^L p(num/den), one integer Horner pass over every coefficient.
         acc = dp = 1
         for ci in self.coefficients.values:
             dp *= den
             acc = acc * num - ci * dp
-        return Fraction(acc, dp) if isinstance(t, Fraction) else acc
+        return acc
 
     def sign_at(self, num: int, den: int = 1) -> int:
         """Sign of p(num/den) for den >= 1, using integer arithmetic only.
@@ -567,26 +572,22 @@ def _first_incomplete(leaf: list[int], terms: list[int], top: float) -> tuple:
     """(first incomplete c_L or None, complete count, unknown vectors) for c_L in [1, top].
 
     ``leaf`` is P + [0] with its terms, a leaf of ``core._prefix_walk``.
-    One ``brown._read_level`` reads B_1..B_(2L-1) for every c_L: no window
-    fires before 2L-1, so a c_L outside the pass interval fails in the
-    engine too and one inside the strict window's is complete, and only
-    the c_L it leaves open get an engine run.  ``top`` may be ``math.inf``:
-    B_(L+1) has slope -1, so the pass interval is finite.
+    One ``brown._settle_level`` reads B_1..B_(2L-1) for every c_L: no
+    window fires before 2L-1, so a c_L outside the pass interval fails in
+    the engine too and one inside the strict window's is complete, and
+    only the c_L it leaves open get an engine run.  ``top`` may be
+    ``math.inf``: B_(L+1) has slope -1, so the pass interval is finite.
     """
-    lo, hi, slo, shi = brown._read_level(leaf, terms, 2 * len(leaf) - 1)
-    hi = min(hi, top)
+    lo, hi, complete, verdicts = brown._settle_level(leaf, terms, 2 * len(leaf) - 1, top, None)
     fails = [1] if lo > hi or lo > 1 else [hi + 1] if hi < top else []
-    complete = max(0, min(shi, top) - slo + 1)
     unknown = []
-    for n in (*range(lo, min(slo, hi + 1)), *range(max(shi + 1, lo), hi + 1)):
-        c = Coefficients((*leaf[:-1], n))
-        kind = brown.check_completeness(c).kind
-        if kind == brown.INCOMPLETE:
-            fails.append(n)
-        elif kind == brown.COMPLETE:
+    for v in verdicts:
+        if v.kind == brown.INCOMPLETE:
+            fails.append(v.coefficients.values[-1])
+        elif v.kind == brown.COMPLETE:
             complete += 1
         else:
-            unknown.append(c)
+            unknown.append(v.coefficients)
     return min(fails, default=None), complete, unknown
 
 

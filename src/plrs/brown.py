@@ -146,48 +146,32 @@ class Verdict(_Record):
         return out
 
 
-def window_survivors(
-    ranges: Sequence[range], window: int
-) -> Iterator[tuple[Coefficients, bool]]:
-    """The vectors c with c_i in ``ranges[i-1]`` whose gaps B_n are
-    non-negative for every n <= ``window``, in lexicographic order, each
-    with a flag ``proven``: True when L >= 2, ``window`` >= 2L-1 and B_n > 0
-    for L <= n <= 2L-1, exactly when ``check_completeness`` returns
-    ``strict_window`` at 2L-1, so such a survivor needs no engine run.
+def window_scan(L: int, cap: int, window: int, horizon: int | None = None) -> Iterator[Verdict]:
+    """The engine verdicts of ``scan-2l1``, in lexicographic order: one for
+    each vector of length L, c_1 and c_L in 1..cap and the rest in 0..cap,
+    whose gaps B_n are non-negative for every n <= ``window``, but for those
+    the strict window proves complete (L >= 2, ``window`` >= 2L-1, B_n > 0
+    for L <= n <= 2L-1).  Each run is at the longer of
+    ``engine_horizon(L, horizon)`` and max(4L, 32) + 1, which gives what a
+    run at the first and a retry of an unknown at the second would.
 
-    ``core._prefix_walk`` walks the prefixes c_1..c_{L-1}, sharing a
-    prefix's terms with its subtree.  B_{k+1} falls strictly as c_k grows
-    (c_k multiplies H_1 = 1 and nothing else in it depends on c_k), so the
-    first value at depth k with a negative gap at an index <= ``window``
-    ends the level; that needs every range ascending.  ``_read_level``
-    reads each prefix for every c_L at once, and the survivors are the
-    values of the last range inside its interval.  Past 2L the gaps are not
-    affine in c_L, and each vector of the interval of 2L that the strict
-    window leaves open is read on from its own terms.  Only the vectors in
-    that interval become ``Coefficients`` (validated then, so the first and
-    last ranges must exclude 0).
+    ``core._prefix_walk`` walks c_1..c_{L-1}, sharing a prefix's terms with
+    its subtree.  B_{k+1} falls strictly as c_k grows (c_k multiplies H_1 =
+    1 alone in it), so the first c_k with a negative gap at an index <=
+    ``window`` ends the level.  ``_settle_level`` reads each prefix for
+    every c_L.
     """
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
-    if any(r.step < 0 for r in ranges):
-        raise ValueError("ranges must be ascending")
-    L, last = len(ranges), ranges[-1]
+    h = max(engine_horizon(L, horizon), max(4 * L, 32) + 1)
 
-    def keep(prefix: list[int], h: int, running: int) -> bool:
-        return len(prefix) >= window or h <= 1 + running  # B_{k+1} >= 0
+    def keep(prefix: list[int], term: int, running: int) -> bool:
+        return len(prefix) >= window or term <= 1 + running  # B_{k+1} >= 0
 
+    edge, inner = range(1, cap + 1), range(cap + 1)
     # c_L = 0 closes each prefix: its leaf holds H_1..H_L, free of c_L.
-    for prefix, terms, _ in _prefix_walk([*ranges[:-1], range(1)], keep):
-        lo, hi, slo, shi = _read_level(prefix, terms, min(window, 2 * L))
-        head = prefix[:-1]
-        for n in last:
-            if hi is not None and n > hi:
-                break
-            if n < lo:
-                continue
-            c, proven = Coefficients((*head, n)), slo <= n <= shi
-            if proven or window <= 2 * L or _room_after(generate_terms(c, window).terms):
-                yield c, proven
+    for values, terms, _ in _prefix_walk([*[edge] * (L > 1), *[inner] * (L - 2), range(1)], keep):
+        yield from _settle_level(values, terms, window, cap, h)[3]
 
 
 def _read_level(values: list[int], terms: list[int], window: int) -> tuple:
@@ -266,6 +250,27 @@ def _read_level(values: list[int], terms: list[int], window: int) -> tuple:
         elif a == 0 and n < strict_last:
             strict_last = 0
     return (lo, hi, slo, shi) if strict_last and slo <= shi else (lo, hi, 1, 0)
+
+
+def _settle_level(values: list[int], terms: list[int], window: int, top: float,
+                  horizon: int | None) -> tuple:
+    # The level c_L = 1..top of P + [0] (``values`` and ``terms`` as
+    # ``_read_level`` takes them), read through B_window: (lo, hi, proven,
+    # verdicts).  lo..hi pass B_1..B_min(window, 2L), hi clipped to ``top``;
+    # ``proven`` of them pass the strict window; ``verdicts`` holds the engine
+    # verdict at ``horizon`` of each other one, and only these become
+    # ``Coefficients``.  Past 2L, where the gaps are not affine in c_L, one is
+    # first read on from its own terms and gets no verdict if it fails.
+    L = len(values)
+    lo, hi, slo, shi = _read_level(values, terms, min(window, 2 * L))
+    if hi is None or hi > top:
+        hi = top
+    head, verdicts = values[:-1], []
+    for n in (*range(lo, min(slo, hi + 1)), *range(max(shi + 1, lo), hi + 1)):
+        c = Coefficients((*head, n))
+        if window <= 2 * L or _room_after(generate_terms(c, window).terms) is not None:
+            verdicts.append(check_completeness(c, horizon))
+    return lo, hi, max(0, min(shi, hi) - slo + 1), verdicts
 
 
 def engine_horizon(L: int, horizon: int | None = None) -> int:
@@ -395,8 +400,8 @@ def recheck(verdict: Verdict) -> bool:
     certificate implies.  Gap certificates are re-read from terms grown by
     ``core.generate_terms``, the reference term loop, which shares no code
     with the engine's kernel.  Root certificates are re-checked by exact
-    rational evaluation of the characteristic polynomials
-    (``CharPoly.eval``), not by the integer sign test that produced them.
+    evaluation over every coefficient (``CharPoly.eval`` and ``_scaled``),
+    not by ``sign_at``, the sign test that produced them.
     Family certificates must name a rule whose shape the coefficients have,
     agree with that rule's re-derived bound, and not be contradicted by a
     definite gap-engine verdict.  An unrecognised certificate kind fails,
@@ -516,10 +521,11 @@ def _recheck_root(verdict: Verdict) -> bool:
     if c.L < 2 or rule not in (analytic.TRIAGE_SLOW, analytic.TRIAGE_INDETERMINATE):
         return False
     lam = analytic.lambda_threshold(c.L).root
+    num, den = lam.num, 1 << lam.bits  # lo = num/den; den^L p(lo) has the sign of p(lo)
     if rule == analytic.TRIAGE_SLOW:
         # p_lambda(lo) <= 0 puts lo at or below lambda_L (equal only when
         # lambda_L is an integer, as at L = 3); p(lo) > 0 puts the root
         # below lo.
-        return lam.poly.eval(lam.lo) <= 0 < p.eval(lam.lo)
+        return lam.poly._scaled(num, den) <= 0 < p._scaled(num, den)
     # Neither rule above holds: p(2) >= 0, and p(lo) <= 0 at the bracket.
-    return p.eval(2) >= 0 and p.eval(lam.lo) <= 0
+    return p.eval(2) >= 0 and p._scaled(num, den) <= 0

@@ -60,7 +60,7 @@ import os
 import sys
 
 from . import analytic, brown, families, oracle
-from .core import Coefficients, generate_terms, validate
+from .core import Coefficients, InvalidCoefficients, generate_terms, validate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -73,15 +73,17 @@ _FAMILY_NAMES = ("one-zeros", "ones-zeros", "two-ones-zeros", "one-zeros-ones")
 
 
 def _parse_coefficients(text: str) -> Coefficients:
-    # One int() per field (int() skips surrounding whitespace); only a field
-    # it rejects leads to the error, and an empty field is named first.
+    # validate() reads each field with one int(), which skips blanks; a field
+    # it rejects is an error, an empty one named first.  Shape errors pass.
+    fields = text.split(",")
     try:
-        values = [int(p) for p in text.split(",")]
+        return validate(fields)
+    except InvalidCoefficients:
+        raise
     except ValueError:
-        if any(not p.strip() for p in text.split(",")):
+        if any(not p.strip() for p in fields):
             raise ValueError(f"empty field in coefficients {text!r}") from None
         raise ValueError(f"coefficients must be comma-separated integers, got {text!r}") from None
-    return validate(values)
 
 
 def _parse_range(text: str) -> range:
@@ -306,24 +308,15 @@ def _cmd_scan_2l1(args) -> tuple[dict, dict | str, int]:
     config = {"command": "scan-2l1", "L": L, "coeff_cap": args.coeff_cap,
               "window": window, "horizon": args.horizon, "jobs": _check_jobs(args.jobs),
               "format": args.format}
-    # One run at the longer of the --horizon run and the scan's floor
-    # max(4L, 32) + 1 gives what a run at the first and a retry at the
-    # second of an unknown gave: a verdict is found at the same index by
-    # any horizon that reaches it.
-    horizon = max(brown.engine_horizon(L, args.horizon), max(4 * L, 32) + 1)
-    edge, inner = range(1, args.coeff_cap + 1), range(args.coeff_cap + 1)
-    ranges = [edge] if L == 1 else [edge, *[inner] * (L - 2), edge]
-    candidates = math.prod(len(r) for r in ranges)
+    candidates = args.coeff_cap ** min(L, 2) * (args.coeff_cap + 1) ** max(L - 2, 0)
     counterexamples, undecided = [], []
-    for c, proven in brown.window_survivors(ranges, window):
-        if proven:
-            continue  # complete by the strict window at 2L-1
-        verdict = brown.check_completeness(c, horizon=horizon)
+    for verdict in brown.window_scan(L, args.coeff_cap, window, args.horizon):
+        values = list(verdict.coefficients.values)
         if verdict.kind == brown.INCOMPLETE:
-            counterexamples.append({"coefficients": list(c.values), "status": "counterexample",
+            counterexamples.append({"coefficients": values, "status": "counterexample",
                                     "first_failure": verdict.certificate.index})
         elif verdict.kind == brown.UNKNOWN:
-            undecided.append({"coefficients": list(c.values), "status": "undecided"})
+            undecided.append({"coefficients": values, "status": "undecided"})
     report = {
         "candidates": candidates,
         "window": window,
@@ -373,11 +366,13 @@ def _cmd_min_root(args) -> tuple[dict, dict | str, int]:
         "conjecture_violated": violated,
     }
     if args.format == "plain":
-        report = (
-            f"L={L} cap={cap}: {report['incomplete']} incomplete of {candidates}; frontier "
-            f"{report['frontier']} root={report['frontier_root']} vs lambda={report['lambda']} "
-            f"margin={report['margin']}"
-        )
+        report = "\n".join([
+            f"L={L} cap={cap}: {report['incomplete']} incomplete of {candidates}, "
+            f"{len(undecided)} undecided; frontier {report['frontier']} "
+            f"root={report['frontier_root']} vs lambda={report['lambda']} "
+            f"margin={report['margin']}",
+            *(f"  undecided: {v}" for v in report["undecided"]),
+        ])
     if violated:
         print("frontier root lies below the lambda threshold: conjecture "
               "counterexample; report retained", file=sys.stderr)

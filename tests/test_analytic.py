@@ -542,6 +542,13 @@ class TestExactThresholdSearch:
     prefixes = st.builds(lambda first, rest: (first, *rest),
                          st.integers(1, 4), st.lists(st.integers(0, 4), max_size=3))
 
+    def test_the_per_prefix_step_is_a_reduction_of_the_level_step(self):
+        # _first_incomplete reads no level, builds no vector and runs no
+        # engine itself: brown._settle_level does all three.
+        names = set(analytic._first_incomplete.__code__.co_names)
+        assert "_settle_level" in names
+        assert not names & {"_read_level", "Coefficients", "check_completeness"}
+
     @settings(deadline=None, max_examples=60)
     @given(prefixes)
     def test_least_incomplete_completion_is_max_last_plus_one(self, prefix):

@@ -28,6 +28,7 @@ from helpers import (
     brute_gaps,
     last_coefficient_window,
     reference_check_completeness,
+    reference_scan_2l1,
     reference_terms,
     replace,
     wrong_check_completeness,
@@ -140,31 +141,32 @@ class TestFirstFailureIndex:
 
 
 def _passing(ranges, window):
-    # The filter window_survivors replaces: every tuple of the box, then the gaps.
+    # Every tuple of the box, then the gaps through the window.
     return [values for values in itertools.product(*ranges)
             if min(brute_gaps(reference_terms(values, window))) >= 0]
 
 
+def _box(L, cap):
+    edge, inner = range(1, cap + 1), range(cap + 1)
+    return [edge] if L == 1 else [edge, *[inner] * (L - 2), edge]
+
+
 class TestWindowSurvivors:
+    # brown.window_scan: the survivors of a window over the scan-2l1 box.
     @pytest.mark.parametrize("L", range(1, 6))
     def test_matches_the_filter_on_every_window(self, L):
+        # Against the brute-force scan, which filters the whole box.
         for cap in range(1, 5):
-            edge, inner = range(1, cap + 1), range(cap + 1)
-            ranges = [edge] if L == 1 else [edge, *[inner] * (L - 2), edge]
             for window in range(1, 2 * L + 6):
-                got = [c.values for c, _ in brown.window_survivors(ranges, window)]
-                assert got == _passing(ranges, window), (cap, window)
+                verdicts = list(brown.window_scan(L, cap, window))
+                _, counterexamples, undecided = reference_scan_2l1(L, cap, window)
+                assert [{"coefficients": list(v.coefficients.values), "status": "counterexample",
+                         "first_failure": v.certificate.index}
+                        for v in verdicts if v.kind == INCOMPLETE] == counterexamples
+                assert [{"coefficients": list(v.coefficients.values), "status": "undecided"}
+                        for v in verdicts if v.kind == UNKNOWN] == undecided
 
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(1, 3)),
-                    min_size=1, max_size=5),
-           st.integers(1, 14))
-    def test_matches_the_filter_on_any_ascending_box(self, specs, window):
-        ranges = [range(lo + (i in (0, len(specs) - 1) and not lo), lo + size, step)
-                  for i, (lo, size, step) in enumerate(specs)]
-        got = [c.values for c, _ in brown.window_survivors(ranges, window)]
-        assert got == _passing(ranges, window)
-
-    def test_only_survivors_are_built_and_no_prefix_regrows(self, monkeypatch):
+    def test_only_open_values_become_vectors_and_no_prefix_regrows(self, monkeypatch):
         built = []
         real = brown.Coefficients
 
@@ -177,28 +179,33 @@ class TestWindowSurvivors:
 
         monkeypatch.setattr(brown, "Coefficients", counting)
         monkeypatch.setattr(brown, "generate_terms", no_growth)
-        ranges = [range(1, 5), *[range(5)] * 4, range(1, 5)]
-        survivors = list(brown.window_survivors(ranges, 11))
-        assert len(survivors) == 297  # of 10,000 vectors; c_1 >= 2 fails at B_2
-        assert built == [c.values for c, _ in survivors]
+        verdicts = list(brown.window_scan(6, 4, 11))
+        # Of 10,000 vectors 297 pass B_1..B_11 (c_1 >= 2 fails at B_2), and
+        # the strict window proves all but 36 of them.
+        assert len(_passing(_box(6, 4), 11)) == 297
+        assert len(built) == 36
+        assert built == [v.coefficients.values for v in verdicts]
 
     @pytest.mark.parametrize("L", range(1, 8))
     def test_proven_is_the_engines_strict_window(self, L):
-        # Below a window of 2L-1 nothing is proven; from 2L-1 on, a survivor
-        # is proven exactly when the engine certifies it by the strict window.
+        # A verdict for every survivor but the proven ones: below a window
+        # of 2L-1 nothing is proven, and from 2L-1 on a survivor is proven
+        # exactly when the engine certifies it by the strict window.  The
+        # engine fails a vector at its first negative gap.
         for cap in range(1, 5):
-            edge, inner = range(1, cap + 1), range(cap + 1)
-            ranges = [edge] if L == 1 else [edge, *[inner] * (L - 2), edge]
+            certs = {values: check_completeness(validate(values)).certificate
+                     for values in itertools.product(*_box(L, cap))}
             for window in (2 * L - 2, 2 * L - 1, 2 * L + 2):
-                for c, proven in brown.window_survivors(ranges, max(window, 1)):
-                    strict = check_completeness(c).certificate.kind == "strict_window"
-                    assert proven == (window >= 2 * L - 1 and strict), (c, window)
+                window = max(window, 1)
+                open_ = [values for values, cert in certs.items()
+                         if not (cert.kind == "failure" and cert.index <= window)
+                         and (window < 2 * L - 1 or cert.kind != "strict_window")]
+                got = [v.coefficients.values for v in brown.window_scan(L, cap, window)]
+                assert got == open_, (cap, window)
 
-    def test_rejects_a_descending_range_and_a_window_below_one(self):
-        with pytest.raises(ValueError, match="ascending"):
-            list(brown.window_survivors([range(3, 0, -1)], 3))
+    def test_rejects_a_window_below_one(self):
         with pytest.raises(ValueError, match="window"):
-            list(brown.window_survivors([range(1, 3)], 0))
+            list(brown.window_scan(2, 2, 0))
 
 
 # Prefixes c_1..c_{L-1} of a vector, L = 1..10; the last coefficient is N.

@@ -88,6 +88,19 @@ def test_non_integer_coefficient_field_is_input_error(capsys, text):
     assert f"error: coefficients must be comma-separated integers, got {text!r}" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0,1", "c_1 must be positive, got [0, 1]"),
+    ("1,0", "c_L must be positive, got [1, 0]"),
+    ("1,-2", "negative coefficient in [1, -2]"),
+    ("0,x", "coefficients must be comma-separated integers, got '0,x'"),
+])
+def test_shape_errors_keep_their_own_message(capsys, text, message):
+    # A vector of the wrong shape is reported as validate() words it; a
+    # field that is not an integer is named before the shape.
+    code, out, err = run(capsys, "check", text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_blanks_around_the_coefficients_are_tolerated(capsys):
     code, payload, _ = run_json(capsys, "check", " 1,2 ")
     assert code == 0
@@ -382,6 +395,12 @@ class TestFamilyTable:
         assert "--m" in err
 
 
+def _names(code) -> set[str]:
+    # The globals and attributes a function's code names, nested code included.
+    return set(code.co_names).union(*(_names(k) for k in code.co_consts
+                                      if hasattr(k, "co_names")))
+
+
 class TestScan2L1:
     def test_no_counterexamples_at_full_window(self, capsys):
         code, payload, _ = run_json(capsys, "scan-2l1", "--L", "3", "--coeff-cap", "3",
@@ -443,6 +462,14 @@ class TestScan2L1:
                                          "status": "undecided"}]
         assert len(runs) == 123
         assert len({c.values for c, *_ in runs}) == 123
+
+    def test_the_command_leaves_walk_reads_and_engine_to_the_scan(self):
+        # _cmd_scan_2l1 validates, calls brown.window_scan and formats: it
+        # walks no prefix, reads no level, builds no vector, runs no engine.
+        names = _names(cli._cmd_scan_2l1.__code__)
+        assert "window_scan" in names
+        assert not names & {"_prefix_walk", "_read_level", "_settle_level", "check_completeness",
+                            "Coefficients", "validate"}
 
     @pytest.mark.parametrize("window", ["0", "-1"])
     def test_window_below_one_is_input_error(self, capsys, window):
@@ -519,6 +546,15 @@ class TestMinRoot:
         assert set(given) <= set(incomplete)
         assert [c.values for c in given] == sorted(c.values for c in given)
         assert len({c.values[:-1] for c in given}) == len(given)
+
+    def test_plain_report_names_every_undecided_vector(self, capsys):
+        argv = ["min-root", "--L", "8", "--sum-cap", "13", "--jobs", "1"]
+        _, payload, _ = run_json(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--format", "plain")
+        summary, *rest = out.splitlines()
+        assert code == 0 and payload["undecided"]
+        assert f" of {payload['candidates']}, {len(payload['undecided'])} undecided;" in summary
+        assert rest == [f"  undecided: {v}" for v in payload["undecided"]]
 
     def test_undecided_are_listed_by_sum_then_lexicographically(self, capsys, monkeypatch):
         # Small caps leave no vector unknown, so the verdicts of odd sums that
@@ -608,7 +644,10 @@ def test_root_reports_match_goldens(capsys, monkeypatch, name):
     # 12 and 13, and min-root at L 6, are as written when each vector was
     # read on from its own leaf of the walk.  check --triage-first at n_L
     # and n_L + 1 of L 300 is as written when triage compared the root with
-    # lambda_L's 40-bit cell alone.
+    # lambda_L's 40-bit cell alone.  scan-2l1 at L 8 with window 40 and
+    # horizon 15 is as written when the scan built a vector for every
+    # survivor of the window; min-root --format plain at L 8 cap 13 is as
+    # written once the plain report listed its undecided vectors.
     monkeypatch.setenv("COLUMNS", "80")
     try:
         code, out, err = run(capsys, *GOLDEN_JOBS[name])
@@ -622,6 +661,17 @@ def test_root_reports_match_goldens(capsys, monkeypatch, name):
     if os.path.exists(stderr := os.path.join(GOLDEN_DIR, f"{name}.stderr")):
         with open(stderr) as fh:
             assert err == fh.read()
+
+
+def test_every_golden_file_belongs_to_a_job():
+    # CI diffs only the files its jobs name, so an orphan would never be
+    # read, and a job missing its .stdout or .exit fails only there.
+    with open(os.path.join(GOLDEN_DIR, "golden_jobs.txt")) as fh:
+        names = [line.split()[0] for line in fh]
+    assert len(names) == len(set(names)) == len(GOLDEN_JOBS)
+    files = set(os.listdir(GOLDEN_DIR)) - {"golden_jobs.txt", "root_order_gap_pins.json"}
+    assert files <= {name + ext for name in names for ext in (".stdout", ".exit", ".stderr")}
+    assert all({name + ".stdout", name + ".exit"} <= files for name in names)
 
 
 @pytest.mark.parametrize("command", [["min-root", "--L", "3", "--sum-cap", "5", "--jobs", "1"],
@@ -724,10 +774,10 @@ class TestOutput:
     @pytest.mark.parametrize("where", ["missing-dir", "a-dir", "not-a-dir"])
     def test_unwritable_out_is_rejected_before_any_work(self, capsys, tmp_path, monkeypatch,
                                                         where):
-        def no_scan(ranges, window):
+        def no_scan(L, cap, window, horizon=None):
             raise AssertionError("the scan ran")
 
-        monkeypatch.setattr(brown, "window_survivors", no_scan)
+        monkeypatch.setattr(brown, "window_scan", no_scan)
         (tmp_path / "file").write_text("")
         target = {"missing-dir": tmp_path / "missing" / "x.json", "a-dir": tmp_path,
                   "not-a-dir": tmp_path / "file" / "x.json"}[where]
