@@ -86,10 +86,6 @@ class CharPoly(_Record):
 
     __slots__ = ("coefficients", "_taps")
 
-    def __init__(self, coefficients: Coefficients) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "_taps", None)
-
     @property
     def taps(self) -> tuple[int, ...]:
         """i - j, c_i for each nonzero c_i, where c_j is the previous one (j = 0 first).
@@ -174,14 +170,7 @@ class RootBracket(_Record):
     """
 
     __slots__ = ("poly", "num", "bits", "exact_root")
-
-    def __init__(
-        self, poly: CharPoly, num: int, bits: int, exact_root: int | None = None
-    ) -> None:
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "exact_root", exact_root)
+    _defaults = {"exact_root": None}
 
     @property
     def lo(self) -> Fraction:
@@ -434,11 +423,6 @@ class LambdaThreshold(_Record):
 
     __slots__ = ("L", "max_complete_n", "root")
 
-    def __init__(self, L: int, max_complete_n: int, root: RootBracket) -> None:
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "max_complete_n", max_complete_n)
-        object.__setattr__(self, "root", root)
-
 
 def sparse_vector(L: int, last: int) -> Coefficients:
     """The vector [1, 0^(L-2), last] of length L (just [last] when L=1)."""
@@ -642,24 +626,6 @@ class ThresholdSearchReport(_Record):
         "undecided",
     )
 
-    def __init__(
-        self,
-        L: int,
-        candidates: int,
-        frontier_coefficients: Coefficients | None,
-        frontier: RootBracket | None,
-        lam: LambdaThreshold,
-        agrees_with_lambda: bool,
-        undecided: tuple[tuple[int, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "frontier_coefficients", frontier_coefficients)
-        object.__setattr__(self, "frontier", frontier)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "agrees_with_lambda", agrees_with_lambda)
-        object.__setattr__(self, "undecided", undecided)
-
 
 def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
     """Audit the lambda threshold exhaustively at length L >= 2.
@@ -788,34 +754,6 @@ class DensenessReport(_Record):
         "increasing_certified", "gaps_decreasing_certified", "terminal_root_exact_two",
         "epsilon", "epsilon_met",
     )
-
-    def __init__(
-        self,
-        L: int,
-        k_min: int,
-        k_max: int,
-        roots: tuple[tuple[int, float], ...],
-        max_gap: float | None,
-        max_gap_at: int | None,
-        covered: tuple[float, float] | None,
-        increasing_certified: bool,
-        gaps_decreasing_certified: bool,
-        terminal_root_exact_two: bool,
-        epsilon: float | None,
-        epsilon_met: bool | None,
-    ) -> None:
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "k_min", k_min)
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "max_gap", max_gap)
-        object.__setattr__(self, "max_gap_at", max_gap_at)
-        object.__setattr__(self, "covered", covered)
-        object.__setattr__(self, "increasing_certified", increasing_certified)
-        object.__setattr__(self, "gaps_decreasing_certified", gaps_decreasing_certified)
-        object.__setattr__(self, "terminal_root_exact_two", terminal_root_exact_two)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "epsilon_met", epsilon_met)
 
 
 def _sparse_roots(L: int, ks: range, d: int) -> tuple[list[int], list[int]]:

@@ -59,18 +59,7 @@ class Certificate(_Record):
     """
 
     __slots__ = ("kind", "index", "rule", "witness")
-
-    def __init__(
-        self,
-        kind: str,
-        index: int | None = None,
-        rule: str | None = None,
-        witness: int | None = None,
-    ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "witness", witness)
+    _defaults = dict.fromkeys(("index", "rule", "witness"))
 
     def tag(self) -> str:
         if self.kind == "family":
@@ -112,22 +101,7 @@ class Verdict(_Record):
     """
 
     __slots__ = ("coefficients", "kind", "certificate", "conjectural", "horizon_used", "note")
-
-    def __init__(
-        self,
-        coefficients: Coefficients,
-        kind: str,
-        certificate: Certificate,
-        conjectural: bool,
-        horizon_used: int,
-        note: str | None = None,
-    ) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "conjectural", conjectural)
-        object.__setattr__(self, "horizon_used", horizon_used)
-        object.__setattr__(self, "note", note)
+    _defaults = {"note": None}
 
     def to_json_dict(self) -> dict:
         """Serialize to the documented wire format."""
@@ -176,10 +150,10 @@ def window_scan(L: int, cap: int, window: int, horizon: int | None = None) -> It
 
 def _read_level(values: list[int], terms: list[int], window: int) -> tuple:
     # The gaps B_1..B_window, window <= 2L, of P + [N] for every N at once,
-    # where ``values`` is P + [0] (c_1..c_{L-1} and a 0) and ``terms`` holds
-    # leading terms of that vector (none, or H_1..H_L and maybe more, as a
-    # leaf of ``core._prefix_walk`` closed by c_L = 0 holds them).  H_n =
-    # p_n + q_n*N: N enters at H_{L+1} = ... + N*H_1, and H_{n+1} with
+    # where ``values`` is P + [0] (c_1..c_{L-1} and a 0) and the list
+    # ``terms`` holds H_1..H_L of that vector, which are free of c_L, and
+    # maybe more, as a leaf of ``core._prefix_walk`` closed by c_L = 0 does.
+    # H_n = p_n + q_n*N: N enters at H_{L+1} = ... + N*H_1, and H_{n+1} with
     # n < 2L multiplies it only by H_{n+1-L}, which is free of N; so p is the
     # sequence of P + [0], q_n = 0 for n <= L, and q_{n+1} = p_{n+1-L} +
     # sum c_i*q_{n+1-i} over i < L.  The head gaps B_1..B_L are free of N and
@@ -191,15 +165,7 @@ def _read_level(values: list[int], terms: list[int], window: int) -> tuple:
     # B_n >= 0 for n < L and B_n > 0 for L <= n <= 2L-1) are slo..shi, or
     # (1, 0) when there are none or the window stops short of 2L-1.
     L = len(values)
-    taps = [(ci, i) for i, ci in enumerate(values, start=1) if ci]
     p = terms[:L]
-    for n in range(len(p), L):  # H_{n+1}, if not given
-        h = 1
-        for ci, i in taps:
-            if i > n:
-                break
-            h += ci * p[n - i]
-        p.append(h)
     running = 0
     for h in p[:window]:  # the head gaps
         if h > 1 + running:
@@ -210,6 +176,7 @@ def _read_level(values: list[int], terms: list[int], window: int) -> tuple:
     # B_{n+1} with n < strict_last needs to be >= 1 for the strict window;
     # B_L, the last head gap, is one of them.
     strict_last = 2 * L - 1 if L >= 2 and window >= 2 * L - 1 and 2 * p[-1] <= running else 0
+    taps = [(ci, i) for i, ci in enumerate(values, start=1) if ci]
     q = [0] * L
     lo = slo = 1
     hi = shi = 1 + running  # above a_{L+1}, where B_{L+1} = a_{L+1} - N cuts both
@@ -400,7 +367,8 @@ def recheck(verdict: Verdict) -> bool:
     certificate implies.  Gap certificates are re-read from terms grown by
     ``core.generate_terms``, the reference term loop, which shares no code
     with the engine's kernel.  Root certificates are re-checked by exact
-    evaluation over every coefficient (``CharPoly.eval`` and ``_scaled``),
+    evaluation, of the vector's polynomial over every coefficient
+    (``CharPoly.eval`` and ``_scaled``) and of lambda_L's in closed form,
     not by ``sign_at``, the sign test that produced them.
     Family certificates must name a rule whose shape the coefficients have,
     agree with that rule's re-derived bound, and not be contradicted by a
@@ -454,10 +422,12 @@ def recheck(verdict: Verdict) -> bool:
         room = _room_after(terms[:-1])
         return room is not None and terms[-1] > room and cert.witness in (None, room - terms[-1])
     if cert.kind == "doubling_window" and m - L >= L + 1:
-        # Margins D_j = B_{j+1} - B_j >= 0 for m-L <= j < m, and B_1..B_m >= 0.
-        gaps = _gaps(generate_terms(c, m).terms)
-        window = gaps[m - L - 1 :]
-        return min(gaps) >= 0 and all(a <= b for a, b in zip(window, window[1:]))
+        # B_1..B_m >= 0, and margins D_j = B_{j+1} - B_j = 2*H_j - H_{j+1} >= 0
+        # for m-L <= j < m.
+        terms = generate_terms(c, m).terms
+        return _room_after(terms) is not None and all(
+            b <= 2 * a for a, b in zip(terms[m - L - 1 :], terms[m - L :])
+        )
     return False
 
 
@@ -471,15 +441,6 @@ def _room_after(terms: Sequence[int], room: int = 1, strict: bool = False) -> in
             return None
         room += h
     return room
-
-
-def _gaps(terms: Sequence[int]) -> list[int]:
-    # Brown's gaps B_n = 1 + H_1 + ... + H_{n-1} - H_n of a term prefix.
-    gaps, running = [], 0
-    for h in terms:
-        gaps.append(1 + running - h)
-        running += h
-    return gaps
 
 
 def _recheck_family(verdict: Verdict) -> bool:
@@ -520,12 +481,14 @@ def _recheck_root(verdict: Verdict) -> bool:
         return p.eval(2) < 0
     if c.L < 2 or rule not in (analytic.TRIAGE_SLOW, analytic.TRIAGE_INDETERMINATE):
         return False
-    lam = analytic.lambda_threshold(c.L).root
-    num, den = lam.num, 1 << lam.bits  # lo = num/den; den^L p(lo) has the sign of p(lo)
+    lam = analytic.lambda_threshold(c.L)
+    num, den = lam.root.num, 1 << lam.root.bits  # lo = num/den; den^L p(lo) has p(lo)'s sign
     if rule == analytic.TRIAGE_SLOW:
         # p_lambda(lo) <= 0 puts lo at or below lambda_L (equal only when
         # lambda_L is an integer, as at L = 3); p(lo) > 0 puts the root
-        # below lo.
-        return lam.poly._scaled(num, den) <= 0 < p._scaled(num, den)
+        # below lo.  p_lambda(x) = x^L - x^(L-1) - (n_L + 1) is read in
+        # closed form, den^L p_lambda(lo) = num^(L-1) (num - den) - (n_L + 1) den^L.
+        lam_lo = num ** (c.L - 1) * (num - den) - (lam.max_complete_n + 1) * den**c.L
+        return lam_lo <= 0 < p._scaled(num, den)
     # Neither rule above holds: p(2) >= 0, and p(lo) <= 0 at the bracket.
     return p.eval(2) >= 0 and p._scaled(num, den) <= 0

@@ -41,12 +41,17 @@ class NegativeEntry(InvalidCoefficients):
 class _Record:
     """An immutable value record over the fields named in ``__slots__``.
 
-    Each record type sets its fields once, with ``object.__setattr__``, in
-    its own ``__init__``, which takes them in slot order.  After that,
-    assigning or deleting an attribute raises AttributeError.  Equality
-    (only between instances of one type), hash and repr read the fields in
-    slot order, as a frozen dataclass does.  A slot whose name starts with
-    ``_`` is a cache and takes no part in them.
+    A record type declares its fields once, in ``__slots__``, and gets its
+    constructor from them when the class is created: one generated
+    ``__init__`` that takes the fields in slot order and sets each once,
+    with ``object.__setattr__``.  A field named in the class's ``_defaults``
+    dict may be omitted (those must be the trailing fields).  A slot whose
+    name starts with ``_`` is a cache: it is no parameter and starts as
+    None.  A type that converts or validates its fields (``Coefficients``)
+    writes its own ``__init__`` and keeps it.  After construction, assigning
+    or deleting an attribute raises AttributeError.  Equality (only between
+    instances of one type), hash and repr read the fields in slot order, as
+    a frozen dataclass does; caches take no part in them.
     """
 
     __slots__ = ()
@@ -54,6 +59,17 @@ class _Record:
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._key = operator.attrgetter(*cls._fields)
+        if "__init__" not in vars(cls):
+            # The code a hand-written constructor would be, compiled once.
+            defaults = getattr(cls, "_defaults", {})
+            params = "".join(f", {name}=_d[{name!r}]" if name in defaults else f", {name}"
+                             for name in cls._fields)
+            body = "".join(f"\n    object.__setattr__(self, {name!r}, "
+                           f"{name if name in cls._fields else None})" for name in cls.__slots__)
+            scope = {"_d": defaults}
+            exec(f"def init(self{params}):{body}", scope)
+            init = cls.__init__ = scope["init"]
+            init.__name__, init.__qualname__ = "__init__", f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -161,10 +177,6 @@ class TermSequence(_Record):
     """An exact, immutable prefix ``(H_1, ..., H_n)`` of a PLRS."""
 
     __slots__ = ("coefficients", "terms")
-
-    def __init__(self, coefficients: Coefficients, terms: tuple[int, ...]) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:
         return len(self.terms)

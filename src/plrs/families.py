@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import brown
-from .core import Coefficients, _Record, validate
+from .core import Coefficients, _Record, generate_terms, validate
 
 RULE_ONE_ZEROS = "one-zeros"
 RULE_ONES_ZEROS = "ones-zeros"
@@ -39,11 +39,6 @@ class FamilyBound(_Record):
     """Largest last coefficient keeping the family member complete."""
 
     __slots__ = ("max_n", "proven", "rule_id")
-
-    def __init__(self, max_n: int, proven: bool, rule_id: str) -> None:
-        object.__setattr__(self, "max_n", max_n)
-        object.__setattr__(self, "proven", proven)
-        object.__setattr__(self, "rule_id", rule_id)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -123,9 +118,6 @@ class OneZerosN(_Record):
 
     __slots__ = ("k",)
 
-    def __init__(self, k: int) -> None:
-        object.__setattr__(self, "k", k)
-
     def coefficients(self, n: int) -> Coefficients:
         return validate([1] + [0] * self.k + [n])
 
@@ -137,10 +129,6 @@ class OnesZerosN(_Record):
     """[1^g, 0^k, N]"""
 
     __slots__ = ("g", "k")
-
-    def __init__(self, g: int, k: int) -> None:
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "k", k)
 
     def coefficients(self, n: int) -> Coefficients:
         return validate([1] * self.g + [0] * self.k + [n])
@@ -158,9 +146,6 @@ class TwoOnesZerosN(_Record):
     __slots__ = ("k",)
     g = 2  # leading ones, as in OnesZerosN
 
-    def __init__(self, k: int) -> None:
-        object.__setattr__(self, "k", k)
-
     def coefficients(self, n: int) -> Coefficients:
         return validate([1, 1] + [0] * self.k + [n])
 
@@ -172,10 +157,6 @@ class OneZerosOnesN(_Record):
     """[1, 0^(L-m-2), 1^m, N] with L coefficients, L >= 2m+2 and L-m >= 3"""
 
     __slots__ = ("L", "m")
-
-    def __init__(self, L: int, m: int) -> None:
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "m", m)
 
     def coefficients(self, n: int) -> Coefficients:
         _check_one_zeros_ones(self.L, self.m)
@@ -228,8 +209,9 @@ def max_last(prefix: Sequence[int], horizon: int | None = None) -> int | None:
     """
     L = len(prefix) + 1
     brown.engine_horizon(L, horizon)  # HorizonTooSmall, as from the engine
-    values = [*validate([*prefix, 1]).values[:-1], 0]  # raises as the vector would
-    pass_lo, pass_hi, strict_lo, strict_hi = brown._read_level(values, [], 2 * L - 1)
+    c = validate([*prefix, 1])  # raises as the vector would; H_1..H_L are free of c_L
+    values, terms = [*c.values[:-1], 0], [*generate_terms(c, L).terms]
+    pass_lo, pass_hi, strict_lo, strict_hi = brown._read_level(values, terms, 2 * L - 1)
     lo = strict_hi if strict_lo == 1 else 0
     hi = 1 if pass_lo > 1 else None if pass_hi is None else pass_hi + 1
 

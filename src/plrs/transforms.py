@@ -42,14 +42,6 @@ class TooShort(ValueError):
 class TransformRecord(_Record):
     __slots__ = ("input", "output", "rule", "guarantee")
 
-    def __init__(
-        self, input: Coefficients, output: Coefficients, rule: str, guarantee: str
-    ) -> None:
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "output", output)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "guarantee", guarantee)
-
 
 def append_coeff(c: Coefficients, c_new: int) -> TransformRecord:
     """Append a positive coefficient: incomplete inputs stay incomplete."""

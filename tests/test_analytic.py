@@ -41,6 +41,7 @@ from helpers import (
     reference_min_root_in_pls,
     reference_root,
     reference_sign,
+    reference_terms,
     reference_threshold_search,
     reference_triage,
     replace,
@@ -555,7 +556,8 @@ class TestExactThresholdSearch:
         m = families.max_last(prefix)
         assume(m is not None)
         # The audit's per-prefix step, with no bound on c_L, finds m + 1 too.
-        assert analytic._first_incomplete([*prefix, 0], [], math.inf)[0] == m + 1
+        head = [*reference_terms([*prefix, 0], len(prefix) + 1)]
+        assert analytic._first_incomplete([*prefix, 0], head, math.inf)[0] == m + 1
         least = principal_root(validate([*prefix, m + 1]))
         kinds = {n: check_completeness(validate([*prefix, n])).kind for n in range(1, m + 7)}
         assert kinds[m + 1] == INCOMPLETE

@@ -68,7 +68,8 @@ def segmented_vectors(draw):
 
 
 class TestGapTrace:
-    # The gaps recheck reads, from a reference prefix.
+    # The gaps recheck reads, from a reference prefix: their signs through
+    # ``_room_after`` and the margins D_n = B_{n+1} - B_n from the terms.
     @pytest.mark.parametrize(
         "coeffs,n,expected",
         [
@@ -79,29 +80,37 @@ class TestGapTrace:
     )
     def test_known_traces(self, coeffs, n, expected):
         t = generate_terms(validate(coeffs), n)
-        assert brown._gaps(t.terms) == expected
-        assert brown._gaps(t.terms) == brute_gaps(t.terms)
+        assert brute_gaps(t.terms) == expected
+        for k in range(n + 1):
+            passes = min(expected[:k], default=0) >= 0
+            assert brown._room_after(t.terms[:k]) == (1 + sum(t.terms[:k]) if passes else None)
 
     def test_first_gap_is_zero(self):
         for coeffs in all_vectors(3, 3):
-            assert brown._gaps(generate_terms(validate(coeffs), 1).terms) == [0]
+            first = generate_terms(validate(coeffs), 1).terms
+            assert brown._room_after(first) == 2
+            assert brown._room_after(first, strict=True) is None
 
     def test_gap_margin_identity(self):
         # B_{n+1} - B_n = D_n = 2*H_n - H_{n+1}, exactly, across a small exhaustive space.
         for coeffs in all_vectors(4, 3):
             h = generate_terms(validate(coeffs), 12).terms
-            gaps = brown._gaps(h)
+            gaps = brute_gaps(h)
             for n in range(1, 12):
                 assert gaps[n] - gaps[n - 1] == 2 * h[n - 1] - h[n]
 
     def test_gaps_match_recomputation(self):
-        t = generate_terms(validate([3, 0, 0, 2]), 25)
-        assert brown._gaps(t.terms) == brute_gaps(t.terms)
+        for values in ([3, 0, 0, 2], [1, 0, 0, 3, 5]):
+            t = generate_terms(validate(values), 25)
+            gaps = brute_gaps(t.terms)
+            for k in range(26):
+                room = brown._room_after(t.terms[:k])
+                assert room == (1 + sum(t.terms[:k]) if min(gaps[:k], default=0) >= 0 else None)
 
 
 def margins(values, n):
     # D_1..D_{n-1}, as the differences of the gaps B_1..B_n.
-    gaps = brown._gaps(generate_terms(validate(values), n).terms)
+    gaps = brute_gaps(generate_terms(validate(values), n).terms)
     return [b - a for a, b in zip(gaps, gaps[1:])]
 
 
@@ -215,6 +224,11 @@ prefixes = st.one_of(
 )
 
 
+def _read(values, window):
+    # ``brown._read_level`` of P + [0], given its head terms H_1..H_L.
+    return brown._read_level(values, [*reference_terms(values, len(values))], window)
+
+
 def _strict(gaps, L, window):
     # The strict window read from B_1..B_window: L >= 2, the window reaches
     # 2L-1, B_n >= 0 throughout and B_n > 0 for L <= n <= 2L-1.
@@ -235,8 +249,7 @@ class TestReadLevel:
         L = len(prefix) + 1
         head = reference_terms([*prefix, 0], L)
         top = min(sum(head) + 2, 300)
-        levels = {window: brown._read_level([*prefix, 0], [], window)
-                  for window in range(1, 2 * L + 1)}
+        levels = {window: _read([*prefix, 0], window) for window in range(1, 2 * L + 1)}
         assert all(hi is not None for window, (_, hi, _, _) in levels.items() if window > L)
         ns = set(range(1, top + 1))
         for lo, hi, slo, shi in levels.values():
@@ -257,7 +270,7 @@ class TestReadLevel:
                 assert before == list(reference_terms(prefix, L + 1))
                 for window in range(1, 2 * L + 1):
                     got = brown._read_level(prefix, terms, window)
-                    assert got == brown._read_level(prefix, [], window)
+                    assert got == _read(prefix, window)
                     assert terms == before
 
     @settings(deadline=None)
@@ -307,7 +320,7 @@ class TestLastCoefficientWindow:
         assert [s for _, s in lines[:L]] == [0] * L
         assert lines[L][1] == -1  # s_{L+1}
         for window in range(1, 2 * L + 1):
-            lo, hi, slo, shi = brown._read_level([*prefix, 0], [], window)
+            lo, hi, slo, shi = _read([*prefix, 0], window)
             assert (lo <= n and (hi is None or n <= hi)) == (min(gaps[:window]) >= 0)
             assert (slo <= n <= shi) == _strict(gaps, L, window)
 
@@ -315,8 +328,8 @@ class TestLastCoefficientWindow:
         assert [n for n, (_, s) in enumerate(last_coefficient_window([1, 0, 0, 1]), 1)
                 if s > 0] == [10]
         # B_10 >= 0 wherever B_1..B_9 are, so it moves neither interval.
-        assert brown._read_level([1, 0, 0, 1, 0], [], 9) == (1, 7, 1, 6)
-        assert brown._read_level([1, 0, 0, 1, 0], [], 10) == (1, 7, 1, 6)
+        assert _read([1, 0, 0, 1, 0], 9) == (1, 7, 1, 6)
+        assert _read([1, 0, 0, 1, 0], 10) == (1, 7, 1, 6)
 
     def test_rejects_an_invalid_prefix(self):
         with pytest.raises(ValueError):
@@ -538,6 +551,31 @@ class TestRecheck:
                               (4, 12, False)):
             v = brown.Verdict(c, INCOMPLETE, brown.failure(m, witness=w), False, m)
             assert recheck(v) is missing, (m, w)
+
+    def test_a_doubling_window_with_one_negative_margin_is_rejected(self):
+        # [1, 0, 0, 3, 5]: every B_n >= 0, and of the margins D_j = 2*H_j -
+        # H_{j+1} only D_5 and D_10 are negative.  For m = 11..15 the window
+        # D_{m-5}..D_{m-1} holds D_10 as its one negative margin; from m = 16,
+        # the engine's certificate, on, the windows are clear.
+        c = validate([1, 0, 0, 3, 5])
+        terms = reference_terms(c.values, 21)
+        assert min(brute_gaps(terms)) >= 0
+        assert [j for j in range(1, 21) if 2 * terms[j - 1] < terms[j]] == [5, 10]
+        assert check_completeness(c).certificate == brown.doubling_window(16)
+        for m in range(11, 21):
+            v = brown.Verdict(c, COMPLETE, brown.doubling_window(m), False, m)
+            assert recheck(v) is (m >= 16), m
+
+    def test_a_cell_above_lambda_does_not_certify_below_lambda(self, monkeypatch):
+        # [1, 4] has its root near 2.56, above lambda_2 near 2.30.  Were
+        # lambda_2's cell moved up to start at 3, p(3) > 0 would hold, and
+        # only the sign of lambda_2's own polynomial there refuses it.
+        c, true = validate([1, 4]), analytic.lambda_threshold(2)
+        assert analytic.CharPoly(c).eval(3) > 0
+        moved_up = replace(true, root=replace(true.root, num=3 << true.root.bits))
+        forged = brown.Verdict(c, COMPLETE, brown.root_triage(analytic.TRIAGE_SLOW), True, 0)
+        monkeypatch.setattr(analytic, "lambda_threshold", lambda L, tol=None: moved_up)
+        assert not recheck(forged)
 
     def test_witness_past_the_bit_budget_is_not_verified(self):
         # The prefix of 40 terms sums to about 1.5e9, past the 2^28-bit budget.

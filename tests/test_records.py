@@ -4,13 +4,17 @@ built here with the old fields and defaults, in the old order."""
 
 import copy
 import dataclasses
+import importlib
+import inspect
 import itertools
 import pickle
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plrs
 from plrs import (
     EmptyVector,
     LeadingZero,
@@ -187,3 +191,28 @@ def test_charpoly_taps_cache_takes_no_part():
     assert used.taps == (1, 1, 2, 3)
     assert used == built and hash(used) == hash(built) and repr(used) == repr(built)
     assert repr(used) == "CharPoly(coefficients=Coefficients(values=(1, 0, 3)))"
+
+
+def test_every_record_type_of_the_package_is_held_to_the_contract():
+    # A new record type must be added to OLD_FIELDS, so the tests above cover it.
+    for module in pkgutil.iter_modules(plrs.__path__):
+        vars(importlib.import_module(f"plrs.{module.name}"))  # runs a lazy layer
+    found, todo = set(), [core._Record]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        found.update(subs)
+        todo += subs
+    assert {cls for cls in found if cls.__module__.startswith("plrs.")} == set(OLD_FIELDS)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=ids)
+def test_only_coefficients_writes_its_own_constructor(cls):
+    # The others get theirs from __slots__, built when the class is created.
+    assert ("def __init__" in inspect.getsource(cls)) is (cls is core.Coefficients)
+
+
+def test_a_fresh_charpoly_cache_is_none_until_taps_is_read():
+    poly = analytic.CharPoly(validate([1, 0, 3]))
+    assert poly._taps is None
+    assert poly.taps == (1, 1, 2, 3)
+    assert poly._taps == (1, 1, 2, 3)
