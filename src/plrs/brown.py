@@ -274,12 +274,17 @@ def check_completeness(
     as the scan reaches it, so an early verdict at n costs H_1..H_n alone
     and H_{h+1} is never built.  H_n is read against room = 1 + H_1 + ...
     + H_{n-1}: B_n < 0 exactly when H_n > room, and the gap room - H_n is
-    computed only as a failure's witness.  The terms grow in three flat
-    loops, one per phase, over the nonzero coefficients only:
+    computed only as a failure's witness.  The terms grow one phase at a
+    time, over the nonzero coefficients only:
 
     * head, H_2..H_L: one run per stretch between consecutive nonzero
       indices, where the live taps (c_i with i < n) do not change, plus
-      the 1 of the head.
+      the 1 of the head.  The first stretch, H_2..H_s with s the second
+      nonzero index (L >= 2), has c_1 alone live, so H_n = 1 + c_1*H_{n-1}
+      and it is read in closed form: c_1 >= 2 gives H_2 = 1 + c_1 > 2 =
+      room, a failure at 2 with witness 1 - c_1; c_1 = 1 gives H_n = n,
+      which never exceeds room = 1 + n(n-1)/2, so H_2..H_s pass and
+      leave room = 1 + s(s+1)/2.  The later stretches are loops.
     * window, H_{L+1}..H_{2L-1}: every tap live.  A zero gap rules the
       strict window out, which is decided once the loop ends.
     * tail, H_{2L}..H_h: the doubling window.  The run of non-negative
@@ -297,9 +302,13 @@ def _gap_scan(c: Coefficients, h: int, assume_2l1: bool, terms: list[int]) -> Ve
     # the verdict, are appended to ``terms``, an empty list.
     L, t = c.L, terms
     taps = [(ci, -i) for i, ci in enumerate(c.values, start=1) if ci]  # H_{n-i} is t[-i]
-    t.append(1)
-    room = 2
-    for j in range(1, len(taps)):  # H_n for -taps[j-1][1] < n <= -taps[j][1]
+    if L > 1 and taps[0][0] > 1:  # H_2 = 1 + c_1 > 2 = room
+        t += 1, 1 + taps[0][0]
+        return Verdict(c, INCOMPLETE, failure(2, 1 - taps[0][0]), False, 2)
+    s = -taps[1][1] if L > 1 else 1  # H_n = n through the first stretch
+    t.extend(range(1, s + 1))
+    room = 1 + s * (s + 1) // 2
+    for j in range(2, len(taps)):  # H_n for -taps[j-1][1] < n <= -taps[j][1]
         live = taps[:j]
         for n in range(1 - taps[j - 1][1], 1 - taps[j][1]):
             x = 1
@@ -481,8 +490,10 @@ def _recheck_root(verdict: Verdict) -> bool:
         return p.eval(2) < 0
     if c.L < 2 or rule not in (analytic.TRIAGE_SLOW, analytic.TRIAGE_INDETERMINATE):
         return False
-    lam = analytic.lambda_threshold(c.L)
-    num, den = lam.root.num, 1 << lam.root.bits  # lo = num/den; den^L p(lo) has p(lo)'s sign
+    bits = analytic._TRIAGE_BITS[-1]  # the depth of DEFAULT_TOL, which triage reads last
+    lam = analytic._lambda(c.L, bits)  # the cached cell, re-verified below
+    root = lam.root._at(bits)
+    num, den = root.num, 1 << root.bits  # lo = num/den; den^L p(lo) has p(lo)'s sign
     if rule == analytic.TRIAGE_SLOW:
         # p_lambda(lo) <= 0 puts lo at or below lambda_L (equal only when
         # lambda_L is an integer, as at L = 3); p(lo) > 0 puts the root

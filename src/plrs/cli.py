@@ -131,14 +131,20 @@ def _check_out(out: str) -> None:
         raise ValueError(f"--out {out}: permission denied")
 
 
-def _write(config: dict, body: dict | str, fmt: str, out: str | None) -> None:
-    # The one writer of every report; config is serialised once.
+@functools.cache  # built for the first report, not on import
+def _encode():
+    # json.dumps(obj, sort_keys=True) without a new encoder per call.
     import json
 
+    return json.JSONEncoder(sort_keys=True).encode
+
+
+def _write(config: dict, body: dict | str, fmt: str, out: str | None) -> None:
+    # The one writer of every report; config is serialised once.
     if fmt == "json":
-        text = json.dumps({**body, "config": config}, sort_keys=True)
+        text = _encode()({**body, "config": config})
     else:
-        echo = f"# config: {json.dumps(config, sort_keys=True)}"
+        echo = f"# config: {_encode()(config)}"
         text = f"{echo}\n{body}" if fmt == "csv" else body
     if out is not None:
         with open(out, "w") as fh:

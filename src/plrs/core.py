@@ -197,16 +197,20 @@ def generate_terms(c: Coefficients, n: int) -> TermSequence:
     """Generate the exact first ``n`` terms of the PLRS defined by ``c``.
 
     The library's reference term loop: the definition above, over the
-    nonzero coefficients only.  It shares no code with the gap engine
-    ``brown.check_completeness``, which grows its own terms as it reads
-    them, so ``brown.recheck`` can re-check the engine with it.
+    nonzero coefficients only.  With c_1 = 1 and s the index of the second
+    nonzero coefficient (s = 1 when L = 1), H_{m+1} = 1 + H_m for m < s, so
+    H_1..H_min(n, s) are 1, 2, ..., min(n, s), taken as a range; every
+    later term is the definition's loop.  It shares no code with the gap
+    engine ``brown.check_completeness``, which grows its own terms as it
+    reads them, so ``brown.recheck`` can re-check the engine with it.
     """
     if n < 1:
         raise ValueError(f"need at least one term, got n={n}")
     L = c.L
     nonzero = [(i, ci) for i, ci in enumerate(c.values, start=1) if ci]
-    terms = [1]
-    for m in range(1, min(n, L)):  # H_{m+1}: 1 + c_i*H_{m+1-i} over i <= m
+    s = nonzero[1][0] if c.values[0] == 1 and L > 1 else 1
+    terms = list(range(1, min(n, s) + 1))
+    for m in range(len(terms), min(n, L)):  # H_{m+1}: 1 + c_i*H_{m+1-i} over i <= m
         h = 1
         for i, ci in nonzero:
             if i > m:

@@ -11,6 +11,8 @@ import itertools
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from plrs import analytic, brown, oracle
 from plrs.analytic import CharPoly, compare_roots, principal_root
 from plrs.core import Coefficients, validate
@@ -384,6 +386,22 @@ def reference_gap_below(a, b, epsilon) -> bool:
 # `brown.check_completeness` and `oracle.oracle_verdict` replaced: every
 # coefficient visited, every prefix built in full up front, and the smallest
 # missing sum found from a complement of the whole mask.
+
+
+@st.composite
+def first_stretch_vectors(draw):
+    """[c_1, 0^k, tail] with k up to 300 and a tail of one to four
+    coefficients, the last nonzero: c_1 = 1 but now and then 2..4.  With s
+    = k + 2 the index of the tail's first entry, an entry is up to (s+1)^2,
+    so H_{s+1} lands on either side of its room when it is the second
+    nonzero, or up to 2^s, as the long sparse vectors of the benchmark."""
+    c1 = draw(st.sampled_from((1,) * 7 + (2, 3, 4)))
+    k = draw(st.integers(0, 300))
+    s = k + 2
+    entry = st.one_of(st.integers(0, (s + 1) ** 2), st.integers(0, 1 << s))
+    tail = draw(st.lists(entry, min_size=1, max_size=4))
+    tail[-1] = tail[-1] or 1
+    return (c1, *[0] * k, *tail)
 
 
 def reference_terms(values, n: int) -> tuple[int, ...]:

@@ -26,6 +26,7 @@ from plrs import (
 from helpers import (
     all_vectors,
     brute_gaps,
+    first_stretch_vectors,
     last_coefficient_window,
     reference_check_completeness,
     reference_scan_2l1,
@@ -417,6 +418,33 @@ class TestLazyPrefixProperties:
                 got = check_completeness(c, horizon=h, assume_2l1=assume)
                 assert got == reference_check_completeness(c, horizon=h, assume_2l1=assume)
 
+    # The head's first stretch, H_2..H_s with s the second nonzero index,
+    # in closed form: c_1 >= 2 fails at 2 and c_1 = 1 gives H_n = n.  At
+    # horizons 2L-1, 2L and the default, with the terms grown; the
+    # examples are L = 1, c_1 >= 2 at L >= 2, s = 2 < L, s = L, and a
+    # failure at s + 1 = 6 with witness -1 next to B_6 = 0.
+    @example((1,), False)
+    @example((3,), True)
+    @example((2, 1), False)
+    @example((3, 0, 0, 5), True)
+    @example((1, 4, 0, 0, 9), False)
+    @example((1, *[0] * 300, 5), True)
+    @example((1, 0, 0, 0, 10, 0, 2), False)
+    @example((1, 0, 0, 0, 11, 0, 2), False)
+    @settings(max_examples=40, deadline=None)
+    @given(first_stretch_vectors(), st.booleans())
+    def test_engine_matches_eager_engine_on_first_stretch_vectors(self, values, assume):
+        c, L = validate(values), len(values)
+        for h in (2 * L - 1, 2 * L, None):
+            got = check_completeness(c, horizon=h, assume_2l1=assume)
+            full = max(1024, 4 * L) if h is None else h
+            assert got == reference_check_completeness(c, horizon=full, assume_2l1=assume)
+        grown = []
+        v = brown._gap_scan(c, 2 * L - 1, assume, grown)
+        assert tuple(grown) == reference_terms(values, v.horizon_used)
+        if values[0] > 1 and L > 1:
+            assert v.certificate == brown.failure(2, 1 - values[0])
+
     def test_prefix_grows_only_as_far_as_it_is_read(self):
         # H_n is grown only once B_{n-1} is read, so a verdict at index n
         # costs exactly H_1..H_n: no 2L+1 prefix up front, no doubling, and
@@ -569,13 +597,20 @@ class TestRecheck:
     def test_a_cell_above_lambda_does_not_certify_below_lambda(self, monkeypatch):
         # [1, 4] has its root near 2.56, above lambda_2 near 2.30.  Were
         # lambda_2's cell moved up to start at 3, p(3) > 0 would hold, and
-        # only the sign of lambda_2's own polynomial there refuses it.
-        c, true = validate([1, 4]), analytic.lambda_threshold(2)
+        # only the sign of lambda_2's own polynomial there refuses it.  The
+        # re-check reads the cell from the per-length cache, so it is moved
+        # there; [1, 1], root near 1.62, passes with the true cell and not
+        # with the moved one, so the moved cell is the one read.
+        c, true = validate([1, 4]), analytic._lambda(2, 40)
+        root = true.root._at(40)
         assert analytic.CharPoly(c).eval(3) > 0
-        moved_up = replace(true, root=replace(true.root, num=3 << true.root.bits))
+        moved_up = replace(true, root=replace(root, num=3 << root.bits))
         forged = brown.Verdict(c, COMPLETE, brown.root_triage(analytic.TRIAGE_SLOW), True, 0)
-        monkeypatch.setattr(analytic, "lambda_threshold", lambda L, tol=None: moved_up)
+        below = triage(validate([1, 1]))
+        assert recheck(below)
+        monkeypatch.setattr(analytic, "_lambda", lambda L, bits: moved_up)
         assert not recheck(forged)
+        assert not recheck(below)
 
     def test_witness_past_the_bit_budget_is_not_verified(self):
         # The prefix of 40 terms sums to about 1.5e9, past the 2^28-bit budget.

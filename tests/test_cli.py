@@ -647,7 +647,10 @@ def test_root_reports_match_goldens(capsys, monkeypatch, name):
     # lambda_L's 40-bit cell alone.  scan-2l1 at L 8 with window 40 and
     # horizon 15 is as written when the scan built a vector for every
     # survivor of the window; min-root --format plain at L 8 cap 13 is as
-    # written once the plain report listed its undecided vectors.
+    # written once the plain report listed its undecided vectors.  check
+    # --verify at a failure just past the head's first stretch and at c_1
+    # = 2 is as written when the engine and generate_terms grew that
+    # stretch term by term.
     monkeypatch.setenv("COLUMNS", "80")
     try:
         code, out, err = run(capsys, *GOLDEN_JOBS[name])

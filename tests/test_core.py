@@ -2,7 +2,7 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plrs import (
@@ -15,7 +15,7 @@ from plrs import (
     generate_terms,
     validate,
 )
-from helpers import reference_terms
+from helpers import first_stretch_vectors, reference_terms
 
 
 @st.composite
@@ -151,6 +151,25 @@ class TestGrowthProperties:
         grown = []
         v = brown._gap_scan(c, max(n, 2 * c.L - 1), False, grown)
         assert tuple(grown) == reference_terms(values, v.horizon_used)
+
+    # The first head stretch, H_1..H_s with s the second nonzero index: with
+    # c_1 = 1 it is 1, 2, ..., s, read in closed form.  n below s, at s and
+    # s + 1, at L and past L; the examples are L = 1, c_1 >= 2, s = 2 < L,
+    # s = L, and B_{s+1} = 0 and -1 at s = 5.
+    @example((1,), 1)
+    @example((3,), 4)
+    @example((3, 0, 0, 5), 2)
+    @example((1, 4, 0, 0, 9), 1)
+    @example((1, 0, 0, 0, 9), 3)
+    @example((1, 0, 0, 0, 10, 0, 2), 4)
+    @example((1, 0, 0, 0, 11, 0, 2), 4)
+    @settings(max_examples=60, deadline=None)
+    @given(first_stretch_vectors(), st.integers(1, 300))
+    def test_first_stretch_matches_full_recurrence(self, values, d):
+        c, L = validate(values), len(values)
+        s = next((i for i, ci in enumerate(values[1:], start=2) if ci), 1)
+        for n in (1 + d % max(1, s - 1), s, s + 1, L, L + 1, 2 * L + 3):
+            assert generate_terms(c, n).terms == reference_terms(values, n)
 
     def test_reference_loop_shares_no_code_with_the_kernel(self, monkeypatch):
         def broken(*args, **kwargs):
