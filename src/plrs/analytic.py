@@ -94,11 +94,11 @@ class CharPoly(_Record):
         a bracket holds its polynomial, and ``dense`` holds thousands.
         """
         if self._taps is None:
-            taps, j = [], 0
-            for i, ci in enumerate(self.coefficients.values, start=1):
-                if ci:
-                    taps += (i - j, ci)
-                    j = i
+            vals, taps, j = self.coefficients.values, [], 0
+            for ci in itertools.compress(vals, vals):
+                i = vals.index(ci, j) + 1
+                taps += (i - j, ci)
+                j = i
             object.__setattr__(self, "_taps", tuple(taps))
         return self._taps
 

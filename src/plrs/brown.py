@@ -22,7 +22,9 @@ enters any verdict.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
+from itertools import compress
 
 from .core import (
     Coefficients,
@@ -300,8 +302,11 @@ def check_completeness(
 def _gap_scan(c: Coefficients, h: int, assume_2l1: bool, terms: list[int]) -> Verdict:
     # check_completeness on horizon h >= 2L-1.  H_1..H_n, n the index of
     # the verdict, are appended to ``terms``, an empty list.
-    L, t = c.L, terms
-    taps = [(ci, -i) for i, ci in enumerate(c.values, start=1) if ci]  # H_{n-i} is t[-i]
+    L, t, vals = c.L, terms, c.values
+    taps, i = [], 0  # (c_i, -i) for each nonzero c_i: H_{n-i} is t[-i]
+    for ci in compress(vals, vals):
+        i = vals.index(ci, i) + 1
+        taps.append((ci, -i))
     if L > 1 and taps[0][0] > 1:  # H_2 = 1 + c_1 > 2 = room
         t += 1, 1 + taps[0][0]
         return Verdict(c, INCOMPLETE, failure(2, 1 - taps[0][0]), False, 2)
@@ -375,7 +380,19 @@ def recheck(verdict: Verdict) -> bool:
     The verdict's kind and ``conjectural`` flag must be the ones its
     certificate implies.  Gap certificates are re-read from terms grown by
     ``core.generate_terms``, the reference term loop, which shares no code
-    with the engine's kernel.  Root certificates are re-checked by exact
+    with the engine's kernel, and recheck takes the terms it checks from
+    nowhere else.  Each prefix H_1..H_m that it reads against room = 1 +
+    H_1 + ... + H_{n-1} starts with the first stretch in closed form.  With
+    s the index of the second nonzero coefficient when c_1 = 1 (s = 1 when
+    c_1 >= 2 or L = 1), H_n = n for n <= s and never after.  When H_3 = 3,
+    that is when s >= 3 (a stretch of one or two terms the loop reads as
+    cheaply), k = min(m, s) is found by bisection over the terms, and one
+    comparison confirms that the reference terms H_1..H_k are 1, 2, ..., k.
+    Each of those passes, since the room before H_n = n is 1 + n(n-1)/2 >=
+    n for every n ((n-1)(n-2) >= 0), and together they leave room = 1 +
+    k(k+1)/2, so the read goes on from H_{k+1}; any other terms are read
+    one by one.  The strict part of a strict window, B_L..B_{2L-1} > 0, is
+    always read term by term.  Root certificates are re-checked by exact
     evaluation, of the vector's polynomial over every coefficient
     (``CharPoly.eval`` and ``_scaled``) and of lambda_L's in closed form,
     not by ``sign_at``, the sign test that produced them.
@@ -396,14 +413,14 @@ def recheck(verdict: Verdict) -> bool:
     if cert.kind == "root":
         return _recheck_root(verdict)
     if cert.kind == "family" and cert.rule == RULE_2L1:
-        return _room_after(generate_terms(c, 2 * L - 1).terms) is not None
+        return _prefix_room(generate_terms(c, 2 * L - 1).terms) is not None
     if cert.kind == "family":
         return _recheck_family(verdict)
     if cert.kind == "strict_window":  # B_1..B_{L-1} >= 0 and B_L..B_{2L-1} > 0
         if m != 2 * L - 1:
             return False
         terms = generate_terms(c, m).terms
-        room = _room_after(terms[: L - 1])
+        room = _prefix_room(terms[: L - 1])
         return room is not None and _room_after(terms[L - 1 :], room, strict=True) is not None
     if m is None or m < 1:
         return False
@@ -418,7 +435,7 @@ def recheck(verdict: Verdict) -> bool:
             return False
         if w > sum(prefix):
             return True
-        if _room_after(prefix) is not None:
+        if _prefix_room(prefix) is not None:
             return False
         from .oracle import BudgetExceeded, reachable_sums  # local: oracle imports brown
 
@@ -428,16 +445,26 @@ def recheck(verdict: Verdict) -> bool:
             return False
     if cert.kind == "failure":  # the first negative gap, and its value
         terms = generate_terms(c, m).terms
-        room = _room_after(terms[:-1])
+        room = _prefix_room(terms[:-1])
         return room is not None and terms[-1] > room and cert.witness in (None, room - terms[-1])
     if cert.kind == "doubling_window" and m - L >= L + 1:
         # B_1..B_m >= 0, and margins D_j = B_{j+1} - B_j = 2*H_j - H_{j+1} >= 0
         # for m-L <= j < m.
         terms = generate_terms(c, m).terms
-        return _room_after(terms) is not None and all(
+        return _prefix_room(terms) is not None and all(
             b <= 2 * a for a, b in zip(terms[m - L - 1 :], terms[m - L :])
         )
     return False
+
+
+def _prefix_room(terms: Sequence[int]) -> int | None:
+    # _room_after(terms) for reference terms H_1..H_n, the first stretch
+    # H_1..H_k read in closed form once the terms are 1..k (see recheck).
+    if terms[2:3] == (3,):  # H_3 = 3: c_1 = 1 and c_2 = 0, so s >= 3
+        k = bisect_left(range(len(terms)), True, key=lambda j: terms[j] != j + 1)
+        if terms[:k] == tuple(range(1, k + 1)):
+            return _room_after(terms[k:], 1 + k * (k + 1) // 2)
+    return _room_after(terms)
 
 
 def _room_after(terms: Sequence[int], room: int = 1, strict: bool = False) -> int | None:

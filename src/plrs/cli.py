@@ -31,6 +31,14 @@ effective configuration under "config"; CSV outputs carry it as a leading
 verdicts are coloured only on a terminal stdout.  The only environment
 variable consulted is NO_COLOR.
 
+The coefficient list of ``check``, ``oracle-check`` and ``gen`` is put
+into text once per report: the request's own text when every field is
+already canonical decimal (0 or [1-9][0-9]*, one regular-expression match),
+else one str() of each value.  Every place the list appears is written from
+that text (the JSON body and config, the CSV row and its ``# config:``
+echo, the plain ``[..]`` and its echo), byte for byte as writing the list
+itself gives, so a long request costs no Python step per coefficient there.
+
 ``main(argv)`` may be called any number of times in one process.  The
 argument parser is built on the first call, not on import, and reused;
 each call parses into a fresh namespace, so no option carries over from
@@ -57,6 +65,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import sys
 
 from . import analytic, brown, families, oracle
@@ -72,18 +81,26 @@ EXIT_COUNTEREXAMPLE = 4
 _FAMILY_NAMES = ("one-zeros", "ones-zeros", "two-ones-zeros", "one-zeros-ones")
 
 
-def _parse_coefficients(text: str) -> Coefficients:
-    # validate() reads each field with one int(), which skips blanks; a field
-    # it rejects is an error, an empty one named first.  Shape errors pass.
+# Comma-separated fields that are each 0 or [1-9][0-9]*: the text str() gives.
+_CANONICAL = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+
+
+def _parse_coefficients(text: str) -> tuple[Coefficients, str]:
+    # The vector and its canonical text "c_1,...,c_L", from which the report
+    # writes the list everywhere: the request's own text when it is already
+    # canonical, else one str() pass.  validate() reads each field with one
+    # int(), which skips blanks, "+", "_" and leading zeros; a field it
+    # rejects is an error, an empty one named first.  Shape errors pass.
     fields = text.split(",")
     try:
-        return validate(fields)
+        c = validate(fields)
     except InvalidCoefficients:
         raise
     except ValueError:
         if any(not p.strip() for p in fields):
             raise ValueError(f"empty field in coefficients {text!r}") from None
         raise ValueError(f"coefficients must be comma-separated integers, got {text!r}") from None
+    return c, text if _CANONICAL.fullmatch(text) else ",".join(map(str, c.values))
 
 
 def _parse_range(text: str) -> range:
@@ -140,11 +157,19 @@ def _encode():
 
 
 def _write(config: dict, body: dict | str, fmt: str, out: str | None) -> None:
-    # The one writer of every report; config is serialised once.
-    if fmt == "json":
-        text = _encode()({**body, "config": config})
-    else:
-        echo = f"# config: {_encode()(config)}"
+    # The one writer of every report; config is serialised once.  The
+    # "coefficients" of check, oracle-check and gen, in config and in a JSON
+    # body, hold the list's canonical text (_parse_coefficients), which the
+    # encoder writes as a string; that string becomes the list here, in one
+    # replace over the encoded report.  No other string value can match it:
+    # the key is written only for these, and a quote inside a value is
+    # escaped.
+    text = _encode()({**body, "config": config} if fmt == "json" else config)
+    if (listed := config.get("coefficients")) is not None:
+        text = text.replace(f'"coefficients": "{listed}"',
+                            f'"coefficients": [{listed.replace(",", ", ")}]')
+    if fmt != "json":
+        echo = f"# config: {text}"
         text = f"{echo}\n{body}" if fmt == "csv" else body
     if out is not None:
         with open(out, "w") as fh:
@@ -164,22 +189,25 @@ def _color(kind: str, out: str | None) -> str:
 
 
 def _finish(verdict: brown.Verdict, config: dict, args) -> tuple[dict, dict | str, int]:
-    # Shared tail of check and oracle-check: optional re-check, report, exit code.
+    # Shared tail of check and oracle-check: optional re-check, report, exit
+    # code.  config["coefficients"] is the list's canonical text.
     if args.verify:
         config["verified"] = brown.recheck(verdict)
         if not config["verified"]:
             print(f"certificate failed re-validation: {verdict}", file=sys.stderr)
+    listed = config["coefficients"]
     body = verdict.to_json_dict()
+    body["coefficients"] = listed
     index = body["index"]
     if args.format == "csv":
         body = (
             "coefficients,kind,certificate,index,conjectural,horizon_used\n"
-            f"{';'.join(str(v) for v in body['coefficients'])},{body['kind']},"
+            f"{listed.replace(',', ';')},{body['kind']},"
             f"{body['certificate']},{'' if index is None else index},"
             f"{str(body['conjectural']).lower()},{body['horizon_used']}"
         )
     elif args.format == "plain":
-        bits = [str(verdict.coefficients), _color(verdict.kind, args.out),
+        bits = [f"[{listed}]", _color(verdict.kind, args.out),
                 f"certificate={body['certificate']}"]
         if index is not None:
             bits.append(f"index={index}")
@@ -198,14 +226,13 @@ def _finish(verdict: brown.Verdict, config: dict, args) -> tuple[dict, dict | st
 
 
 def _cmd_gen(args) -> tuple[dict, dict | str, int]:
-    c = _parse_coefficients(args.coefficients)
+    c, listed = _parse_coefficients(args.coefficients)
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     t = generate_terms(c, args.n)
-    config = {"command": "gen", "coefficients": list(c.values), "n": args.n,
-              "format": args.format}
+    config = {"command": "gen", "coefficients": listed, "n": args.n, "format": args.format}
     if args.format == "json":
-        body = {"coefficients": list(c.values), "terms": list(t.terms)}
+        body = {"coefficients": listed, "terms": list(t.terms)}
     elif args.format == "csv":
         body = "n,term\n" + "\n".join(f"{i},{h}" for i, h in enumerate(t.terms, start=1))
     else:
@@ -218,10 +245,10 @@ def _cmd_gen(args) -> tuple[dict, dict | str, int]:
 
 
 def _cmd_check(args) -> tuple[dict, dict | str, int]:
-    c = _parse_coefficients(args.coefficients)
+    c, listed = _parse_coefficients(args.coefficients)
     config = {
         "command": "check",
-        "coefficients": list(c.values),
+        "coefficients": listed,
         "horizon": args.horizon,
         "assume_2l1": args.assume_2l1,
         "triage_first": args.triage_first,
@@ -241,9 +268,9 @@ def _cmd_check(args) -> tuple[dict, dict | str, int]:
 
 
 def _cmd_oracle_check(args) -> tuple[dict, dict | str, int]:
-    c = _parse_coefficients(args.coefficients)
+    c, listed = _parse_coefficients(args.coefficients)
     max_prefix = max(4 * c.L, 32) if args.max_prefix is None else args.max_prefix
-    config = {"command": "oracle-check", "coefficients": list(c.values),
+    config = {"command": "oracle-check", "coefficients": listed,
               "max_prefix": max_prefix, "format": args.format}
     return _finish(oracle.oracle_verdict(c, max_prefix), config, args)
 
@@ -270,19 +297,22 @@ def _cmd_family_table(args) -> tuple[dict, str, int]:
     for values in itertools.product(*(getattr(args, p) for p in params)):
         shape = shape_of(*values)
         try:
-            first = shape.coefficients(1)
+            prefix = shape.prefix()
         except families.ShapeViolation:
             continue  # the ranges' grid holds pairs with no family member
         try:
             b = shape.bound()
         except families.OutOfProvenRange:
             b = None
-        found = families.max_last(first.values[:-1], args.horizon)
+        except families.ShapeViolation:
+            validate([*prefix, 1])  # an invalid vector is named before its bound
+            raise
+        found = families.max_last(prefix, args.horizon)  # validates the row's vector
         agree = "" if b is None or found is None else str(b.max_n == found).lower()
         discrepancies += agree == "false"
         undecided += found is None
         lines.append(
-            f"{args.family},{getattr(shape, 'g', '')},{getattr(shape, 'k', '')},{first.L},"
+            f"{args.family},{getattr(shape, 'g', '')},{getattr(shape, 'k', '')},{len(prefix) + 1},"
             f"{getattr(shape, 'm', '')},{b.max_n if b else ''},"
             f"{str(b.proven).lower() if b else ''},{'?' if found is None else found},{agree}"
         )

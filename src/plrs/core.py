@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import compress
 
 
 class InvalidCoefficients(ValueError):
@@ -206,9 +207,12 @@ def generate_terms(c: Coefficients, n: int) -> TermSequence:
     """
     if n < 1:
         raise ValueError(f"need at least one term, got n={n}")
-    L = c.L
-    nonzero = [(i, ci) for i, ci in enumerate(c.values, start=1) if ci]
-    s = nonzero[1][0] if c.values[0] == 1 and L > 1 else 1
+    L, vals = c.L, c.values
+    nonzero, i = [], 0  # (i, c_i) for each nonzero c_i
+    for ci in compress(vals, vals):
+        i = vals.index(ci, i) + 1
+        nonzero.append((i, ci))
+    s = nonzero[1][0] if vals[0] == 1 and L > 1 else 1
     terms = list(range(1, min(n, s) + 1))
     for m in range(len(terms), min(n, L)):  # H_{m+1}: 1 + c_i*H_{m+1-i} over i <= m
         h = 1

@@ -113,25 +113,36 @@ def _check_one_zeros_ones(L: int, m: int) -> None:
         raise ShapeViolation(f"need L >= 2m+2 and L-m >= 3, got L={L}, m={m}")
 
 
-class OneZerosN(_Record):
+class _Shape:
+    """A family's member [*prefix, N]: ``prefix()`` gives c_1..c_{L-1},
+    unvalidated (raising ShapeViolation where no member exists), and
+    ``coefficients(n)`` the validated vector."""
+
+    __slots__ = ()
+
+    def coefficients(self, n: int) -> Coefficients:
+        return validate([*self.prefix(), n])
+
+
+class OneZerosN(_Shape, _Record):
     """[1, 0^k, N]"""
 
     __slots__ = ("k",)
 
-    def coefficients(self, n: int) -> Coefficients:
-        return validate([1] + [0] * self.k + [n])
+    def prefix(self) -> list[int]:
+        return [1] + [0] * self.k
 
     def bound(self) -> FamilyBound:
         return bound_one_zeros(self.k)
 
 
-class OnesZerosN(_Record):
+class OnesZerosN(_Shape, _Record):
     """[1^g, 0^k, N]"""
 
     __slots__ = ("g", "k")
 
-    def coefficients(self, n: int) -> Coefficients:
-        return validate([1] * self.g + [0] * self.k + [n])
+    def prefix(self) -> list[int]:
+        return [1] * self.g + [0] * self.k
 
     def bound(self) -> FamilyBound:
         if self.g == 1:
@@ -140,27 +151,27 @@ class OnesZerosN(_Record):
         return bound_ones_zeros(self.g, self.k)
 
 
-class TwoOnesZerosN(_Record):
+class TwoOnesZerosN(_Shape, _Record):
     """[1, 1, 0^k, N]"""
 
     __slots__ = ("k",)
     g = 2  # leading ones, as in OnesZerosN
 
-    def coefficients(self, n: int) -> Coefficients:
-        return validate([1, 1] + [0] * self.k + [n])
+    def prefix(self) -> list[int]:
+        return [1, 1] + [0] * self.k
 
     def bound(self) -> FamilyBound:
         return bound_two_ones_zeros(self.k)
 
 
-class OneZerosOnesN(_Record):
+class OneZerosOnesN(_Shape, _Record):
     """[1, 0^(L-m-2), 1^m, N] with L coefficients, L >= 2m+2 and L-m >= 3"""
 
     __slots__ = ("L", "m")
 
-    def coefficients(self, n: int) -> Coefficients:
+    def prefix(self) -> list[int]:
         _check_one_zeros_ones(self.L, self.m)
-        return validate([1] + [0] * (self.L - self.m - 2) + [1] * self.m + [n])
+        return [1] + [0] * (self.L - self.m - 2) + [1] * self.m
 
     def bound(self) -> FamilyBound:
         return bound_one_zeros_ones(self.L, self.m)

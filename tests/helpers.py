@@ -8,6 +8,7 @@ so expected values never depend on the code paths under test.
 from __future__ import annotations
 
 import itertools
+import json
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from plrs import analytic, brown, oracle
 from plrs.analytic import CharPoly, compare_roots, principal_root
-from plrs.core import Coefficients, validate
+from plrs.core import Coefficients, generate_terms, validate
 
 getcontext().prec = 60
 
@@ -513,3 +514,84 @@ def reference_oracle_verdict(c: Coefficients, max_prefix: int, budget_bits: int)
     return brown.Verdict(
         c, brown.UNKNOWN, brown.horizon_exhausted(max_prefix), False, max_prefix
     )
+
+
+@st.composite
+def respelled(draw, value: int) -> str:
+    """A field that int() reads as ``value``: leading zeros, "_" between
+    digits, a "+" and blanks around it, each drawn or not."""
+    digits = "0" * draw(st.integers(0, 2)) + str(value)
+    cuts = draw(st.sets(st.integers(1, len(digits) - 1))) if len(digits) > 1 else set()
+    field = "".join(("_" if i in cuts else "") + d for i, d in enumerate(digits))
+    field = draw(st.sampled_from(["", "+"])) + field
+    field = draw(st.sampled_from(["", " ", "\t"])) + field + draw(st.sampled_from(["", " "]))
+    assert int(field) == value
+    return field
+
+
+def reference_report(command: str, values, fmt: str, verify: bool = False,
+                     triage_first: bool = False, n: int | None = None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``check``, ``oracle-check`` or ``gen``
+    on ``values`` at default settings, as the writer wrote them when each
+    report's dicts held the coefficient list as a list and went whole through
+    ``json.JSONEncoder(sort_keys=True)``, and the CSV and plain lists were
+    str() of each value.  The verdicts come from the engine, triage and
+    oracle themselves: this is a reference for the writer only."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    c, err, code = validate(values), "", 0
+    if command == "gen":
+        t = generate_terms(c, n)
+        config = {"command": "gen", "coefficients": list(c.values), "n": n, "format": fmt}
+        if fmt == "json":
+            body = {"coefficients": list(c.values), "terms": list(t.terms)}
+        elif fmt == "csv":
+            body = "n,term\n" + "\n".join(f"{i},{h}" for i, h in enumerate(t.terms, start=1))
+        else:
+            body = " ".join(str(h) for h in t.terms)
+    else:
+        if command == "check":
+            config = {"command": "check", "coefficients": list(c.values), "horizon": None,
+                      "assume_2l1": False, "triage_first": triage_first, "format": fmt,
+                      "path": []}
+            verdict = None
+            if triage_first and c.L >= 2:
+                config["path"].append("triage")
+                verdict = analytic.triage(c)
+                if verdict.kind == brown.UNKNOWN:
+                    verdict = None
+            if verdict is None:
+                config["path"].append("brown")
+                verdict = brown.check_completeness(c)
+        else:
+            max_prefix = max(4 * c.L, 32)
+            config = {"command": "oracle-check", "coefficients": list(c.values),
+                      "max_prefix": max_prefix, "format": fmt}
+            verdict = oracle.oracle_verdict(c, max_prefix)
+        if verify:
+            config["verified"] = brown.recheck(verdict)
+            if not config["verified"]:
+                err, code = f"certificate failed re-validation: {verdict}\n", 1
+        body = verdict.to_json_dict()
+        index = body["index"]
+        if fmt == "csv":
+            body = (
+                "coefficients,kind,certificate,index,conjectural,horizon_used\n"
+                f"{';'.join(str(v) for v in body['coefficients'])},{body['kind']},"
+                f"{body['certificate']},{'' if index is None else index},"
+                f"{str(body['conjectural']).lower()},{body['horizon_used']}"
+            )
+        elif fmt == "plain":
+            bits = [str(verdict.coefficients), verdict.kind, f"certificate={body['certificate']}"]
+            if index is not None:
+                bits.append(f"index={index}")
+            if verdict.conjectural:
+                bits.append("conjectural")
+            if verdict.note:
+                bits.append(f"({verdict.note})")
+            body = " ".join(bits)
+    if fmt == "json":
+        return code, encode({**body, "config": config}) + "\n", err
+    echo = f"# config: {encode(config)}"
+    if fmt == "csv":
+        return code, f"{echo}\n{body}\n", err
+    return code, body + "\n", f"{err}{echo}\n"

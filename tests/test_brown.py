@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plrs import (
@@ -619,6 +619,63 @@ class TestRecheck:
         assert recheck(v) is False
 
 
+class TestRecheckFirstStretch:
+    # recheck reads H_1..H_k, k = min(n, s), in closed form once the
+    # reference terms are 1..k, where s is the second nonzero index.
+
+    @settings(max_examples=40, deadline=None)
+    @given(first_stretch_vectors(), st.data())
+    def test_a_failure_moved_into_the_first_stretch_is_rejected(self, values, data):
+        # H_m = m <= 1 + m(m-1)/2 for every m <= s: no gap of the stretch
+        # fails, and its prefixes reach every sum up to S_m, so neither a gap
+        # witness nor a missing sum m <= S_m holds there.
+        c = validate(values)
+        s = next(i for i, ci in enumerate(values[1:], start=2) if ci)
+        assume(values[0] == 1 and s >= 3)
+        m = data.draw(st.integers(3, s), label="m")
+        for witness in (None, -1, 1 - m, m):
+            forged = brown.Verdict(c, INCOMPLETE, brown.failure(m, witness), False, m)
+            assert not recheck(forged), (m, witness)
+
+    def test_the_stretch_is_read_from_the_reference_terms(self, monkeypatch):
+        # With H_40 one too small in the reference terms the room before
+        # H_{L+1} is one smaller, so the engine's witness no longer matches:
+        # the closed form stands in only for terms that the comparison finds
+        # to be 1..k, whatever the bisection's probes saw.
+        v = check_completeness(validate([1, *[0] * 62, 2**40]))
+        assert recheck(v)
+        real = brown.generate_terms
+
+        def h40_too_small(c, n):
+            t = real(c, n).terms
+            return core.TermSequence(c, (*t[:39], t[39] - 1, *t[40:]))
+
+        monkeypatch.setattr(brown, "generate_terms", h40_too_small)
+        assert not recheck(v)
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 64, 300, 1024])
+    def test_second_nonzero_at_c_L(self, L):
+        # s = L: the stretch is the whole head, H_1..H_L = 1..L.  The failure
+        # at L + 1 re-checks, and moved into the stretch or past its index
+        # does not.  The strict window, whose B_L..B_{2L-1} > 0 are read term
+        # by term (B_L = 1 + L(L-1)/2 - L is 0 at L = 2), re-checks exactly
+        # where the reference gaps say it holds.
+        n = families.bound_one_zeros(L - 2).max_n
+        fail = check_completeness(validate([1, *[0] * (L - 2), 2 ** L]))
+        assert fail.certificate == brown.failure(L + 1, L * (L + 1) // 2 + 1 - (L + 2 ** L))
+        assert recheck(fail)
+        assert not recheck(moved(fail, index=L, witness=None))
+        assert not recheck(moved(fail, index=L + 2, witness=None))
+        for N in (1, n, n + 1):
+            c = validate([1, *[0] * (L - 2), N])
+            m = 2 * L - 1
+            strict = brown.Verdict(c, COMPLETE, brown.strict_window(m), False, m)
+            gaps = brute_gaps(reference_terms(c.values, m))
+            holds = min(gaps[: L - 1]) >= 0 and min(gaps[L - 1 :]) > 0
+            assert holds is (L >= 3 and N <= n), (L, N)
+            assert recheck(strict) is holds, (L, N)
+
+
 KINDS = (COMPLETE, INCOMPLETE, UNKNOWN)
 
 
@@ -679,11 +736,18 @@ class TestRecheckIsIndependentOfTheKernel:
         assert '"verified": false' in capsys.readouterr().out
 
     def test_gap_certificates_recheck_without_the_kernel(self, monkeypatch):
-        # Every tagged verdict but the family rule's, whose recheck runs the engine.
+        # Every tagged verdict but the family rule's, whose recheck runs the
+        # engine; and long sparse vectors, whose first stretch recheck reads
+        # in closed form, each at its family bound (complete) and past it.
         verdicts = [TAGGED[name]() for name in TAGGED if name != "family:one-zeros"]
-        for vals in all_vectors(3, 3):
-            c = validate(vals)
+        vectors = [validate(vals) for vals in all_vectors(3, 3)]
+        for L in (64, 300, 1024):
+            n = families.bound_one_zeros(L - 2).max_n
+            vectors += [validate([1, *[0] * (L - 2), N]) for N in (n, n + 1, 2 ** (L // 2))]
+        for c in vectors:
             verdicts += [check_completeness(c), oracle_verdict(c, max_prefix=4 * c.L)]
+        assert {v.certificate.kind for v in verdicts} >= {
+            "failure", "strict_window", "doubling_window"}
 
         def raising_engine(*args, **kwargs):
             raise AssertionError("recheck ran the gap engine")

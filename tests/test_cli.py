@@ -18,9 +18,11 @@ from helpers import (
     brute_gaps,
     reference_max_last,
     reference_min_root,
+    reference_report,
     reference_root,
     reference_scan_2l1,
     reference_terms,
+    respelled,
     vectors_by_sum,
 )
 
@@ -357,6 +359,19 @@ class TestFamilyTable:
         assert code == 2
         assert out == ""
         assert "horizon 3 < 2L-1 = 5" in err
+
+    @pytest.mark.parametrize("ranges,message", [
+        (("--g", "0", "--k", "1"), "c_1 must be positive, got [0, 1]"),
+        (("--g", "2", "--k", "0"), "need g >= 1 and k >= 1, got g=2, k=0"),
+    ], ids=["invalid-vector", "no-bound"])
+    def test_row_errors_come_before_the_horizon(self, capsys, ranges, message):
+        # A row's invalid vector is named first, then a bound the family
+        # lacks, and only then a horizon below 2L-1.
+        code, out, err = run(capsys, "family-table", "--family", "ones-zeros", *ranges,
+                             "--horizon", "1")
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     # The four family-table jobs of the benchmark's sweep workload.
     @pytest.mark.parametrize("ranges", [
@@ -1094,6 +1109,53 @@ def test_reports_round_trip(values, command):
     assert words[:2] == [str(c), payload["kind"]]
     index = [w for w in words if w.startswith("index=")]
     assert index == ([] if payload["index"] is None else [f"index={payload['index']}"])
+
+
+def _sparse(L, n, extra):
+    # [1, 0^(L-2), n] with the entries of ``extra`` (index: value) set.
+    values = [1, *[0] * (L - 2), n]
+    for i, ci in extra.items():
+        values[i] = ci
+    return tuple(values)
+
+
+# Short vectors with coefficients up to 120 (multi-digit fields), and long
+# sparse ones, [1, 0^(L-2), N] with one or two more nonzero entries now and
+# then, up to L = 1024.
+writer_vectors = st.one_of(
+    st.builds(lambda c1, mid, cL: (c1, *mid, cL), st.integers(1, 120),
+              st.lists(st.integers(0, 120), max_size=6), st.integers(1, 120)),
+    st.integers(2, 1024).flatmap(lambda L: st.builds(
+        _sparse, st.just(L), st.integers(1, 2 ** (L - 1)),
+        st.dictionaries(st.integers(1, max(L - 2, 1)), st.integers(1, 10**6), max_size=2 * (L > 2)),
+    )),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), values=writer_vectors,
+       command=st.sampled_from(["check", "oracle-check", "gen"]),
+       fmt=st.sampled_from(["json", "csv", "plain"]), verify=st.booleans(),
+       triage_first=st.booleans())
+def test_writer_matches_the_reference_writer(data, values, command, fmt, verify, triage_first):
+    # The report text is built once, from the request's own text when it is
+    # canonical; every byte of stdout and stderr must be what writing the
+    # whole dicts with JSONEncoder(sort_keys=True) gave, for the canonical
+    # spelling and for a re-spelled one.
+    fields = list(map(str, values))
+    canonical = ",".join(fields)
+    for i in data.draw(st.sets(st.integers(0, len(values) - 1), max_size=8), label="respelled"):
+        fields[i] = data.draw(respelled(values[i]), label=f"c_{i + 1}")
+    spelled = ",".join(fields)
+    if command == "gen":
+        n = data.draw(st.integers(1, len(values) + 5), label="n")
+        options, expected = ["--n", str(n)], reference_report("gen", values, fmt, n=n)
+    else:
+        triage_first &= command == "check"
+        options = ["--verify"] * verify + ["--triage-first"] * triage_first
+        expected = reference_report(command, values, fmt, verify, triage_first)
+    for text in {canonical, spelled}:
+        assert _call(command, text, "--format", fmt, *options) == expected
 
 
 @settings(deadline=None)
