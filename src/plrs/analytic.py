@@ -91,7 +91,8 @@ class CharPoly(_Record):
         """i - j, c_i for each nonzero c_i, where c_j is the previous one (j = 0 first).
 
         One flat tuple (g_1, c_1, g_2, c_2, ...), built on first use and kept:
-        a bracket holds its polynomial, and ``dense`` holds thousands.
+        one polynomial's sign is read many times, by ``_grid``'s bisection,
+        ``triage``'s three grids and ``_separate``.
         """
         if self._taps is None:
             vals, taps, j = self.coefficients.values, [], 0

@@ -276,8 +276,8 @@ def check_completeness(
     as the scan reaches it, so an early verdict at n costs H_1..H_n alone
     and H_{h+1} is never built.  H_n is read against room = 1 + H_1 + ...
     + H_{n-1}: B_n < 0 exactly when H_n > room, and the gap room - H_n is
-    computed only as a failure's witness.  The terms grow one phase at a
-    time, over the nonzero coefficients only:
+    computed only as a failure's witness.  The terms grow in the two
+    phases of their definition, over the nonzero coefficients only:
 
     * head, H_2..H_L: one run per stretch between consecutive nonzero
       indices, where the live taps (c_i with i < n) do not change, plus
@@ -287,14 +287,13 @@ def check_completeness(
       room, a failure at 2 with witness 1 - c_1; c_1 = 1 gives H_n = n,
       which never exceeds room = 1 + n(n-1)/2, so H_2..H_s pass and
       leave room = 1 + s(s+1)/2.  The later stretches are loops.
-    * window, H_{L+1}..H_{2L-1}: every tap live.  A zero gap rules the
-      strict window out, which is decided once the loop ends.
-    * tail, H_{2L}..H_h: the doubling window.  The run of non-negative
-      margins D_j = 2*H_j - H_{j+1} is counted from D_{L+1} on, through
-      the window and the tail.  A doubling window at m >= 2L+1 reads
-      D_{m-L}..D_{m-1}, all at indices above L, so the counted run
-      reaches L at m exactly when m >= 2L+1 and the full run does: the
-      loop needs no test of m.
+    * recurrence, H_{L+1}..H_h: one loop with every tap live, which fires
+      both windows.  A zero gap rules the strict window out; with none,
+      it is returned at n = 2L-1.  The run of non-negative margins D_j =
+      2*H_j - H_{j+1} is counted from D_{L+1} on.  A doubling window at m
+      >= 2L+1 reads D_{m-L}..D_{m-1}, all at indices above L, so the
+      counted run reaches L at m exactly when m >= 2L+1 and the full run
+      does: the loop needs no test of m.
     """
     return _gap_scan(c, engine_horizon(c.L, horizon), assume_2l1, [])
 
@@ -324,29 +323,21 @@ def _gap_scan(c: Coefficients, h: int, assume_2l1: bool, terms: list[int]) -> Ve
                 return Verdict(c, INCOMPLETE, failure(n, room - x), False, n)
             room += x
     prev = t[-1]
-    strict = L >= 2 and 2 * prev < room  # B_L > 0; the theorem needs L >= 2
+    # The strict window's end, 2L-1, while B_L..B_n > 0 (L >= 2, as the
+    # theorem needs), else 0.
+    strict = 2 * L - 1 if L >= 2 and 2 * prev < room else 0
     run = -1  # D_L, read at H_{L+1}, leaves it at 0: the run starts at D_{L+1}
-    for n in range(L + 1, 2 * L):
+    for n in range(L + 1, h + 1):
         x = 0
         for ci, k in taps:
             x += ci * t[k]
         t.append(x)
-        if x > room:
-            return Verdict(c, INCOMPLETE, failure(n, room - x), False, n)
-        if x == room:
-            strict = False
-        run = run + 1 if x <= 2 * prev else 0
-        room += x
-        prev = x
-    if strict:
-        return Verdict(c, COMPLETE, strict_window(2 * L - 1), False, 2 * L - 1)
-    for n in range(2 * L, h + 1):
-        x = 0
-        for ci, k in taps:
-            x += ci * t[k]
-        t.append(x)
-        if x > room:
-            return Verdict(c, INCOMPLETE, failure(n, room - x), False, n)
+        if x >= room:
+            if x > room:
+                return Verdict(c, INCOMPLETE, failure(n, room - x), False, n)
+            strict = 0
+        if n == strict:
+            return Verdict(c, COMPLETE, strict_window(n), False, n)
         if x <= 2 * prev:
             run += 1
             if run >= L:

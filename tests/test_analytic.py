@@ -550,6 +550,23 @@ class TestExactThresholdSearch:
         assert "_settle_level" in names
         assert not names & {"_read_level", "Coefficients", "check_completeness"}
 
+    def test_an_engine_failure_inside_the_pass_interval_is_the_first(self, monkeypatch):
+        # Prefix (1, 0, 2) passes B_1..B_7 for c_L in 1..3, the strict
+        # window proves 1 and 2, and 4 is the first failure.  An engine
+        # failure of the open c_L = 3 past 2L-1, a 2L-1 counterexample,
+        # must be reported as the first incomplete c_L, not counted.
+        check = brown.check_completeness
+        head = [*reference_terms([1, 0, 2, 0], 4)]
+        assert analytic._first_incomplete([1, 0, 2, 0], head, math.inf) == (4, 3, [])
+
+        def failing(c, *args, **kwargs):
+            if c == validate([1, 0, 2, 3]):
+                return brown.Verdict(c, INCOMPLETE, brown.failure(9, -1), False, 9)
+            return check(c, *args, **kwargs)
+
+        monkeypatch.setattr(brown, "check_completeness", failing)
+        assert analytic._first_incomplete([1, 0, 2, 0], head, math.inf) == (3, 2, [])
+
     @settings(deadline=None, max_examples=60)
     @given(prefixes)
     def test_least_incomplete_completion_is_max_last_plus_one(self, prefix):

@@ -395,15 +395,15 @@ class TestLazyPrefixProperties:
         h = max(1024, 4 * c.L)
         assert got == reference_check_completeness(c, horizon=h, assume_2l1=assume)
 
-    # Verdicts in each of the engine's three loops and on both sides of
-    # each loop's end: c_1 plus one to four nonzero coefficients, up to
+    # Verdicts in both of the engine's phases and on both sides of the
+    # strict window's end: c_1 plus one to four nonzero coefficients, up to
     # 3L^2, at random positions.  Failures land in the head, in any of its
-    # stretches of live taps, and in the window; the tail ends in a
-    # doubling window or unknown (a failure there, with B_1..B_{2L-1} >= 0,
-    # would refute the 2L-1 conjecture).  The examples are L = 1, L = 2
-    # and the vectors of the goldens that end in each loop: a failure at 7
-    # in the head's second stretch, one at 42 in the window, a doubling
-    # window at 188 and, at horizon 150, unknown.
+    # stretches of live taps, and in the recurrence through 2L-1; past it
+    # the recurrence ends in a doubling window or unknown (a failure there,
+    # with B_1..B_{2L-1} >= 0, would refute the 2L-1 conjecture).  The
+    # examples are L = 1, L = 2 and the vectors of the goldens that end in
+    # each place: a failure at 7 in the head's second stretch, one at 42
+    # before 2L-1, a doubling window at 188 and, at horizon 150, unknown.
     @example((3,), 0)
     @example((1, 2), 1)
     @example((1, 0, 0, 0, 0, 16, *[0] * 8, 3), 0)
@@ -420,9 +420,10 @@ class TestLazyPrefixProperties:
 
     # The head's first stretch, H_2..H_s with s the second nonzero index,
     # in closed form: c_1 >= 2 fails at 2 and c_1 = 1 gives H_n = n.  At
-    # horizons 2L-1, 2L and the default, with the terms grown; the
-    # examples are L = 1, c_1 >= 2 at L >= 2, s = 2 < L, s = L, and a
-    # failure at s + 1 = 6 with witness -1 next to B_6 = 0.
+    # horizons 2L-1, 2L, 2L+1 (the first index where a doubling window can
+    # fire), 2L+2 and the default, with the terms grown; the examples are
+    # L = 1, c_1 >= 2 at L >= 2, s = 2 < L, s = L, and a failure at s + 1
+    # = 6 with witness -1 next to B_6 = 0.
     @example((1,), False)
     @example((3,), True)
     @example((2, 1), False)
@@ -435,7 +436,7 @@ class TestLazyPrefixProperties:
     @given(first_stretch_vectors(), st.booleans())
     def test_engine_matches_eager_engine_on_first_stretch_vectors(self, values, assume):
         c, L = validate(values), len(values)
-        for h in (2 * L - 1, 2 * L, None):
+        for h in (2 * L - 1, 2 * L, 2 * L + 1, 2 * L + 2, None):
             got = check_completeness(c, horizon=h, assume_2l1=assume)
             full = max(1024, 4 * L) if h is None else h
             assert got == reference_check_completeness(c, horizon=full, assume_2l1=assume)

@@ -538,6 +538,25 @@ class TestMinRoot:
         assert payload["frontier"] == [1, 0, 4]
         assert payload["frontier_root"] == 2.0
 
+    def test_a_frontier_below_lambda_exits_four_and_keeps_the_report(self, capsys, monkeypatch,
+                                                                     tmp_path):
+        # With lambda_3 moved up to the root of [1, 0, 5], the frontier
+        # [1, 0, 4] (root 2) lies below it: a counterexample to the
+        # conjecture, reported and written in full.
+        raised = analytic.LambdaThreshold(3, 4, analytic.principal_root(validate([1, 0, 5])))
+        monkeypatch.setattr(analytic, "lambda_threshold", lambda L, tol: raised)
+        target = tmp_path / "min-root.json"
+        code, out, err = run(capsys, "min-root", "--L", "3", "--sum-cap", "6", "--jobs", "1",
+                             "--out", str(target))
+        assert code == 4
+        assert out == ""
+        assert err == ("frontier root lies below the lambda threshold: conjecture "
+                       "counterexample; report retained\n")
+        payload = json.loads(target.read_text())
+        assert payload["conjecture_violated"] is True
+        assert payload["frontier"] == [1, 0, 4]
+        assert payload["margin"] < 0
+
     @pytest.mark.parametrize("L,cap", [(2, 4), (2, 9), (3, 6), (3, 14), (4, 8), (4, 10), (5, 7)])
     def test_frontier_is_least_root_of_every_incomplete_vector(self, capsys, monkeypatch, L, cap):
         # least_root is offered incomplete vectors only, in lexicographic
