@@ -34,7 +34,7 @@ coarsest grid that certifies it.  Roots in between land in an
 indeterminate band where gap arithmetic must decide.
 ``exact_threshold_search`` audits the conjectured lower end of that band
 by a pruned walk over coefficient prefixes, ``least_incomplete_root`` a
-sum class, both through one per-prefix step, ``_first_incomplete``.
+sum class, both through the per-prefix step ``brown._first_incomplete``.
 """
 
 from __future__ import annotations
@@ -553,39 +553,16 @@ def min_root_in_pls(L: int, S: int, tol=DEFAULT_TOL) -> tuple[Coefficients, Root
     return claimed, principal_root(claimed, tol)
 
 
-def _first_incomplete(leaf: list[int], terms: list[int], top: float) -> tuple:
-    """(first incomplete c_L or None, complete count, unknown vectors) for c_L in [1, top].
-
-    ``leaf`` is P + [0] with its terms, a leaf of ``core._prefix_walk``.
-    One ``brown._settle_level`` reads B_1..B_(2L-1) for every c_L: no
-    window fires before 2L-1, so a c_L outside the pass interval fails in
-    the engine too and one inside the strict window's is complete, and
-    only the c_L it leaves open get an engine run.  ``top`` may be
-    ``math.inf``: B_(L+1) has slope -1, so the pass interval is finite.
-    """
-    lo, hi, complete, verdicts = brown._settle_level(leaf, terms, 2 * len(leaf) - 1, top, None)
-    fails = [1] if lo > hi or lo > 1 else [hi + 1] if hi < top else []
-    unknown = []
-    for v in verdicts:
-        if v.kind == brown.INCOMPLETE:
-            fails.append(v.coefficients.values[-1])
-        elif v.kind == brown.COMPLETE:
-            complete += 1
-        else:
-            unknown.append(v.coefficients)
-    return min(fails, default=None), complete, unknown
-
-
 def least_incomplete_root(L: int, cap: int, tol) -> tuple:
     """(count of complete vectors, unknown vectors by sum, ``least_root`` of
     the incomplete ones) over length L >= 2 and coefficient sum <= cap.
 
     Prefixes c_1..c_(L-1) are walked while B_(k+1) >= 0 for k <= L, each
-    read by ``_first_incomplete`` for c_L up to cap - sum.  Completeness is
-    closed downward in c_L and roots grow in every c_i, so ``least_root``
-    is offered, in lexicographic order, only the completion c_1..c_k, 0,
-    ..., 0, 1 of each pruned node and the first incomplete vector of each
-    prefix.
+    read by ``brown._first_incomplete`` for c_L up to cap - sum.
+    Completeness is closed downward in c_L and roots grow in every c_i, so
+    ``least_root`` is offered, in lexicographic order, only the completion
+    c_1..c_k, 0, ..., 0, 1 of each pruned node and the first incomplete
+    vector of each prefix.
     """
     if L < 2 or cap < 2:
         raise ValueError(f"need L >= 2 and cap >= 2, got L={L}, cap={cap}")
@@ -599,7 +576,7 @@ def least_incomplete_root(L: int, cap: int, tol) -> tuple:
 
     ranges = [range(1, cap), *[range(cap - 1)] * (L - 2), range(1)]
     for leaf, terms, _ in _prefix_walk(ranges, keep):
-        first, n, unknown = _first_incomplete(leaf, terms, cap - sum(leaf))
+        first, n, unknown = brown._first_incomplete(leaf, terms, cap - sum(leaf))
         complete += n
         undecided += unknown
         if first is not None:
@@ -618,8 +595,8 @@ class ThresholdSearchReport(_Record):
     ``frontier`` is the smallest certified principal root among vectors the
     gap engine judges incomplete whose root lies strictly below 2, or None
     when no such vector exists.  ``candidates`` counts the full prefixes
-    c_1..c_(L-1) reached, each read once by ``_first_incomplete``; a prefix
-    with a c_L the engine leaves unknown is listed in ``undecided``.
+    c_1..c_(L-1) reached, each read once by ``brown._first_incomplete``; a
+    prefix with a c_L the engine leaves unknown is listed in ``undecided``.
     """
 
     __slots__ = (
@@ -633,13 +610,13 @@ def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
 
     Roots grow in every c_i, and lowering c_L keeps completeness, so the
     least incomplete root with full prefix P is that of P + [first], the
-    first incomplete c_L of ``_first_incomplete`` with no bound on c_L; a
-    prefix with a c_L the engine leaves unknown offers no vector.  Prefixes
-    c_1..c_(L-1) are walked by ``core._prefix_walk`` within the box
-    c_i < 2^i (p(2) > 0 needs it).  A value is kept while the least-root
-    completion c_1..c_k + 0^(L-1-k) + [1] has a root below 2 and, when
-    lambda_L < 2, at most lambda_L (the sparse vector of lambda_L is
-    incomplete); the first value that fails ends its level.
+    first incomplete c_L of ``brown._first_incomplete`` with no bound on
+    c_L; a prefix with a c_L the engine leaves unknown offers no vector.
+    Prefixes c_1..c_(L-1) are walked by ``core._prefix_walk`` within the
+    box c_i < 2^i (p(2) > 0 needs it).  A value is kept while the
+    least-root completion c_1..c_k + 0^(L-1-k) + [1] has a root below 2
+    and, when lambda_L < 2, at most lambda_L (the sparse vector of
+    lambda_L is incomplete); the first value that fails ends its level.
     """
     if L < 2:
         raise ValueError(f"need L >= 2, got {L}")
@@ -658,7 +635,7 @@ def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
     for leaf, terms, _ in _prefix_walk([*(range(i == 1, 2**i) for i in range(1, L)), range(1)],
                                        below):
         full += 1
-        first, _, unknown = _first_incomplete(leaf, terms, math.inf)
+        first, _, unknown = brown._first_incomplete(leaf, terms, math.inf)
         if unknown:
             undecided.append(tuple(leaf[:-1]))
         elif CharPoly(c := Coefficients((*leaf[:-1], first))).sign_at(2) > 0:

@@ -242,6 +242,33 @@ def _settle_level(values: list[int], terms: list[int], window: int, top: float,
     return lo, hi, max(0, min(shi, hi) - slo + 1), verdicts
 
 
+def _first_incomplete(leaf: list[int], terms: list[int], top: float,
+                      horizon: int | None = None) -> tuple:
+    """(first incomplete c_L or None, complete count, unknown vectors) for c_L in [1, top].
+
+    ``leaf`` is P + [0] with its terms, a leaf of ``core._prefix_walk``.
+    One ``_settle_level`` reads B_1..B_max(2L-1, 2) for every c_L: no
+    window fires before 2L-1, so a c_L outside the pass interval fails in
+    the engine too (at a horizon that reaches the failing gap) and one
+    inside the strict window's is complete, and only the c_L it leaves
+    open get an engine run at ``horizon``.  ``top`` may be ``math.inf``:
+    B_(L+1) has slope -1, so the pass interval is finite; at L = 1 that is
+    B_2 = 2 - c_1, which 2L-1 = 1 would not reach.
+    """
+    lo, hi, complete, verdicts = _settle_level(leaf, terms, max(2 * len(leaf) - 1, 2), top,
+                                               horizon)
+    fails = [1] if lo > hi or lo > 1 else [hi + 1] if hi < top else []
+    unknown = []
+    for v in verdicts:
+        if v.kind == INCOMPLETE:
+            fails.append(v.coefficients.values[-1])
+        elif v.kind == COMPLETE:
+            complete += 1
+        else:
+            unknown.append(v.coefficients)
+    return min(fails, default=None), complete, unknown
+
+
 def engine_horizon(L: int, horizon: int | None = None) -> int:
     """The horizon of an engine run on a length-L vector.
 

@@ -16,6 +16,7 @@ proven=False, and classifications made with them are flagged conjectural.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 from . import brown
@@ -192,68 +193,26 @@ FAMILIES = {
 def max_last(prefix: Sequence[int], horizon: int | None = None) -> int | None:
     """Largest N for which the gap engine judges ``prefix + [N]`` complete.
 
-    0 when N = 1 is already incomplete; None when the engine leaves a
-    probed member unknown.  Lowering the last coefficient keeps a complete
-    sequence complete, so doubling and then bisection find N exactly.
-    Raises HorizonTooSmall when ``horizon`` < 2L-1, as the engine does.
+    Lowering the last coefficient keeps a complete sequence complete, so
+    with N* the first incomplete N the answer is N* - 1: 0 when N = 1 is
+    already incomplete, and None exactly when the engine leaves N* - 1
+    unknown.  Raises HorizonTooSmall when ``horizon`` < 2L-1, as the
+    engine does.
 
-    Most probes need no engine run.  The gaps B_1..B_{2L-1} are lines
-    a_n + s_n*N, read for every N at once by ``brown._read_level``, which
-    cuts each one by the sign of its slope.  They bracket the answer in
-    [lo, hi - 1]:
-
-    * lo: every N <= lo is complete, backed by the strict window (B_n >= 0
-      for n < L, B_n > 0 on L..2L-1, L >= 2).  lo is the largest N passing
-      it, or 0 when N = 1 does not.
-    * hi: the least N >= 1 with some B_n < 0 at n <= 2L-1, backed by that
-      failure: 1 when N = 1 fails, else one past the pass interval.
-      B_{L+1} has slope -1, so hi exists for L >= 2.  When hi > 1, only
-      falling lines fail at hi, so every larger N fails too.  B_{2L} is
-      left out: it could fail first only at a counterexample to the 2L-1
-      conjecture, and a run at horizon 2L-1 does not read it.
-
-    On every N outside (lo, hi) that the search probes, the engine would
-    return exactly that verdict, since no certificate of its fires before
-    index 2L-1 or, for a doubling window, 2L+1.  So those probes are
-    answered from the bracket, only the ones inside run the engine, and the
-    result, None included, is the one the engine gives on every probe.
+    One ``brown._first_incomplete`` call finds N* and the N the engine
+    leaves unknown.  It reads the gaps B_1..B_{2L-1} (B_2 at L = 1) for
+    every N at once and runs the engine only on the N that neither the
+    strict window proves complete nor a failing gap proves incomplete.
+    B_{2L} is left out for L >= 2: it could fail first only at a
+    counterexample to the 2L-1 conjecture, and a run at horizon 2L-1 does
+    not read it.
     """
     L = len(prefix) + 1
     brown.engine_horizon(L, horizon)  # HorizonTooSmall, as from the engine
     c = validate([*prefix, 1])  # raises as the vector would; H_1..H_L are free of c_L
-    values, terms = [*c.values[:-1], 0], [*generate_terms(c, L).terms]
-    pass_lo, pass_hi, strict_lo, strict_hi = brown._read_level(values, terms, 2 * L - 1)
-    lo = strict_hi if strict_lo == 1 else 0
-    hi = 1 if pass_lo > 1 else None if pass_hi is None else pass_hi + 1
-
-    def complete(n: int) -> bool | None:
-        if n <= lo:
-            return True
-        if hi is not None and n >= hi:
-            return False
-        v = brown.check_completeness(validate([*prefix, n]), horizon=horizon)
-        return None if v.kind == brown.UNKNOWN else v.kind == brown.COMPLETE
-
-    first = complete(1)
-    if first is None:
-        return None
-    if first is False:
-        return 0
-    good, bad = 1, 2
-    while (s := complete(bad)) is True:
-        good, bad = bad, bad * 2
-    if s is None:
-        return None
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        s = complete(mid)
-        if s is None:
-            return None
-        if s:
-            good = mid
-        else:
-            bad = mid
-    return good
+    first, _, unknown = brown._first_incomplete([*c.values[:-1], 0], [*generate_terms(c, L).terms],
+                                                math.inf, horizon)
+    return None if any(u.values[-1] == first - 1 for u in unknown) else first - 1
 
 
 def classify_family(shape: FamilyShape, n: int) -> brown.Verdict:

@@ -544,9 +544,9 @@ class TestExactThresholdSearch:
                          st.integers(1, 4), st.lists(st.integers(0, 4), max_size=3))
 
     def test_the_per_prefix_step_is_a_reduction_of_the_level_step(self):
-        # _first_incomplete reads no level, builds no vector and runs no
-        # engine itself: brown._settle_level does all three.
-        names = set(analytic._first_incomplete.__code__.co_names)
+        # brown._first_incomplete reads no level, builds no vector and runs
+        # no engine itself: brown._settle_level does all three.
+        names = set(brown._first_incomplete.__code__.co_names)
         assert "_settle_level" in names
         assert not names & {"_read_level", "Coefficients", "check_completeness"}
 
@@ -557,7 +557,7 @@ class TestExactThresholdSearch:
         # must be reported as the first incomplete c_L, not counted.
         check = brown.check_completeness
         head = [*reference_terms([1, 0, 2, 0], 4)]
-        assert analytic._first_incomplete([1, 0, 2, 0], head, math.inf) == (4, 3, [])
+        assert brown._first_incomplete([1, 0, 2, 0], head, math.inf) == (4, 3, [])
 
         def failing(c, *args, **kwargs):
             if c == validate([1, 0, 2, 3]):
@@ -565,7 +565,15 @@ class TestExactThresholdSearch:
             return check(c, *args, **kwargs)
 
         monkeypatch.setattr(brown, "check_completeness", failing)
-        assert analytic._first_incomplete([1, 0, 2, 0], head, math.inf) == (3, 2, [])
+        assert brown._first_incomplete([1, 0, 2, 0], head, math.inf) == (3, 2, [])
+
+    def test_open_members_run_at_the_given_horizon(self):
+        # [1, 1, N]: B_4 fails from N = 3, and the strict window proves none
+        # of 1 and 2, whose runs at horizon 5 stop short of any window.
+        assert brown._first_incomplete([1, 1, 0], [1, 2, 4], math.inf, 5) == (
+            3, 0, [validate([1, 1, 1]), validate([1, 1, 2])])
+        # L = 1 is bounded by B_2 = 2 - N, and [1] and [2] are complete.
+        assert brown._first_incomplete([0], [1], math.inf) == (3, 2, [])
 
     @settings(deadline=None, max_examples=60)
     @given(prefixes)
@@ -574,7 +582,7 @@ class TestExactThresholdSearch:
         assume(m is not None)
         # The audit's per-prefix step, with no bound on c_L, finds m + 1 too.
         head = [*reference_terms([*prefix, 0], len(prefix) + 1)]
-        assert analytic._first_incomplete([*prefix, 0], head, math.inf)[0] == m + 1
+        assert brown._first_incomplete([*prefix, 0], head, math.inf)[0] == m + 1
         least = principal_root(validate([*prefix, m + 1]))
         kinds = {n: check_completeness(validate([*prefix, n])).kind for n in range(1, m + 7)}
         assert kinds[m + 1] == INCOMPLETE

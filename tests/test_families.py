@@ -162,6 +162,21 @@ class TestMaxLast:
         monkeypatch.setattr(brown, "check_completeness", no_engine)
         assert max_last([1, 0]) == 3
 
+    def test_the_search_is_a_reduction_of_the_per_prefix_step(self):
+        # max_last reads no level and runs no engine itself: one call of
+        # brown._first_incomplete does both.
+        names = set(max_last.__code__.co_names)
+        assert "_first_incomplete" in names
+        assert not names & {"_read_level", "check_completeness"}
+
+    def test_an_empty_prefix_is_bounded_by_its_second_gap(self):
+        # [N]: B_2 = 2 - N fails from N = 3, and [1] and [2] are complete by a
+        # doubling window at index 3, which horizons 1 and 2 do not reach.
+        assert max_last([]) == 2
+        assert max_last([], horizon=3) == 2
+        assert max_last([], horizon=2) is None
+        assert max_last([], horizon=1) is None
+
     # Horizon None, or 2L-1 + extra folded into [2L-1, 4L].
     @settings(deadline=None)
     @example([], 0)  # L = 1: B_1 = 0 is the only gap through 2L-1, so no bracket from above
