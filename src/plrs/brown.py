@@ -28,7 +28,6 @@ from itertools import compress
 
 from .core import (
     Coefficients,
-    TermSequence,
     _prefix_walk,
     _Record,
     generate_terms,
@@ -416,9 +415,12 @@ def recheck(verdict: Verdict) -> bool:
     not by ``sign_at``, the sign test that produced them.
     Family certificates must name a rule whose shape the coefficients have,
     agree with that rule's re-derived bound, and not be contradicted by a
-    definite gap-engine verdict.  An unrecognised certificate kind fails,
-    and so does a subset-sum witness whose bitset would exceed the oracle's
-    bit budget: a certificate that cannot be re-checked is not verified.
+    definite gap-engine verdict.  A subset-sum witness w at index m is
+    verified exactly when S_m < w < H_{m+1}, with S_m = H_1 + ... + H_m,
+    read from the reference terms H_1..H_{m+1}.  At most one m satisfies
+    it, since S_{m+1} = S_m + H_{m+1} > w, so a witness names its own
+    prefix; it is the form ``oracle_verdict`` writes, w = 1 + S_m below a
+    failing B_{m+1}.  An unrecognised certificate kind fails.
     """
     c = verdict.coefficients
     cert = verdict.certificate
@@ -443,24 +445,10 @@ def recheck(verdict: Verdict) -> bool:
     if m is None or m < 1:
         return False
     if cert.kind == "failure" and cert.witness is not None and cert.witness > 0:
-        # Subset-sum witness: a positive integer missing from the prefix of
-        # m terms and below H_{m+1}, so missing for good.  No subset reaches
-        # past S_m, and while B_1..B_m >= 0 the prefix reaches all of
-        # [0, S_m]; only a hand-made witness past a failure needs the bitset.
-        w, terms = cert.witness, generate_terms(c, m + 1).terms
-        prefix = terms[:m]
-        if w >= terms[m]:
-            return False
-        if w > sum(prefix):
-            return True
-        if _prefix_room(prefix) is not None:
-            return False
-        from .oracle import BudgetExceeded, reachable_sums  # local: oracle imports brown
-
-        try:
-            return not (reachable_sums(TermSequence(c, prefix)) >> w) & 1
-        except BudgetExceeded:
-            return False
+        # Subset-sum witness: no subset of H_1..H_m passes S_m, and every later
+        # term is at least H_{m+1}, so S_m < w < H_{m+1} is missing for good.
+        terms = generate_terms(c, m + 1).terms
+        return sum(terms[:m]) < cert.witness < terms[m]
     if cert.kind == "failure":  # the first negative gap, and its value
         terms = generate_terms(c, m).terms
         room = _prefix_room(terms[:-1])

@@ -213,8 +213,6 @@ def _finish(verdict: brown.Verdict, config: dict, args) -> tuple[dict, dict | st
             bits.append(f"index={index}")
         if verdict.conjectural:
             bits.append("conjectural")
-        if verdict.note:
-            bits.append(f"({verdict.note})")
         body = " ".join(bits)
     if config.get("verified") is False:
         return config, body, 1

@@ -47,8 +47,6 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _ceil_log2(k: int) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return (k - 1).bit_length()
 
 

@@ -5,7 +5,7 @@ bit-vector dynamic program: bit s of the mask is set iff some subset of the
 prefix sums to s.  If some positive integer m is unreachable from the
 prefix and m is smaller than the next term H_{n+1}, then m is unreachable
 forever (all later terms exceed it), so the full sequence is incomplete.
-``brown.recheck`` confirms a witness above the prefix sum from raw terms.
+``brown.recheck`` verifies a witness only above the prefix sum, from raw terms.
 
 The bitset decides nothing the gap engine does not, and names no witness
 that it could not.  Terms never decrease, so before the first failure

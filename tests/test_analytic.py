@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import timeit
 from fractions import Fraction
 
@@ -422,6 +423,10 @@ class TestTriage:
         assert v.certificate.tag() == "root:indeterminate"
         assert "indeterminate" in v.note
 
+    def test_an_indeterminate_report_carries_its_note(self):
+        v = triage(validate([1, 0, 0, 0, 0, 0, 15]))
+        assert v.to_json_dict()["note"] == "principal root in indeterminate region [lambda_L, 2]"
+
     def test_slow_growth_is_conjecturally_complete(self):
         v = triage(validate([1, 1]))
         assert v.kind == COMPLETE
@@ -431,6 +436,20 @@ class TestTriage:
     def test_rejects_length_one(self):
         with pytest.raises(ValueError):
             triage(validate([2]))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: principal_root(validate([1, 1]), 0), "tolerance must be positive, got 0"),
+    (lambda: analytic.min_root_in_pls(0, 1), "need L >= 1 and S >= 1, got L=0, S=1"),
+    (lambda: analytic.least_incomplete_root(1, 5, analytic.DEFAULT_TOL),
+     "need L >= 2 and cap >= 2, got L=1, cap=5"),
+    (lambda: exact_threshold_search(1), "need L >= 2, got 1"),
+    (lambda: denseness_scan(1), "need L >= 2, got 1"),
+], ids=["principal_root", "min_root_in_pls", "least_incomplete_root",
+        "exact_threshold_search", "denseness_scan"])
+def test_rejects_inputs_below_the_least(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestMinRootInPls:

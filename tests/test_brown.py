@@ -571,15 +571,31 @@ class TestRecheck:
         bad = brown.Verdict(c, COMPLETE, brown.strict_window(3), False, 3)
         assert not recheck(bad)
 
-    def test_hand_made_witness_past_a_failure_is_read_from_the_bitset(self):
-        # [1, 3] has terms 1, 2, 5, 11, 26 and B_3 = -1: the first three
-        # terms reach every sum up to 8 but 4, and the first four miss 9
-        # and 10 as well, all below the next term.
+    def test_a_hand_made_witness_is_verified_only_at_the_prefix_it_names(self):
+        # [1, 3] has terms 1, 2, 5, 11, 26, so S_2, S_3, S_4 = 3, 8, 19, and
+        # B_3 = -1.  4 and 9 are verified where S_m < w < H_{m+1}.  Past
+        # that prefix they, and 10, are still missing for good, but w <=
+        # S_m is not the form of a witness; 5 and 12 are sums, and 11 is H_4.
         c = validate([1, 3])
-        for m, w, missing in ((3, 4, True), (3, 5, False), (4, 9, True), (4, 10, True),
-                              (4, 12, False)):
+        for m, w, verified in ((2, 4, True), (3, 9, True), (3, 4, False), (3, 5, False),
+                               (3, 11, False), (4, 9, False), (4, 10, False), (4, 12, False)):
             v = brown.Verdict(c, INCOMPLETE, brown.failure(m, witness=w), False, m)
-            assert recheck(v) is missing, (m, w)
+            assert recheck(v) is verified, (m, w)
+
+    @example((1, 3), 2, False, 0)  # w = 4 = S_2 + 1
+    @example((1, 3), 3, False, -5)  # w = 4 again, named at a later prefix
+    @example((1, 0, 0, 1), 5, True, -1)  # terms 1, 2, 3, 4, 5, 7: w = 6 <= S_5 = 15
+    @given(short_vectors, st.integers(1, 10), st.booleans(),
+           st.integers(-2, 2) | st.integers(-(2**12), 2**12))
+    def test_a_witness_is_verified_exactly_between_s_m_and_the_next_term(
+        self, values, m, from_term, shift
+    ):
+        # w near S_m + 1 or near H_{m+1}, moved by a little or by up to 2^12.
+        terms = reference_terms(values, m + 1)
+        total = sum(terms[:m])
+        w = max(1, (terms[m] if from_term else total + 1) + shift)
+        v = brown.Verdict(validate(values), INCOMPLETE, brown.failure(m, witness=w), False, m)
+        assert recheck(v) is (total < w < terms[m]), w
 
     def test_a_doubling_window_with_one_negative_margin_is_rejected(self):
         # [1, 0, 0, 3, 5]: every B_n >= 0, and of the margins D_j = 2*H_j -
@@ -614,7 +630,8 @@ class TestRecheck:
         assert not recheck(below)
 
     def test_witness_past_the_bit_budget_is_not_verified(self):
-        # The prefix of 40 terms sums to about 1.5e9, past the 2^28-bit budget.
+        # The prefix of 40 terms sums to about 1.5e9, past the 2^28-bit budget
+        # of a subset-sum bitset; 5 is below that sum, so not a witness at 40.
         c = validate([1, 1] + [0] * 33 + [25583530])
         v = brown.Verdict(c, INCOMPLETE, brown.failure(40, witness=5), False, 40)
         assert recheck(v) is False

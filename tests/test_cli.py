@@ -684,7 +684,8 @@ def test_root_reports_match_goldens(capsys, monkeypatch, name):
     # written once the plain report listed its undecided vectors.  check
     # --verify at a failure just past the head's first stretch and at c_1
     # = 2 is as written when the engine and generate_terms grew that
-    # stretch term by term.
+    # stretch term by term.  gen --n 0, scan-2l1 --L 0, min-root --L 1 and
+    # dense --L 1 pin each command's own check of its sizes.
     monkeypatch.setenv("COLUMNS", "80")
     try:
         code, out, err = run(capsys, *GOLDEN_JOBS[name])
@@ -966,6 +967,21 @@ class TestParserReuse:
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[1:] == ["['analytic', 'families', 'oracle', 'transforms']"]
+
+    def test_a_hand_made_witness_is_rechecked_without_the_oracle(self):
+        # A subset-sum witness is compared with S_m and H_{m+1}; no bitset.
+        src = os.path.dirname(os.path.dirname(plrs.__file__))
+        probe = (f"import sys; sys.path.insert(0, {src!r}); import plrs; b = plrs.brown; "
+                 "c = plrs.validate([1, 3]); "
+                 "print([b.recheck(b.Verdict(c, b.INCOMPLETE, b.failure(m, witness=w), False, m))"
+                 " for m, w in ((2, 4), (3, 4), (3, 9))]); "
+                 f"{UNRUN_PROBE}")
+        done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "[True, False, True]", "['analytic', 'families', 'oracle', 'transforms']"
+        ]
 
     def test_family_names_are_the_families_table(self):
         assert cli._FAMILY_NAMES == tuple(families.FAMILIES)

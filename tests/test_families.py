@@ -77,6 +77,10 @@ class TestBoundTwoOnesZeros:
     def test_overlap_with_proven_rule(self):
         assert bound_two_ones_zeros(1).max_n == bound_ones_zeros(2, 1).max_n
 
+    def test_rejects_negative_k(self):
+        with pytest.raises(ShapeViolation, match="k must be >= 0, got -1"):
+            bound_two_ones_zeros(-1)
+
 
 class TestBoundOneZerosOnes:
     def test_m_zero_reduces_to_sparse_family(self):
@@ -133,6 +137,8 @@ class TestBoundOneZerosOnes:
             bound_one_zeros_ones(5, 2)  # L < 2m+2
         with pytest.raises(ShapeViolation):
             bound_one_zeros_ones(4, 2)  # no zero left
+        with pytest.raises(ShapeViolation, match="m must be >= 0, got -1"):
+            bound_one_zeros_ones(6, -1)
 
 
 class TestMaxLast:
@@ -179,7 +185,7 @@ class TestMaxLast:
 
     # Horizon None, or 2L-1 + extra folded into [2L-1, 4L].
     @settings(deadline=None)
-    @example([], 0)  # L = 1: B_1 = 0 is the only gap through 2L-1, so no bracket from above
+    @example([], 0)  # L = 1 at horizon 1: B_2 = 2 - N bounds N from above; N = 2 stays unknown
     @example([1], 1)  # horizon 4: unknown inside the bracket
     @example([1, 0, 0, 0], 6)  # horizon 15
     @example([1, 0, 0, 0, 0], None)  # B_11, inside the window, rises with N

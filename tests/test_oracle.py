@@ -8,6 +8,7 @@ from plrs import (
     UNKNOWN,
     BudgetExceeded,
     HorizonTooSmall,
+    TermSequence,
     check_completeness,
     generate_terms,
     oracle_verdict,
@@ -37,6 +38,10 @@ class TestReachableSums:
         t = generate_terms(validate(coeffs), n)
         mask = reachable_sums(t)
         assert mask_to_set(mask, sum(t.terms)) == expected
+
+    def test_rejects_an_empty_prefix(self):
+        with pytest.raises(ValueError, match="need a nonempty prefix"):
+            reachable_sums(TermSequence(validate([1]), ()))
 
     def test_matches_brute_force_enumeration(self):
         for coeffs in ([1, 3], [2, 1], [1, 0, 2], [3], [1, 1, 1]):
@@ -143,18 +148,19 @@ class TestOracleVerdict:
     def test_hand_made_witnesses_on_both_sides_of_the_prefix_sum(self):
         from plrs import brown
 
-        # The subset sums of (1, 2, 5) miss 4 but reach 5; both lie below
-        # S_3 = 8 and H_4 = 11.  Past S_3, 9 is missing and below H_4; 11
-        # is not below it.
+        # [1, 3] has terms 1, 2, 5, 11, 26.  Only S_m < w < H_{m+1} verifies:
+        # 4 above S_2 = 3 and 9 above S_3 = 8.  At or below the prefix sum
+        # nothing does: not 5 and 12, which are sums, nor 4, 9 and 10,
+        # missing for good but named past their own prefix.  11 is H_4.
         c = validate([1, 3])
 
-        def made(witness):
-            return brown.Verdict(c, INCOMPLETE, brown.failure(3, witness=witness), False, 3)
+        def made(m, witness):
+            return brown.Verdict(c, INCOMPLETE, brown.failure(m, witness=witness), False, m)
 
-        assert recheck(made(4))
-        assert not recheck(made(5))
-        assert recheck(made(9))
-        assert not recheck(made(11))
+        assert recheck(made(2, 4))
+        assert recheck(made(3, 9))
+        for m, w in ((3, 4), (3, 5), (3, 11), (4, 9), (4, 10), (4, 12)):
+            assert not recheck(made(m, w)), (m, w)
 
     def test_agreement_with_gap_engine_beyond_the_acceptance_space(self):
         # Wider than the acceptance sweep: longer vectors at cap 3.
