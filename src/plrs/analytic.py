@@ -557,7 +557,7 @@ def least_incomplete_root(L: int, cap: int, tol) -> tuple:
     """(count of complete vectors, unknown vectors by sum, ``least_root`` of
     the incomplete ones) over length L >= 2 and coefficient sum <= cap.
 
-    Prefixes c_1..c_(L-1) are walked while B_(k+1) >= 0 for k <= L, each
+    Prefixes c_1..c_(L-1) are walked while B_(k+1) >= 0 for k < L, each
     read by ``brown._first_incomplete`` for c_L up to cap - sum.
     Completeness is closed downward in c_L and roots grow in every c_i, so
     ``least_root`` is offered, in lexicographic order, only the completion
@@ -569,18 +569,18 @@ def least_incomplete_root(L: int, cap: int, tol) -> tuple:
     firsts, undecided, complete = [], [], 0
 
     def keep(prefix: list[int], h: int, running: int) -> bool:
-        fits = sum(prefix) + (len(prefix) < L) <= cap  # with room left for c_L >= 1
+        fits = sum(prefix) < cap  # with room left for c_L >= 1
         if fits and h > 1 + running:
-            firsts.append((*prefix[: L - 1], *[0] * (L - 1 - len(prefix)), 1))
+            firsts.append((*prefix, *[0] * (L - 1 - len(prefix)), 1))
         return fits and h <= 1 + running
 
-    ranges = [range(1, cap), *[range(cap - 1)] * (L - 2), range(1)]
-    for leaf, terms, _ in _prefix_walk(ranges, keep):
-        first, n, unknown = brown._first_incomplete(leaf, terms, cap - sum(leaf))
+    ranges = [range(1, cap), *[range(cap - 1)] * (L - 2)]
+    for prefix, terms in _prefix_walk(ranges, keep):
+        first, n, unknown = brown._first_incomplete(prefix, terms, cap - sum(prefix))
         complete += n
         undecided += unknown
         if first is not None:
-            firsts.append((*leaf[:-1], first))
+            firsts.append((*prefix, first))
     undecided.sort(key=sum)
     return complete, undecided, least_root(map(Coefficients, firsts), tol)
 
@@ -625,20 +625,17 @@ def exact_threshold_search(L: int, tol=DEFAULT_TOL) -> ThresholdSearchReport:
     lam_below_two = lam.root.poly.sign_at(2) > 0
 
     def below(prefix: list[int], h: int, running: int) -> bool:
-        if len(prefix) == L:
-            return True  # c_L = 0 closes a full prefix
         poly = CharPoly(validate([*prefix, *[0] * (L - 1 - len(prefix)), 1]))
         return poly.sign_at(2) > 0 and not (
             lam_below_two and _separate(_integer_bracket(poly), lam.root)[0] > 0)
 
     full, undecided, offered = 0, [], []  # offered: the least-root incomplete vectors
-    for leaf, terms, _ in _prefix_walk([*(range(i == 1, 2**i) for i in range(1, L)), range(1)],
-                                       below):
+    for prefix, terms in _prefix_walk([range(i == 1, 2**i) for i in range(1, L)], below):
         full += 1
-        first, _, unknown = brown._first_incomplete(leaf, terms, math.inf)
+        first, _, unknown = brown._first_incomplete(prefix, terms, math.inf)
         if unknown:
-            undecided.append(tuple(leaf[:-1]))
-        elif CharPoly(c := Coefficients((*leaf[:-1], first))).sign_at(2) > 0:
+            undecided.append(tuple(prefix))
+        elif CharPoly(c := Coefficients((*prefix, first))).sign_at(2) > 0:
             offered.append(c)
     best_c, best = least_root(offered, tol) or (None, None)
     if best_c is None:
@@ -676,7 +673,7 @@ def root_order_gap(L: int, k: int, tol=DEFAULT_TOL) -> tuple[Fraction, Fraction]
     # at x = phi(t) falls as x >= 1 grows; so its value at a = floor(q) bounds
     # the difference, and the depths below where 2^d times it reaches 1 are
     # skipped: they answer None.
-    a = _integer_bracket(CharPoly(sparse_vector(L, k))).num
+    a = _sparse_roots(L, range(k, k + 1), 0)[0][0]
     num, den = (L - 1) * (L * a - L + 2), a ** (2 * L - 3) * (L * a - L + 1) ** 3
     depth = _depth(tol)
     while num << depth < den:

@@ -144,44 +144,41 @@ def window_scan(L: int, cap: int, window: int, horizon: int | None = None) -> It
         return len(prefix) >= window or term <= 1 + running  # B_{k+1} >= 0
 
     edge, inner = range(1, cap + 1), range(cap + 1)
-    # c_L = 0 closes each prefix: its leaf holds H_1..H_L, free of c_L.
-    for values, terms, _ in _prefix_walk([*[edge] * (L > 1), *[inner] * (L - 2), range(1)], keep):
-        yield from _settle_level(values, terms, window, cap, h)[3]
+    for prefix, terms in _prefix_walk([*[edge] * (L > 1), *[inner] * (L - 2)], keep):
+        yield from _settle_level(prefix, terms, window, cap, h)[3]
 
 
-def _read_level(values: list[int], terms: list[int], window: int) -> tuple:
+def _read_level(prefix: Sequence[int], terms: list[int], window: int) -> tuple:
     # The gaps B_1..B_window, window <= 2L, of P + [N] for every N at once,
-    # where ``values`` is P + [0] (c_1..c_{L-1} and a 0) and the list
-    # ``terms`` holds H_1..H_L of that vector, which are free of c_L, and
-    # maybe more, as a leaf of ``core._prefix_walk`` closed by c_L = 0 does.
-    # H_n = p_n + q_n*N: N enters at H_{L+1} = ... + N*H_1, and H_{n+1} with
-    # n < 2L multiplies it only by H_{n+1-L}, which is free of N; so p is the
-    # sequence of P + [0], q_n = 0 for n <= L, and q_{n+1} = p_{n+1-L} +
-    # sum c_i*q_{n+1-i} over i < L.  The head gaps B_1..B_L are free of N and
-    # pass or fail every N; each later B_n = a_n + s_n*N is cut by the sign
-    # of its slope as it is read: s_{L+1} = -1, and later slopes may have
-    # either sign.  Returns (lo, hi, slo, shi): the N >= 1 with B_1..B_window
-    # >= 0 are lo..hi (hi None when window <= L, (1, 0) when none pass), and
-    # those the strict window proves complete (L >= 2, window >= 2L-1,
-    # B_n >= 0 for n < L and B_n > 0 for L <= n <= 2L-1) are slo..shi, or
-    # (1, 0) when there are none or the window stops short of 2L-1.
-    L = len(values)
+    # where ``prefix`` is P = c_1..c_{L-1} and the list ``terms`` holds the
+    # head terms H_1..H_L, which are free of c_L, and maybe more, as a leaf
+    # of ``core._prefix_walk`` does.  H_n = p_n + q_n*N: N enters at H_{L+1}
+    # = ... + N*H_1, and H_{n+1} with n < 2L multiplies it only by
+    # H_{n+1-L}, which is free of N; so p is the sequence of P + [0], q_n = 0
+    # for n <= L, and q_{n+1} = p_{n+1-L} + sum c_i*q_{n+1-i} over i < L.
+    # The head gaps B_1..B_L are free of N and pass or fail every N; each
+    # later B_n = a_n + s_n*N is cut by the sign of its slope as it is read:
+    # s_{L+1} = -1, and later slopes may have either sign.  Returns (lo, hi,
+    # slo, shi): the N >= 1 with B_1..B_window >= 0 are lo..hi (hi None when
+    # window <= L, (1, 0) when none pass), and those the strict window
+    # proves complete (L >= 2, window >= 2L-1, B_n >= 0 for n < L and B_n > 0
+    # for L <= n <= 2L-1) are slo..shi, or (1, 0) when there are none or the
+    # window stops short of 2L-1.
+    L = len(prefix) + 1
     p = terms[:L]
-    running = 0
-    for h in p[:window]:  # the head gaps
-        if h > 1 + running:
-            return 1, 0, 1, 0
-        running += h
+    room = _room_after(p[:window])  # 1 + H_1 + ... + H_min(window, L)
+    if room is None:
+        return 1, 0, 1, 0
     if window <= L:
         return 1, None, 1, 0
     # B_{n+1} with n < strict_last needs to be >= 1 for the strict window;
     # B_L, the last head gap, is one of them.
-    strict_last = 2 * L - 1 if L >= 2 and window >= 2 * L - 1 and 2 * p[-1] <= running else 0
-    taps = [(ci, i) for i, ci in enumerate(values, start=1) if ci]
+    strict_last = 2 * L - 1 if L >= 2 and window >= 2 * L - 1 and 2 * p[-1] < room else 0
+    taps = [(ci, i) for i, ci in enumerate(prefix, start=1) if ci]
     q = [0] * L
     lo = slo = 1
-    hi = shi = 1 + running  # above a_{L+1}, where B_{L+1} = a_{L+1} - N cuts both
-    sum_p, sum_q = 1 + running, 0  # 1 + p_1 + ... + p_n, and q_1 + ... + q_n
+    hi = shi = room  # above a_{L+1}, where B_{L+1} = a_{L+1} - N cuts both
+    sum_p, sum_q = room, 0  # 1 + p_1 + ... + p_n, and q_1 + ... + q_n
     for n in range(L, window):  # H_{n+1} and B_{n+1}
         p_n, q_n = 0, p[n - L]
         for ci, i in taps:
@@ -220,41 +217,41 @@ def _read_level(values: list[int], terms: list[int], window: int) -> tuple:
     return (lo, hi, slo, shi) if strict_last and slo <= shi else (lo, hi, 1, 0)
 
 
-def _settle_level(values: list[int], terms: list[int], window: int, top: float,
+def _settle_level(prefix: Sequence[int], terms: list[int], window: int, top: float,
                   horizon: int | None) -> tuple:
-    # The level c_L = 1..top of P + [0] (``values`` and ``terms`` as
+    # The level c_L = 1..top of P + [c_L] (``prefix`` and ``terms`` as
     # ``_read_level`` takes them), read through B_window: (lo, hi, proven,
     # verdicts).  lo..hi pass B_1..B_min(window, 2L), hi clipped to ``top``;
     # ``proven`` of them pass the strict window; ``verdicts`` holds the engine
     # verdict at ``horizon`` of each other one, and only these become
     # ``Coefficients``.  Past 2L, where the gaps are not affine in c_L, one is
     # first read on from its own terms and gets no verdict if it fails.
-    L = len(values)
-    lo, hi, slo, shi = _read_level(values, terms, min(window, 2 * L))
+    L = len(prefix) + 1
+    lo, hi, slo, shi = _read_level(prefix, terms, min(window, 2 * L))
     if hi is None or hi > top:
         hi = top
-    head, verdicts = values[:-1], []
+    verdicts = []
     for n in (*range(lo, min(slo, hi + 1)), *range(max(shi + 1, lo), hi + 1)):
-        c = Coefficients((*head, n))
+        c = Coefficients((*prefix, n))
         if window <= 2 * L or _room_after(generate_terms(c, window).terms) is not None:
             verdicts.append(check_completeness(c, horizon))
     return lo, hi, max(0, min(shi, hi) - slo + 1), verdicts
 
 
-def _first_incomplete(leaf: list[int], terms: list[int], top: float,
+def _first_incomplete(prefix: Sequence[int], terms: list[int], top: float,
                       horizon: int | None = None) -> tuple:
     """(first incomplete c_L or None, complete count, unknown vectors) for c_L in [1, top].
 
-    ``leaf`` is P + [0] with its terms, a leaf of ``core._prefix_walk``.
-    One ``_settle_level`` reads B_1..B_max(2L-1, 2) for every c_L: no
-    window fires before 2L-1, so a c_L outside the pass interval fails in
-    the engine too (at a horizon that reaches the failing gap) and one
-    inside the strict window's is complete, and only the c_L it leaves
-    open get an engine run at ``horizon``.  ``top`` may be ``math.inf``:
-    B_(L+1) has slope -1, so the pass interval is finite; at L = 1 that is
-    B_2 = 2 - c_1, which 2L-1 = 1 would not reach.
+    ``prefix`` is P = c_1..c_{L-1} with its head terms H_1..H_L, a leaf of
+    ``core._prefix_walk``.  One ``_settle_level`` reads B_1..B_max(2L-1, 2)
+    for every c_L: no window fires before 2L-1, so a c_L outside the pass
+    interval fails in the engine too (at a horizon that reaches the failing
+    gap) and one inside the strict window's is complete, and only the c_L
+    it leaves open get an engine run at ``horizon``.  ``top`` may be
+    ``math.inf``: B_(L+1) has slope -1, so the pass interval is finite; at
+    L = 1 that is B_2 = 2 - c_1, which 2L-1 = 1 would not reach.
     """
-    lo, hi, complete, verdicts = _settle_level(leaf, terms, max(2 * len(leaf) - 1, 2), top,
+    lo, hi, complete, verdicts = _settle_level(prefix, terms, max(2 * len(prefix) + 1, 2), top,
                                                horizon)
     fails = [1] if lo > hi or lo > 1 else [hi + 1] if hi < top else []
     unknown = []
@@ -413,9 +410,9 @@ def recheck(verdict: Verdict) -> bool:
     evaluation, of the vector's polynomial over every coefficient
     (``CharPoly.eval`` and ``_scaled``) and of lambda_L's in closed form,
     not by ``sign_at``, the sign test that produced them.
-    Family certificates must name a rule whose shape the coefficients have,
-    agree with that rule's re-derived bound, and not be contradicted by a
-    definite gap-engine verdict.  A subset-sum witness w at index m is
+    A family verdict must be the one ``families.classify_family`` gives
+    the member of the named rule's shape that the coefficients are, and not
+    be contradicted by a definite gap-engine verdict.  A subset-sum witness w at index m is
     verified exactly when S_m < w < H_{m+1}, with S_m = H_1 + ... + H_m,
     read from the reference terms H_1..H_{m+1}.  At most one m satisfies
     it, since S_{m+1} = S_m + H_{m+1} > w, so a witness names its own
@@ -496,20 +493,12 @@ def _recheck_family(verdict: Verdict) -> bool:
         families.RULE_TWO_ONES_ZEROS: families.TwoOnesZerosN(c.L - 3),
         families.RULE_ONE_ZEROS_ONES: families.OneZerosOnesN(c.L, ones - 1),
     }.get(verdict.certificate.rule)
-    if shape is None:
-        return False
     try:
-        if shape.coefficients(n) != c:
+        if shape is None or families.classify_family(shape, n) != verdict:
             return False
-        bound = shape.bound()
     except ValueError:  # not a family member, or outside the rule's range
         return False
-    kind = COMPLETE if n <= bound.max_n else INCOMPLETE
-    if (bound.rule_id, kind, not bound.proven) != (
-        verdict.certificate.rule, verdict.kind, verdict.conjectural
-    ):
-        return False
-    return check_completeness(c).kind in (UNKNOWN, kind)
+    return check_completeness(c).kind in (UNKNOWN, verdict.kind)
 
 
 def _recheck_root(verdict: Verdict) -> bool:

@@ -447,9 +447,18 @@ def _cmd_dense(args) -> tuple[dict, str, int]:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse quotes each choice in its invalid-choice error through 3.13.0
+    # and not in later releases; this is that text on every version.
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
+
 @functools.cache  # built on the first main() call, not on import
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plrs",
         description="Completeness toolkit for positive linear recurrence sequences.",
     )
@@ -500,7 +509,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(add)
 
     add = command("family-table", _cmd_family_table, "closed-form bounds vs engine search")
-    add("--family", required=True, choices=_FAMILY_NAMES)
+    add("--family", required=True, choices=_FAMILY_NAMES, metavar="FAMILY",
+        help="one of " + ", ".join(_FAMILY_NAMES))
     add("--g", type=_parse_range, default=None, help="range of leading ones, A..B")
     add("--k", type=_parse_range, default=None, help="range of zeros, A..B")
     add("--L", type=_parse_range, default=None, help="range of total lengths, A..B")

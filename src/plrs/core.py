@@ -146,17 +146,17 @@ def validate(values: Sequence[int]) -> Coefficients:
 
 
 def _prefix_walk(ranges: Sequence[Iterable[int]], keep: Callable[..., bool]) -> Iterator[tuple]:
-    # The vectors c with c_i in ranges[i-1] that `keep` passes at every
-    # depth, depth-first in lexicographic order.  keep(c_1..c_k, H_{k+1},
-    # H_1 + ... + H_k) judges c_k at depth k, and the first value it rejects
-    # ends the level, so it must be monotone.  H_{k+1} depends on c_1..c_k
-    # alone (with the +1 of a length-L vector while k < L), so a subtree
-    # shares its prefix's terms.  Each leaf is the live (c_1..c_L,
-    # H_1..H_{L+1}, H_1 + ... + H_L); its consumer may extend the terms.
-    L, prefix, terms = len(ranges), [], [1]
+    # The prefixes P = c_1..c_{L-1}, L = len(ranges) + 1, with c_i in
+    # ranges[i-1] that `keep` passes at every depth, depth-first in
+    # lexicographic order.  keep(c_1..c_k, H_{k+1}, H_1 + ... + H_k) judges
+    # c_k at depth k, and the first value it rejects ends the level, so it
+    # must be monotone.  The head term H_{k+1} = 1 + c_1*H_k + ... + c_k*H_1
+    # is free of the later c_i, so a subtree shares its prefix's terms.
+    # Each leaf is the live (P, H_1..H_L); its consumer may extend the terms.
+    prefix, terms = [], [1]
 
     def walk(k: int, running: int) -> Iterator[tuple]:
-        base = (k < L) + sum(ci * terms[k - i] for i, ci in enumerate(prefix, start=1))
+        base = 1 + sum(ci * terms[k - i] for i, ci in enumerate(prefix, start=1))
         for ck in ranges[k - 1]:
             h = base + ck
             prefix.append(ck)
@@ -164,14 +164,14 @@ def _prefix_walk(ranges: Sequence[Iterable[int]], keep: Callable[..., bool]) -> 
                 prefix.pop()
                 return
             terms.append(h)
-            if k < L:
+            if k < len(ranges):
                 yield from walk(k + 1, running + h)
             else:
-                yield prefix, terms, running
+                yield prefix, terms
             prefix.pop()
             del terms[k:]  # a leaf's consumer may have read on past H_{k+1}
 
-    yield from walk(1, 1) if ranges else [(prefix, terms, 0)]
+    yield from walk(1, 1) if ranges else [(prefix, terms)]
 
 
 class TermSequence(_Record):

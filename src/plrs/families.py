@@ -208,7 +208,7 @@ def max_last(prefix: Sequence[int], horizon: int | None = None) -> int | None:
     L = len(prefix) + 1
     brown.engine_horizon(L, horizon)  # HorizonTooSmall, as from the engine
     c = validate([*prefix, 1])  # raises as the vector would; H_1..H_L are free of c_L
-    first, _, unknown = brown._first_incomplete([*c.values[:-1], 0], [*generate_terms(c, L).terms],
+    first, _, unknown = brown._first_incomplete(c.values[:-1], [*generate_terms(c, L).terms],
                                                 math.inf, horizon)
     return None if any(u.values[-1] == first - 1 for u in unknown) else first - 1
 

@@ -576,7 +576,7 @@ class TestExactThresholdSearch:
         # must be reported as the first incomplete c_L, not counted.
         check = brown.check_completeness
         head = [*reference_terms([1, 0, 2, 0], 4)]
-        assert brown._first_incomplete([1, 0, 2, 0], head, math.inf) == (4, 3, [])
+        assert brown._first_incomplete([1, 0, 2], head, math.inf) == (4, 3, [])
 
         def failing(c, *args, **kwargs):
             if c == validate([1, 0, 2, 3]):
@@ -584,15 +584,15 @@ class TestExactThresholdSearch:
             return check(c, *args, **kwargs)
 
         monkeypatch.setattr(brown, "check_completeness", failing)
-        assert brown._first_incomplete([1, 0, 2, 0], head, math.inf) == (3, 2, [])
+        assert brown._first_incomplete([1, 0, 2], head, math.inf) == (3, 2, [])
 
     def test_open_members_run_at_the_given_horizon(self):
         # [1, 1, N]: B_4 fails from N = 3, and the strict window proves none
         # of 1 and 2, whose runs at horizon 5 stop short of any window.
-        assert brown._first_incomplete([1, 1, 0], [1, 2, 4], math.inf, 5) == (
+        assert brown._first_incomplete([1, 1], [1, 2, 4], math.inf, 5) == (
             3, 0, [validate([1, 1, 1]), validate([1, 1, 2])])
         # L = 1 is bounded by B_2 = 2 - N, and [1] and [2] are complete.
-        assert brown._first_incomplete([0], [1], math.inf) == (3, 2, [])
+        assert brown._first_incomplete([], [1], math.inf) == (3, 2, [])
 
     @settings(deadline=None, max_examples=60)
     @given(prefixes)
@@ -601,7 +601,7 @@ class TestExactThresholdSearch:
         assume(m is not None)
         # The audit's per-prefix step, with no bound on c_L, finds m + 1 too.
         head = [*reference_terms([*prefix, 0], len(prefix) + 1)]
-        assert brown._first_incomplete([*prefix, 0], head, math.inf)[0] == m + 1
+        assert brown._first_incomplete(prefix, head, math.inf)[0] == m + 1
         least = principal_root(validate([*prefix, m + 1]))
         kinds = {n: check_completeness(validate([*prefix, n])).kind for n in range(1, m + 7)}
         assert kinds[m + 1] == INCOMPLETE
@@ -744,6 +744,18 @@ class TestRootOrderGap:
         assert len(pins) == 180
         for L, k, tol, gap1, gap2 in pins:
             assert root_order_gap(L, k, Fraction(tol)) == (Fraction(gap1), Fraction(gap2))
+
+    def test_builds_no_polynomial(self, monkeypatch):
+        # The floor of the first root, which picks the first depth, is read
+        # from its depth-0 cell, as every root here is.
+        def raising(*args):
+            raise AssertionError("root_order_gap read a polynomial")
+
+        monkeypatch.setattr(analytic.CharPoly, "sign_at", raising)
+        monkeypatch.setattr(analytic, "_integer_bracket", raising)
+        for L, k in ((3, 3), (10, 30), (5, 10**400)):
+            gap1, gap2 = root_order_gap(L, k)
+            assert gap1 > gap2 > 0
 
     def test_rejects_small_parameters(self):
         with pytest.raises(ValueError):

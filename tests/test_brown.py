@@ -225,9 +225,9 @@ prefixes = st.one_of(
 )
 
 
-def _read(values, window):
-    # ``brown._read_level`` of P + [0], given its head terms H_1..H_L.
-    return brown._read_level(values, [*reference_terms(values, len(values))], window)
+def _read(prefix, window):
+    # ``brown._read_level`` of P, given its head terms H_1..H_L.
+    return brown._read_level(prefix, [*reference_terms([*prefix, 0], len(prefix) + 1)], window)
 
 
 def _strict(gaps, L, window):
@@ -250,7 +250,7 @@ class TestReadLevel:
         L = len(prefix) + 1
         head = reference_terms([*prefix, 0], L)
         top = min(sum(head) + 2, 300)
-        levels = {window: _read([*prefix, 0], window) for window in range(1, 2 * L + 1)}
+        levels = {window: _read(prefix, window) for window in range(1, 2 * L + 1)}
         assert all(hi is not None for window, (_, hi, _, _) in levels.items() if window > L)
         ns = set(range(1, top + 1))
         for lo, hi, slo, shi in levels.values():
@@ -263,12 +263,12 @@ class TestReadLevel:
                 assert (slo <= n <= shi) == _strict(gaps, L, window), (n, window)
 
     def test_walk_terms_give_the_same_read_and_stay_intact(self):
-        # A leaf of the walk closed by c_L = 0 holds H_1..H_{L+1} of P + [0].
+        # A leaf of the walk holds the head terms H_1..H_L of P + [c_L].
         for L in range(1, 7):
-            ranges = [*[range(1, 3)] * (L > 1), *[range(3)] * (L - 2), range(1)]
-            for prefix, terms, _ in core._prefix_walk(ranges, lambda *_: True):
+            ranges = [*[range(1, 3)] * (L > 1), *[range(3)] * (L - 2)]
+            for prefix, terms in core._prefix_walk(ranges, lambda *_: True):
                 before = list(terms)
-                assert before == list(reference_terms(prefix, L + 1))
+                assert before == list(reference_terms([*prefix, 0], L))
                 for window in range(1, 2 * L + 1):
                     got = brown._read_level(prefix, terms, window)
                     assert got == _read(prefix, window)
@@ -287,12 +287,11 @@ class TestReadLevel:
         ranges = [range(lo + (i in (0, L - 1) and not lo), lo + size)
                   for i, (lo, size) in enumerate(specs)]
         survivors = 0
-        for prefix, terms, _ in core._prefix_walk([*ranges[:-1], range(1)],
-                                                  lambda _, h, s: h <= 1 + s):
-            assert tuple(terms) == reference_terms(prefix, len(terms))
+        for prefix, terms in core._prefix_walk(ranges[:-1], lambda _, h, s: h <= 1 + s):
+            assert tuple(terms) == reference_terms([*prefix, 0], len(terms))
             lo, hi, slo, shi = brown._read_level(prefix, terms, 2 * L - 1)
             for n in ranges[-1]:
-                vector = [*prefix[:-1], n]
+                vector = [*prefix, n]
                 cert = check_completeness(validate(vector)).certificate
                 if not lo <= n <= hi:
                     gaps = brute_gaps(reference_terms(vector, 2 * L - 1))
@@ -321,7 +320,7 @@ class TestLastCoefficientWindow:
         assert [s for _, s in lines[:L]] == [0] * L
         assert lines[L][1] == -1  # s_{L+1}
         for window in range(1, 2 * L + 1):
-            lo, hi, slo, shi = _read([*prefix, 0], window)
+            lo, hi, slo, shi = _read(prefix, window)
             assert (lo <= n and (hi is None or n <= hi)) == (min(gaps[:window]) >= 0)
             assert (slo <= n <= shi) == _strict(gaps, L, window)
 
@@ -329,8 +328,8 @@ class TestLastCoefficientWindow:
         assert [n for n, (_, s) in enumerate(last_coefficient_window([1, 0, 0, 1]), 1)
                 if s > 0] == [10]
         # B_10 >= 0 wherever B_1..B_9 are, so it moves neither interval.
-        assert _read([1, 0, 0, 1, 0], 9) == (1, 7, 1, 6)
-        assert _read([1, 0, 0, 1, 0], 10) == (1, 7, 1, 6)
+        assert _read([1, 0, 0, 1], 9) == (1, 7, 1, 6)
+        assert _read([1, 0, 0, 1], 10) == (1, 7, 1, 6)
 
     def test_rejects_an_invalid_prefix(self):
         with pytest.raises(ValueError):
@@ -629,9 +628,9 @@ class TestRecheck:
         assert not recheck(forged)
         assert not recheck(below)
 
-    def test_witness_past_the_bit_budget_is_not_verified(self):
-        # The prefix of 40 terms sums to about 1.5e9, past the 2^28-bit budget
-        # of a subset-sum bitset; 5 is below that sum, so not a witness at 40.
+    def test_witness_at_or_below_the_prefix_sum_is_not_verified(self):
+        # The prefix of 40 terms sums to about 1.5e9; 5 is below that sum, so
+        # not a witness at 40, though it is missing for good.
         c = validate([1, 1] + [0] * 33 + [25583530])
         v = brown.Verdict(c, INCOMPLETE, brown.failure(40, witness=5), False, 40)
         assert recheck(v) is False
@@ -796,6 +795,17 @@ triage_vectors = st.builds(
 )
 TRIAGE_RULES = {analytic.TRIAGE_FAST, analytic.TRIAGE_SLOW, analytic.TRIAGE_INDETERMINATE}
 
+# Members of each family shape, by the family's name.
+family_shapes = {
+    families.RULE_ONE_ZEROS: st.builds(families.OneZerosN, st.integers(0, 15)),
+    families.RULE_ONES_ZEROS: st.integers(1, 8).flatmap(
+        lambda g: st.builds(families.OnesZerosN, st.just(g), st.integers(1, g))),
+    families.RULE_TWO_ONES_ZEROS: st.builds(families.TwoOnesZerosN, st.integers(0, 10)),
+    families.RULE_ONE_ZEROS_ONES: st.integers(0, 4).flatmap(
+        lambda m: st.builds(families.OneZerosOnesN, st.integers(2 * m + 2 + (m == 0), 14),
+                            st.just(m))),
+}
+
 
 class TestRecheckProperties:
     @example((1, 1), 0)  # the 2L-1 rule
@@ -827,6 +837,22 @@ class TestRecheckProperties:
                 assert recheck(moved(v, witness=cert.witness + 1)) == (
                     cert.witness + 1 < next_term
                 ), v
+
+    @pytest.mark.parametrize("name", family_shapes)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_family_verdicts_pass_and_forgeries_fail(self, name, data):
+        # A member with N within two of its bound; each forgery changes one
+        # field of the verdict or of its certificate.
+        shape = data.draw(family_shapes[name])
+        n = max(1, shape.bound().max_n + data.draw(st.integers(-2, 2)))
+        v = classify_family(shape, n)
+        assert recheck(v), v
+        other_rules = set(families.FAMILIES) - {v.certificate.rule}
+        for forged in (*forgeries(v), *(moved(v, rule=rule) for rule in other_rules),
+                       replace(v, horizon_used=7), moved(v, index=n), moved(v, witness=1),
+                       replace(v, note="forged")):
+            assert not recheck(forged), forged
 
     @example((3, 1))  # p2_negative
     @example((1, 1))  # below_lambda

@@ -209,10 +209,11 @@ class TestPrefixWalk:
     @given(ascending_boxes())
     def test_sum_cap_matches_filtered_product(self, box):
         # A sum cap is monotone on non-negative ranges, so the walk yields
-        # the filtered product in order; keep and each leaf see the terms
-        # H_1..H_{k+1} of the length-L vector and the sum H_1 + ... + H_k.
+        # the filtered product in order; keep sees the terms H_1..H_{k+1} of
+        # a length-L vector, L = len(ranges) + 1, and the sum H_1 + ... +
+        # H_k, and each leaf the head terms H_1..H_L.
         ranges, cap = box
-        L = len(ranges)
+        L = len(ranges) + 1
 
         def keep(prefix, h, running):
             k = len(prefix)
@@ -221,8 +222,7 @@ class TestPrefixWalk:
             return sum(prefix) <= cap
 
         got = []
-        for prefix, terms, running in core._prefix_walk(ranges, keep):
-            assert terms == list(reference_terms(prefix, L + 1))
-            assert running == sum(terms[:L])
+        for prefix, terms in core._prefix_walk(ranges, keep):
+            assert terms == list(reference_terms([*prefix, 0], L))
             got.append(tuple(prefix))
         assert got == [v for v in itertools.product(*ranges) if sum(v) <= cap]
